@@ -59,6 +59,17 @@ def _check_known(section: dict, path: str, known: set[str]) -> None:
         _fail(path, f"unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}")
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, Infinity or an
+    integer beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(section: dict, path: str, key: str, *, required: bool = True,
             minimum: float | None = None, strict: bool = False) -> float | None:
     if key not in section:
@@ -66,8 +77,8 @@ def _number(section: dict, path: str, key: str, *, required: bool = True,
             _fail(path, f"missing required key '{key}'")
         return None
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
     value = float(value)
     if minimum is not None:
         if strict and not value > minimum:
@@ -297,14 +308,12 @@ def _parse_squeeze(section: dict) -> SqueezeSettings:
         if not from_drive:
             _fail(path, "missing 'phi_rad' (a number or list of numbers)")
         phis: tuple[float, ...] = ()
-    elif isinstance(phi_raw, (int, float)) and not isinstance(phi_raw, bool):
-        phis = (float(phi_raw),)
-    elif isinstance(phi_raw, list) and phi_raw and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in phi_raw
-    ):
-        phis = tuple(float(v) for v in phi_raw)
     else:
-        _fail(f"{path}.phi_rad", f"expected a number or non-empty list, got {phi_raw!r}")
+        phi_list = phi_raw if isinstance(phi_raw, list) else [phi_raw]
+        if not phi_list or not all(_is_finite_number(v) for v in phi_list):
+            _fail(f"{path}.phi_rad",
+                  f"expected a finite number or non-empty list of them, got {phi_raw!r}")
+        phis = tuple(float(v) for v in phi_list)
     thermal = section.get("thermal", False)
     if not isinstance(thermal, bool):
         _fail(f"{path}.thermal", f"expected true/false, got {thermal!r}")

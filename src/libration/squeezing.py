@@ -13,10 +13,12 @@ state (occupation nbar, no initial correlations) evolve as
     S_theta(t) = (2 nbar + 1)/4 * [1 + xi (xi - lam cos 2phi) g1(t) - xi sin(2phi) g2(t)]
     S_J(t)     = (2 nbar + 1)/4 * [1 + xi (xi + lam cos 2phi) g1(t) + xi sin(2phi) g2(t)]
 
-where g1 = (cosh(2 lam_p t) - 1)/lam_p^2 and g2 = sinh(2 lam_p t)/lam_p are
-entire functions of lam_p^2 = xi^2 - lam^2.  Three regimes follow from the
-sign of lam_p^2, equivalently from the drive frequency relative to the
-characteristic points omega_ml1 = omega_t - 36 eta r^2 and
+where g1 = (cosh(2 lam_p t) - 1)/lam_p^2 = 2 t^2 sinhc(lam_p t)^2 and
+g2 = sinh(2 lam_p t)/lam_p = 2 t sinhc(2 lam_p t), with sinhc(z) = sinh(z)/z,
+are entire functions of lam_p^2 = xi^2 - lam^2.  They are evaluated in that
+sinhc form, in complex arithmetic, for every regime.  Three regimes follow
+from the sign of lam_p^2, equivalently from the drive frequency relative to
+the characteristic points omega_ml1 = omega_t - 36 eta r^2 and
 omega_ml2 = omega_t - 12 eta r^2:
 
     hyperbolic   (omega_ml1 < omega_ml < omega_ml2): lam_p real, exponential
@@ -24,7 +26,8 @@ omega_ml2 = omega_t - 12 eta r^2:
                  phi = +-(1/2) arctan(lam_p / lam).
     oscillatory  (outside that window): lam_p = i lam_p', variances breathe
                  periodically with period pi / lam_p'.
-    degenerate   (lam_p^2 ~ 0): power-series limit of g1, g2.
+    degenerate   (|lam_p^2| <= DEGENERATE_BAND * xi^2): the crossover, where
+                 g1 ~ 2 t^2 and g2 ~ 2 t grow polynomially.
 
 The closed forms are cross-checked against :func:`moment_oracle`, which
 integrates the second-moment equations directly (optionally with damping) and
@@ -51,7 +54,7 @@ __all__ = [
     "thermal_squeezing_check",
 ]
 
-#: |lam_p^2| below this fraction of xi^2 switches g1, g2 to their series form.
+#: |lam_p^2| below this fraction of xi^2 is labelled the degenerate regime.
 DEGENERATE_BAND = 1e-9
 
 
@@ -73,6 +76,9 @@ class SqueezeParams:
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("lam", "xi", "phi", "r", "nbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.xi < 0.0:
             raise ValueError(f"xi must be >= 0, got {self.xi!r}")
         if self.r < 0.0:
@@ -130,27 +136,17 @@ def exponential_angle(params: SqueezeParams) -> float:
     return 0.5 * math.atan2(lam_p, params.lam)
 
 
-def _g1_g2(lps: float, t: np.ndarray, degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """g1 = (cosh(2 lam_p t) - 1)/lam_p^2 and g2 = sinh(2 lam_p t)/lam_p.
-
-    Both are entire in lam_p^2; evaluated per regime to stay real, with the
-    4th-order series in lam_p^2 t^2 inside the degenerate band.
-    """
-    if degenerate:
-        t2 = t * t
-        g1 = 2.0 * t2 * (1.0 + lps * t2 / 3.0 + 2.0 * (lps * t2) ** 2 / 45.0)
-        g2 = 2.0 * t * (1.0 + 2.0 * lps * t2 / 3.0 + 2.0 * (lps * t2) ** 2 / 15.0)
-        return g1, g2
-    if lps > 0.0:
-        lp = math.sqrt(lps)
-        return (np.cosh(2.0 * lp * t) - 1.0) / lps, np.sinh(2.0 * lp * t) / lp
-    lq = math.sqrt(-lps)
-    return (1.0 - np.cos(2.0 * lq * t)) / (-lps), np.sin(2.0 * lq * t) / lq
+def _sinhc(z: np.ndarray) -> np.ndarray:
+    """sinh(z)/z in complex arithmetic, equal to 1 only at z = 0."""
+    nonzero = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, np.sinh(nonzero) / nonzero)
 
 
 def _variances(t, params: SqueezeParams) -> tuple[np.ndarray, np.ndarray]:
     tt = np.asarray(t, dtype=float)
-    g1, g2 = _g1_g2(params.lambda_p_sq, tt, params.regime == "degenerate")
+    z = params.lambda_p * tt
+    g1 = 2.0 * tt * tt * _sinhc(z).real ** 2
+    g2 = 2.0 * tt * _sinhc(2.0 * z).real
     pref = (2.0 * params.nbar + 1.0) / 4.0
     c2 = math.cos(2.0 * params.phi)
     s2 = math.sin(2.0 * params.phi)

@@ -16,10 +16,16 @@ root gives a 2x2 fluctuation matrix whose Routh-Hurwitz conditions (trace and
 determinant positive) decide stability; the determinant equals d(Omega^2/4)/dn,
 so the middle branch of an S-curve is always the unstable one.
 
-The cubic is solved in the scaled variable x = 12*eta*n (units rad/s), where
-the monic form  x^3 + 2u x^2 + (gamma_b^2/4 + u^2) x - 3*eta*Omega^2 = 0  is
-well conditioned, using the closed-form trigonometric/Cardano expressions plus
-a couple of Newton steps.  All frequencies are angular (rad/s).
+In the scaled variable x = 12*eta*n (rad/s) the cubic reads
+F(x) = x (gamma_b^2/4 + (u + x)^2) = 3*eta*Omega^2.  Its closed-form extrema
+x_low < x_high (the folds) give three roots exactly when x_low > 0 and
+F(x_high) <= 3*eta*Omega^2 <= F(x_low), bracketed by [0, x_low],
+[x_low, x_high] and [x_high, top]; otherwise one root lies in [0, top],
+top = max(-u, 0) + (3*eta*Omega^2)^(1/3).  Newton's method from the bracket
+end where the residual and its curvature share a sign (Fourier's condition)
+converges monotonically; bisection takes over any step that would leave the
+bracket (Kahan, "To Solve a Real Cubic Equation", 1986).  All frequencies
+are angular (rad/s).
 """
 
 from __future__ import annotations
@@ -49,9 +55,6 @@ __all__ = [
     "sweep_diagram",
 ]
 
-#: Two roots closer than this (relative to max(1, n)) are treated as a tangency.
-TANGENCY_RTOL = 1e-8
-
 #: Residual bound enforced on returned roots: |cubic(n)| <= RESIDUAL_RTOL * Omega^2/4.
 RESIDUAL_RTOL = 1e-9
 
@@ -72,6 +75,9 @@ class MeanFieldParams:
     eta: float
 
     def __post_init__(self) -> None:
+        for name in ("delta_ml", "Omega", "gamma_b", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.Omega >= 0.0:
             raise ValueError(f"Omega must be >= 0, got {self.Omega!r}")
         if not self.gamma_b >= 0.0:
@@ -145,33 +151,26 @@ class BistabilityDiagram:
     window_width: float
 
 
-def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
-    """Real roots of the monic cubic x^3 + b x^2 + c x + d, closed form.
+def _fold_x(u: float, gamma_b: float) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """Folds (x_low, F(x_low)), (x_high, F(x_high)) of F(x) = x (gamma_b^2/4 + (u + x)^2).
 
-    Depressed via x = y - b/3; one real root through the numerically stable
-    Cardano branch, three through the trigonometric form.  Roots are not
-    polished here.
+    x = 12 eta n.  F'(x) = 3x^2 + 4ux + u^2 + gamma_b^2/4 vanishes at
+    x = (-2u -+ s)/3, where u + x = (u -+ s)/3, with
+    s^2 = (u + sqrt(3) gamma_b/2)(u - sqrt(3) gamma_b/2), a product that does
+    not cancel near the bistability edge.  The two offsets u + x multiply to
+    gamma_b^2/12, which gives the small one without cancellation.  x_low is
+    the local maximum of F, x_high the local minimum; None when F is monotone.
     """
-    p = c - b * b / 3.0
-    q = d + (2.0 * b**3 - 9.0 * b * c) / 27.0
-    shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        if q >= 0.0:
-            t = -((q / 2.0 + s) ** (1.0 / 3.0))
-        else:
-            t = (-q / 2.0 + s) ** (1.0 / 3.0)
-        if t == 0.0:
-            return [shift]
-        return [t - p / (3.0 * t) + shift]
-    if p == 0.0:  # disc <= 0 forces p <= 0; p == 0 means triple root
-        return [shift] * 3
-    m = 2.0 * math.sqrt(-p / 3.0)
-    cos_arg = 3.0 * q / (p * m)
-    cos_arg = min(1.0, max(-1.0, cos_arg))
-    theta = math.acos(cos_arg)
-    return [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
+    half = math.sqrt(3.0) * gamma_b / 2.0
+    s_sq = (u + half) * (u - half)
+    if s_sq < 0.0:
+        return None
+    s = math.sqrt(s_sq)
+    g2 = gamma_b**2 / 4.0
+    off_low = (u - s) / 3.0
+    off_high = (u + s) / 3.0 if u >= 0.0 else g2 / (3.0 * off_low)
+    x_low, x_high = off_low - u, off_high - u
+    return (x_low, x_low * (g2 + off_low**2)), (x_high, x_high * (g2 + off_high**2))
 
 
 def _cubic_n(params: MeanFieldParams, n: float) -> float:
@@ -181,64 +180,75 @@ def _cubic_n(params: MeanFieldParams, n: float) -> float:
     return n * (g * g / 4.0 + (u + 12.0 * params.eta * n) ** 2) - params.Omega**2 / 4.0
 
 
-def _cubic_n_derivative(params: MeanFieldParams, n: float) -> float:
-    u = params.u
-    g = params.gamma_b
-    x = 12.0 * params.eta * n
-    return g * g / 4.0 + (u + x) ** 2 + 2.0 * x * (u + x)
-
-
 def steady_occupations(params: MeanFieldParams) -> list[float]:
     """Steady-state occupations n = |beta_0|^2, sorted ascending.
 
-    Returns one or three roots of the steady-state cubic.  A tangency (fold
-    touching) is reported as three roots with two equal entries.  An undriven
-    mode (Omega = 0) returns [0.0]: with damping the vacuum is the unique
-    fixed point, and the undamped degenerate circle of fixed points at
-    u + 12*eta*n = 0 collapses to the same reported state.
+    Returns one or three roots of the steady-state cubic, each from its own
+    fold-bounded bracket (see the module docstring), iterated until
+    |cubic(n)| <= 1e-13 * Omega^2/4.  At a drive exactly on a fold two of the
+    roots can coincide; :func:`solve_branches` marks such a pair as tangent.
+    An undriven mode (Omega = 0) returns [0.0]: with damping the vacuum is
+    the unique fixed point, and the undamped degenerate circle of fixed
+    points at u + 12*eta*n = 0 collapses to the same reported state.
+
+    Raises RuntimeError when a root misses |cubic(n)| <= RESIDUAL_RTOL *
+    Omega^2/4.  That happens for a root on the resonance, u + 12*eta*n ~ 0,
+    with a tiny gamma_b: u + 12*eta*n resolves there only to ulp(u), so the
+    residual is rounding noise that can exceed the bound at every float64 n.
     """
     if params.Omega == 0.0:
         return [0.0]
     u = params.u
-    g = params.gamma_b
-    eta = params.eta
-    # monic cubic in x = 12*eta*n  (see module docstring)
-    roots_x = _real_cubic_roots(
-        2.0 * u, g * g / 4.0 + u * u, -3.0 * eta * params.Omega**2
-    )
+    g2 = params.gamma_b**2 / 4.0
+    k = 12.0 * params.eta
     target = params.Omega**2 / 4.0
-    roots: list[float] = []
-    for x in roots_x:
-        if x <= 0.0:
-            continue
-        n = x / (12.0 * eta)
-        # Newton polish until the contract residual holds
-        for _ in range(8):
+    tol = 1e-13 * target
+
+    def solve(lo: float, hi: float, rising: bool) -> float:
+        # Newton from the end where the residual and its curvature
+        # 4u + 6x share a sign (Fourier), so it converges monotonically;
+        # bisection whenever a step would leave the bracket.
+        if (4.0 * u + 6.0 * k * lo < 0.0) == rising:
+            n = lo
+        elif (4.0 * u + 6.0 * k * hi > 0.0) == rising:
+            n = hi
+        else:
+            n = 0.5 * (lo + hi)
+        # on the resonance the residual is rounding noise that can stall
+        # short of tol: keep the smallest one seen
+        best_f, best = math.inf, n
+        for _ in range(200):  # under 70 needed over the whole ROADMAP range
             f = _cubic_n(params, n)
-            if abs(f) <= 1e-13 * target:
+            if abs(f) < best_f:
+                best_f, best = abs(f), n
+            if abs(f) <= tol:
                 break
-            fp = _cubic_n_derivative(params, n)
-            if fp == 0.0:
-                break
-            step = f / fp
-            if n - step <= 0.0:
-                break
-            n -= step
-        roots.append(n)
-    roots.sort()
-    if len(roots) == 3:
-        # snap near-coincident fold roots to their midpoint (tangency)
-        for i in (1, 0):
-            if roots[i + 1] - roots[i] <= TANGENCY_RTOL * max(1.0, roots[i + 1]):
-                mid = 0.5 * (roots[i] + roots[i + 1])
-                roots[i] = roots[i + 1] = mid
-    if len(roots) not in (1, 3):
-        raise RuntimeError(
-            f"cubic solver returned {len(roots)} positive roots; parameters {params}"
-        )
-    bad = [n for n in roots if abs(_cubic_n(params, n)) > RESIDUAL_RTOL * target]
+            if (f < 0.0) == rising:
+                lo = n
+            else:
+                hi = n
+            x = k * n
+            slope = g2 + (u + x) * (u + 3.0 * x)
+            n = n - f / slope if slope else lo
+            if not lo < n < hi:
+                n = 0.5 * (lo + hi)
+                if not lo < n < hi:
+                    break
+        return best
+
+    drive_x = 3.0 * params.eta * params.Omega**2
+    top = (max(-u, 0.0) + drive_x ** (1.0 / 3.0)) / k
+    brackets = [(0.0, top, True)]
+    folds = _fold_x(u, params.gamma_b)
+    if folds is not None:
+        (x_low, f_low), (x_high, f_high) = folds
+        if x_low > 0.0 and f_high <= drive_x <= f_low:
+            n_low, n_high = x_low / k, x_high / k
+            brackets = [(0.0, n_low, True), (n_low, n_high, False), (n_high, top, True)]
+    roots = [solve(*b) for b in brackets]
+    bad = [n for n in roots if not abs(_cubic_n(params, n)) <= RESIDUAL_RTOL * target]
     if bad:
-        raise RuntimeError(f"root polishing failed residual check at n={bad}")
+        raise RuntimeError(f"steady-state root failed residual check at n={bad}")
     return roots
 
 
@@ -327,16 +337,8 @@ def _branch_from_n(params: MeanFieldParams, n: float, tangent: bool) -> SteadyBr
 def solve_branches(params: MeanFieldParams) -> tuple[SteadyBranch, ...]:
     """All steady branches (ascending n) with stability and eigenvalues."""
     ns = steady_occupations(params)
-    tangent_pairs = set()
-    if len(ns) == 3:
-        if ns[0] == ns[1]:
-            tangent_pairs |= {0, 1}
-        if ns[1] == ns[2]:
-            tangent_pairs |= {1, 2}
-    return tuple(
-        _branch_from_n(params, n, tangent=(i in tangent_pairs))
-        for i, n in enumerate(ns)
-    )
+    # two equal roots are a fold touching the drive: a tangent pair
+    return tuple(_branch_from_n(params, n, tangent=ns.count(n) > 1) for n in ns)
 
 
 def bistability_condition(
@@ -355,11 +357,6 @@ def bistability_condition(
         raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
     omega_c = omega_t - 12.0 * eta - math.sqrt(3.0) * gamma_b / 2.0
     return (0.0 <= omega_ml < omega_c), omega_c
-
-
-def _fold_drive(u: float, gamma_b: float, eta: float, x: float) -> float:
-    """Drive amplitude whose S-curve folds at x = 12 eta n."""
-    return math.sqrt(x / (3.0 * eta) * (gamma_b**2 / 4.0 + (u + x) ** 2))
 
 
 def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
@@ -381,8 +378,9 @@ def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
         raise ValueError(f"eta must be > 0, got {eta!r}")
     if gamma_b < 0.0:
         raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
-    s_sq = delta * (delta - math.sqrt(3.0) * gamma_b)
-    if s_sq < 0.0:
+    u = delta - math.sqrt(3.0) * gamma_b / 2.0
+    folds = _fold_x(u, gamma_b)
+    if folds is None:
         return TurningPoints(
             delta_eff_low=None,
             delta_eff_high=None,
@@ -393,31 +391,25 @@ def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
             n_high=None,
             physical=False,
         )
-    s = math.sqrt(s_sq)
-    u = delta - math.sqrt(3.0) * gamma_b / 2.0
-    x_low = (-2.0 * u - s) / 3.0  # fold closer to the lower branch (local max of Omega^2)
-    x_high = (-2.0 * u + s) / 3.0
-    n_low = x_low / (12.0 * eta)
-    n_high = x_high / (12.0 * eta)
+    # x_low: fold closer to the lower branch (local max of Omega^2)
+    (x_low, f_low), (x_high, f_high) = folds
     delta_ml = u - 12.0 * eta
     d_low = delta_ml + 2.0 * x_low
     d_high = delta_ml + 2.0 * x_high
+    # both folds at n = 0 only on the undamped edge, delta = gamma_b = 0
     physical = x_low > 0.0 or (x_low == 0.0 and x_high == 0.0)
-    if x_low > 0.0:
-        drive_low = _fold_drive(u, gamma_b, eta, x_low)
-        drive_high = _fold_drive(u, gamma_b, eta, x_high)
-    elif physical:  # degenerate fold exactly at n = 0 is impossible for delta < 0
-        drive_low = drive_high = _fold_drive(u, gamma_b, eta, max(x_low, 0.0))
-    else:
-        drive_low = drive_high = None
+    drive_low = drive_high = None
+    if physical:  # Omega^2 = F(x) / (3 eta) at a fold
+        drive_low = math.sqrt(f_low / (3.0 * eta))
+        drive_high = math.sqrt(f_high / (3.0 * eta))
     return TurningPoints(
         delta_eff_low=d_low,
         delta_eff_high=d_high,
         width=d_high - d_low,
         drive_low=drive_low,
         drive_high=drive_high,
-        n_low=n_low,
-        n_high=n_high,
+        n_low=x_low / (12.0 * eta),
+        n_high=x_high / (12.0 * eta),
         physical=physical,
     )
 

@@ -93,13 +93,15 @@ def test_criterion_03_power_independence():
 def test_criterion_04_cubic_oracle_equivalence():
     rng = np.random.default_rng(20260825)
     t0 = time.perf_counter()
+    solver_s = 0.0  # the solver alone; the 400k-point oracle scans dominate the total
     worst = 0.0
     count_mismatch = 0
     for _ in range(1000):
         delta_ml, Omega, gamma_b, eta = draw_mean_field(rng)
-        roots = steady_occupations(
-            MeanFieldParams(delta_ml=delta_ml, Omega=Omega, gamma_b=gamma_b, eta=eta)
-        )
+        params = MeanFieldParams(delta_ml=delta_ml, Omega=Omega, gamma_b=gamma_b, eta=eta)
+        s0 = time.perf_counter()
+        roots = steady_occupations(params)
+        solver_s += time.perf_counter() - s0
         ref = scan_roots(delta_ml, Omega, gamma_b, eta, n_grid=400_000)
         if len(roots) != len(ref):
             count_mismatch += 1
@@ -109,9 +111,10 @@ def test_criterion_04_cubic_oracle_equivalence():
     elapsed = time.perf_counter() - t0
     report(
         4, "cubic-oracle equivalence",
-        count_mismatch == 0 and worst < 1e-6 and elapsed < 10.0,
+        count_mismatch == 0 and worst < 1e-6 and solver_s < 1.0 and elapsed < 10.0,
         f"1000 random sets: count mismatches {count_mismatch}, "
-        f"max rel dev {worst:.2e} (tol 1e-6), {elapsed:.1f} s (budget 10 s)",
+        f"max rel dev {worst:.2e} (tol 1e-6), solver {solver_s * 1e3:.1f} ms "
+        f"(budget 1 s), with oracle {elapsed:.1f} s (budget 10 s)",
     )
 
 

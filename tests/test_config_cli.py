@@ -425,3 +425,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     free = write_cfg(tmp_path, undamped, "free.json")
     assert run_cli(["hysteresis", "--config", free]) == 1
     assert "dwell_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_rejects_non_finite_detuning(tmp_path, capsys, value):
+    # json.dumps writes NaN / Infinity, which Python's JSON reader accepts
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        drive={"detuning_rad_s": value},
+        sweep={"amplitude_min_rad_s": 1.0e6, "amplitude_max_rad_s": 1.2e7, "points": 5},
+    ))
+    out = tmp_path / "out"
+    assert run_cli(["bistability", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "drive.detuning_rad_s" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (out / "bistability_summary.csv").exists()
+
+
+def test_non_finite_numbers_rejected_everywhere(tmp_path):
+    for section, key in (("trap", "power_w"), ("environment", "temperature_k")):
+        for value in (math.nan, -math.inf, 10**400):
+            bad = copy.deepcopy(BASE)
+            bad[section][key] = value
+            with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+                load_config(write_cfg(tmp_path, bad))
+    bad = with_sections(BASE, drive={"detuning_hz": 200.0},
+                        squeeze={"r": 40.0, "phi_rad": [0.0, math.nan], "t_max_s": 1e-3})
+    with pytest.raises(ConfigError, match=r"squeeze\.phi_rad"):
+        load_config(write_cfg(tmp_path, bad))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,6 +57,14 @@ def test_parameter_validation():
         moment_oracle(bench_params(10.0, 0.0), np.linspace(0, 1e-3, 50), gamma_b=-1.0)
     with pytest.raises(ValueError):
         moment_oracle(bench_params(10.0, 0.0), np.array([0.0]))
+
+
+@pytest.mark.parametrize("field", ["lam", "xi", "phi", "r", "nbar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_parameters_reject_non_finite(field, value):
+    fields = {"lam": 1432.0, "xi": 87.7, "phi": 1.0, "r": 40.0, "nbar": 0.5}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SqueezeParams(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("nbar", [0.0, 3.2])
@@ -197,6 +206,47 @@ def test_degenerate_series_branch():
         variance_theta_closed(t, p1), variance_theta_closed(t, p0),
         rtol=0, atol=2e-4,
     )
+
+
+def mp_variances(p, t):
+    """S_theta, S_J from (cosh(2 lam_p t) - 1)/lam_p^2 and sinh(2 lam_p t)/lam_p
+    in 40-digit arithmetic, with lam_p^2 taken exactly from the float inputs."""
+    with mpmath.workdps(40):
+        xi, lam = mpmath.mpf(p.xi), mpmath.mpf(p.lam)
+        lps = xi * xi - lam * lam
+        lam_p = mpmath.sqrt(mpmath.mpc(lps))
+        pref = (2 * mpmath.mpf(p.nbar) + 1) / 4
+        c2, s2 = mpmath.cos(2 * mpmath.mpf(p.phi)), mpmath.sin(2 * mpmath.mpf(p.phi))
+        s_theta, s_j = [], []
+        for tk in t:
+            tk = mpmath.mpf(float(tk))
+            g1 = mpmath.re((mpmath.cosh(2 * lam_p * tk) - 1) / lps)
+            g2 = mpmath.re(mpmath.sinh(2 * lam_p * tk) / lam_p)
+            s_theta.append(float(pref * (1 + xi * (xi - lam * c2) * g1 - xi * s2 * g2)))
+            s_j.append(float(pref * (1 + xi * (xi + lam * c2) * g1 + xi * s2 * g2)))
+    return np.array(s_theta), np.array(s_j)
+
+
+@pytest.mark.parametrize(
+    "offset,regime",
+    [
+        (2e-10, "degenerate"),   # lam_p^2 ~ -2 offset xi^2: inside the band
+        (-4e-10, "degenerate"),
+        (1e-9, "oscillatory"),   # two band widths outside it, either side
+        (-1e-9, "hyperbolic"),
+    ],
+)
+@pytest.mark.parametrize("phi", [0.0, 0.9, math.pi / 2.0])
+def test_closed_forms_across_the_degenerate_band(offset, regime, phi):
+    # one formula for every regime: long times make lam_p t of order one at
+    # the band edge, where a truncated series or a cosine difference fails
+    xi = 87.72142036086622
+    p = SqueezeParams(lam=xi * (1.0 + offset), xi=xi, phi=phi, r=40.0, nbar=0.7)
+    assert p.regime == regime
+    t = np.linspace(0.0, 300.0, 61)
+    ref_theta, ref_j = mp_variances(p, t)
+    np.testing.assert_allclose(variance_theta_closed(t, p), ref_theta, rtol=1e-6)
+    np.testing.assert_allclose(variance_J_closed(t, p), ref_j, rtol=1e-6)
 
 
 def test_oscillatory_depth_and_period_frozen():

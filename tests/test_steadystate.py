@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from libration.dynamics import mean_field_rhs
 from libration.steadystate import (
@@ -91,6 +92,71 @@ def test_steady_amplitude_consistency():
             np.testing.assert_allclose(
                 gamma_b * n, -Omega * beta0.imag, rtol=1e-9, atol=1e-30
             )
+
+
+def fold_window_drives(p: MeanFieldParams) -> tuple[float, float] | None:
+    """(lower, upper) fold drives of the S-curve, or None when it does not fold.
+
+    The far fold comes from the surd, the near one from the product of the
+    two extrema of x (gamma^2/4 + (u + x)^2) (Vieta), x = 12 eta n.
+    """
+    u = p.u
+    half = SQRT3 * p.gamma_b / 2.0
+    if u >= 0.0 or (u + half) * (u - half) <= 0.0:
+        return None
+    x_far = (-2.0 * u + math.sqrt((u + half) * (u - half))) / 3.0
+    x_near = (p.gamma_b**2 / 4.0 + u * u) / (3.0 * x_far)
+
+    def drive(x: float) -> float:
+        return math.sqrt(x / (3.0 * p.eta) * (p.gamma_b**2 / 4.0 + (u + x) ** 2))
+
+    return drive(x_far), drive(x_near)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    eta=log_uniform(-8.0, 2.0),
+    gamma_b=st.one_of(st.just(0.0), log_uniform(-3.0, 6.0)),
+    abs_delta=log_uniform(-3.0, 8.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    Omega=log_uniform(-3.0, 10.0),
+)
+def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega):
+    # every draw either returns the fold-window root count, within the
+    # residual contract and with the S-curve stability pattern, or raises
+    # the typed RuntimeError (a root on the resonance, below float resolution)
+    p = MeanFieldParams(delta_ml=sign * abs_delta, Omega=Omega, gamma_b=gamma_b, eta=eta)
+    try:
+        branches = solve_branches(p)
+    except RuntimeError:
+        return
+    ns = [b.n for b in branches]
+    assert ns == sorted(ns) and ns[0] > 0.0
+    for n in ns:
+        assert abs(residual(p, n)) <= 1e-9 * Omega**2 / 4.0
+    folds = fold_window_drives(p)
+    # within the residual contract of a fold drive either count is right
+    if folds is None or all(abs(Omega**2 - f**2) > 1e-9 * f**2 for f in folds):
+        inside = folds is not None and folds[0] < Omega < folds[1]
+        assert len(ns) == (3 if inside else 1)
+    if len(ns) == 3:
+        # an undamped mode only precesses about its outer branches
+        outer = Stability.STABLE if gamma_b > 0.0 else Stability.MARGINAL
+        assert [b.verdict for b in branches] == [outer, Stability.UNSTABLE, outer]
+
+
+@pytest.mark.parametrize("delta_ml", [-1.0e6, 1.0e5])
+@pytest.mark.parametrize("Omega", [1.0, 2.0, 5.0, 10.0])
+def test_weak_drive_is_linear_response(delta_ml, Omega):
+    # far from resonance a weak drive leaves one root at the linear response
+    p = MeanFieldParams(delta_ml=delta_ml, Omega=Omega, gamma_b=REF_GAMMA_B, eta=REF_ETA)
+    (n,) = steady_occupations(p)
+    linear = Omega**2 / (4.0 * (REF_GAMMA_B**2 / 4.0 + p.u**2))
+    np.testing.assert_allclose(n, linear, rtol=1e-9)
 
 
 def test_beta_from_n_rejects_non_roots():
@@ -315,3 +381,11 @@ def test_params_validation():
         MeanFieldParams(delta_ml=0.0, Omega=1.0, gamma_b=-1.0, eta=0.01)
     with pytest.raises(ValueError):
         MeanFieldParams(delta_ml=0.0, Omega=1.0, gamma_b=1.0, eta=0.0)
+
+
+@pytest.mark.parametrize("field", ["delta_ml", "Omega", "gamma_b", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    fields = {"delta_ml": -3.0e4, "Omega": 6.0e6, "gamma_b": 8.0e3, "eta": 0.02}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        MeanFieldParams(**{**fields, field: value})

@@ -33,7 +33,6 @@ from libration.steadystate import (
     bistability_condition,
     solve_branches,
     sweep_diagram,
-    turning_points,
 )
 from libration.dynamics import RampProtocol, hysteresis_sweep
 from libration.squeezing import (
@@ -159,7 +158,7 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.scan is not None:
         axis = np.linspace(cfg.scan.lo, cfg.scan.hi, cfg.scan.points)
         scan_rows = {k: [] for k in (
-            "axis", "inertia", "omega_t", "omega_t_over_2pi", "eta", "eta_over_omega_t",
+            cfg.scan.axis, "inertia", "omega_t", "omega_t_over_2pi", "eta", "eta_over_omega_t",
         )}
         for value in axis:
             if cfg.scan.axis == "r_a_m":
@@ -171,15 +170,12 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
                     spec.r_a, float(value), spec.density, spec.eps_r
                 )
             m = mode_parameters(scaled, cfg.trap)
-            scan_rows["axis"].append(float(value))
+            scan_rows[cfg.scan.axis].append(float(value))
             scan_rows["inertia"].append(m.inertia)
             scan_rows["omega_t"].append(m.omega_t)
             scan_rows["omega_t_over_2pi"].append(m.omega_t / TWO_PI)
             scan_rows["eta"].append(m.eta)
             scan_rows["eta_over_omega_t"].append(m.eta / m.omega_t)
-        scan_rows[cfg.scan.axis] = scan_rows.pop("axis")
-        scan_rows = {cfg.scan.axis: scan_rows[cfg.scan.axis],
-                     **{k: v for k, v in scan_rows.items() if k != cfg.scan.axis}}
         write_csv(out / "derive_scan.csv", scan_rows)
         if fmt == "csv+svg":
             svg_line_chart(
@@ -321,21 +317,19 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
             "omega_applied": tr.omega_applied,
         })
 
-    bistable, omega_c = bistability_condition(omega_ml, mode.omega_t, mode.eta, gamma_b)
-    tp = turning_points(omega_ml - omega_c, mode.eta, gamma_b)
-    static = {
-        "up": (tp.drive_low, tp.delta_eff_low),
-        "down": (tp.drive_high, tp.delta_eff_high),
-    } if tp.physical else {"up": (None, None), "down": (None, None)}
-
+    tp = result.turning
     nan = math.nan
     cols = {k: [] for k in (
         "direction", "jump_detected", "jump_drive_rad_s", "jump_drive_hz",
         "jump_delta_eff_rad_s", "jump_delta_eff_hz", "jump_n_before", "jump_n_after",
         "static_fold_drive_rad_s", "static_fold_delta_eff_rad_s", "loop_area",
     )}
-    for direction, jump in (("up", result.jump_up), ("down", result.jump_down)):
-        fold_drive, fold_deff = static[direction]
+    for direction, jump, fold_drive, fold_deff in (
+        ("up", result.jump_up,
+         tp.drive_low if tp else nan, tp.delta_eff_low if tp else nan),
+        ("down", result.jump_down,
+         tp.drive_high if tp else nan, tp.delta_eff_high if tp else nan),
+    ):
         cols["direction"].append(direction)
         cols["jump_detected"].append(int(jump is not None))
         cols["jump_drive_rad_s"].append(jump.drive if jump else nan)
@@ -344,8 +338,8 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         cols["jump_delta_eff_hz"].append(jump.delta_eff_before / TWO_PI if jump else nan)
         cols["jump_n_before"].append(jump.n_before if jump else nan)
         cols["jump_n_after"].append(jump.n_after if jump else nan)
-        cols["static_fold_drive_rad_s"].append(fold_drive if fold_drive is not None else nan)
-        cols["static_fold_delta_eff_rad_s"].append(fold_deff if fold_deff is not None else nan)
+        cols["static_fold_drive_rad_s"].append(fold_drive)
+        cols["static_fold_delta_eff_rad_s"].append(fold_deff)
         cols["loop_area"].append(result.loop_area)
     write_csv(out / "hysteresis_summary.csv", cols)
 
@@ -412,34 +406,30 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
         r, phis = sq.r, sq.phi_rad
     t = np.linspace(0.0, sq.t_max_s, sq.points)
     oracle_gamma = gamma_b if sq.include_damping else 0.0
+    floor = (2.0 * nbar + 1.0) / 4.0
 
-    svg_series = []
-    for idx, phi in enumerate(phis):
-        params = squeeze_params(delta_ml, mode.eta, r, phi, nbar)
-        floor = (2.0 * nbar + 1.0) / 4.0
-        suffix = "" if len(phis) == 1 else f"_{idx}"
-        s_th = np.asarray(variance_theta_closed(t, params))
-        s_j = np.asarray(variance_J_closed(t, params))
-        write_csv(out / f"squeeze_closed{suffix}.csv", {
+    def write_trace(name: str, t, s_th, s_j, regime: str) -> None:
+        write_csv(out / name, {
             "t": t,
             "S_theta": s_th,
             "S_J": s_j,
             "squeezed_theta": (s_th < floor).astype(int),
             "squeezed_J": (s_j < floor).astype(int),
-            "regime": [params.regime] * len(t),
+            "regime": [regime] * len(t),
         })
+
+    svg_series = []
+    for idx, phi in enumerate(phis):
+        params = squeeze_params(delta_ml, mode.eta, r, phi, nbar)
+        suffix = "" if len(phis) == 1 else f"_{idx}"
+        s_th = np.asarray(variance_theta_closed(t, params))
+        s_j = np.asarray(variance_J_closed(t, params))
+        write_trace(f"squeeze_closed{suffix}.csv", t, s_th, s_j, params.regime)
         try:
             trace = moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)
         except RuntimeError as exc:
             raise NumericalError(str(exc)) from exc
-        write_csv(out / f"squeeze_oracle{suffix}.csv", {
-            "t": trace.t,
-            "S_theta": trace.S_theta,
-            "S_J": trace.S_J,
-            "squeezed_theta": (trace.S_theta < floor).astype(int),
-            "squeezed_J": (trace.S_J < floor).astype(int),
-            "regime": [trace.regime] * len(trace.t),
-        })
+        write_trace(f"squeeze_oracle{suffix}.csv", trace.t, trace.S_theta, trace.S_J, trace.regime)
         k = int(np.argmin(s_th))
         line = (f"phi = {_fmt(phi)}: regime {params.regime}, "
                 f"min S_theta = {_fmt(float(s_th[k]))} at t = {_fmt(float(t[k]))} s")
@@ -450,7 +440,6 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     print(f"r = {_fmt(r)}, nbar = {_fmt(nbar)}, "
           f"oracle damping = {_fmt(oracle_gamma)} rad/s")
     if fmt == "csv+svg":
-        floor = (2.0 * nbar + 1.0) / 4.0
         svg_series.append(("thermal floor", t, np.full_like(t, floor)))
         svg_line_chart(
             out / "squeeze.svg",

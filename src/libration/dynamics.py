@@ -6,6 +6,11 @@ fixed drive or along a stepped drive-amplitude ramp.  Ramping the amplitude
 slowly up and then back down traces the lower and upper stable branches of the
 S-curve and jumps at the fold points, which is how the hysteresis loop and the
 (drive, effective-detuning) jump coordinates are extracted.
+
+A jump is a fold crossing: the first plateau whose occupation passes the
+closed-form fold occupation of :func:`libration.steadystate.turning_points` in
+the ramp direction (up past n_low, down past n_high), leaving the stable branch
+it was following.  An S-curve that does not fold has no jumps.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp, trapezoid
+from scipy.integrate import solve_ivp
 
-from libration.steadystate import MeanFieldParams
+from libration.steadystate import MeanFieldParams, TurningPoints, turning_points
 
 __all__ = [
     "RampProtocol",
@@ -30,10 +35,6 @@ __all__ = [
     "quasi_static_sweep",
     "hysteresis_sweep",
 ]
-
-#: A step change in occupation counts as a jump when it exceeds this factor
-#: times the linear extrapolation error of the two preceding steps.
-JUMP_FACTOR = 5.0
 
 #: Default dwell per ramp step, in units of 1/gamma_b.
 DWELL_DAMPING_CYCLES = 20.0
@@ -170,7 +171,7 @@ class RampProtocol:
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """Discontinuous branch change detected during a sweep.
+    """Fold crossing: the first plateau ``step`` whose end state left its branch.
 
     ``drive`` is the midpoint of the two plateau amplitudes bracketing the
     jump; ``delta_eff_before`` is the effective detuning of the last settled
@@ -190,45 +191,47 @@ class JumpEvent:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One quasi-static ramp: per-plateau end states plus detected jumps."""
+    """One quasi-static ramp: per-plateau end states plus detected jumps.
+
+    ``turning`` is the closed-form fold pair (None when the S-curve does not
+    fold); ``jumps`` holds the first fold crossing, if any: n[k-1] <= n_low <
+    n[k] on an up ramp, n[k-1] >= n_high > n[k] on a down ramp.
+    """
 
     drives: np.ndarray
     beta: np.ndarray
     trajectory: Trajectory
     jumps: tuple[JumpEvent, ...]
     direction: str
+    turning: TurningPoints | None
 
     @property
     def n(self) -> np.ndarray:
         return np.abs(self.beta) ** 2
 
 
-def _detect_jumps(
-    drives: np.ndarray, n: np.ndarray, delta_ml: float, eta: float
+def _fold_crossing(
+    drives: np.ndarray, n: np.ndarray, delta_ml: float, eta: float,
+    turning: TurningPoints | None, direction: str,
 ) -> tuple[JumpEvent, ...]:
-    """Flag steps where n moves much farther than the local slope predicts."""
-    events = []
-    scale = max(float(np.max(n)), 1.0)
-    last = -10
-    for k in range(2, len(n)):
-        slope = n[k - 1] - n[k - 2]
-        predicted = n[k - 1] + slope
-        threshold = JUMP_FACTOR * max(abs(slope), 1e-6 * scale)
-        if abs(n[k] - predicted) > threshold:
-            if k - last > 2:  # a real jump may trip two consecutive windows
-                events.append(
-                    JumpEvent(
-                        step=k,
-                        drive=0.5 * (drives[k - 1] + drives[k]),
-                        drive_before=float(drives[k - 1]),
-                        drive_after=float(drives[k]),
-                        n_before=float(n[k - 1]),
-                        n_after=float(n[k]),
-                        delta_eff_before=delta_ml + 24.0 * eta * float(n[k - 1]),
-                    )
-                )
-            last = k
-    return tuple(events)
+    """The first plateau whose occupation crosses the fold in the ramp direction."""
+    if turning is None:
+        return ()
+    sign, fold = (1.0, turning.n_low) if direction == "up" else (-1.0, turning.n_high)
+    for k in range(1, len(n)):
+        if sign * n[k - 1] <= sign * fold < sign * n[k]:
+            return (
+                JumpEvent(
+                    step=k,
+                    drive=0.5 * (drives[k - 1] + drives[k]),
+                    drive_before=float(drives[k - 1]),
+                    drive_after=float(drives[k]),
+                    n_before=float(n[k - 1]),
+                    n_after=float(n[k]),
+                    delta_eff_before=delta_ml + 24.0 * eta * float(n[k - 1]),
+                ),
+            )
+    return ()
 
 
 def quasi_static_sweep(
@@ -271,13 +274,15 @@ def quasi_static_sweep(
     trajectory = Trajectory(
         t=times, beta=beta, omega_applied=drives.astype(float), complete=not failed
     )
-    jumps = _detect_jumps(drives, np.abs(beta) ** 2, delta_ml, eta)
+    tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
+    turning = tp if tp.physical else None
     return SweepResult(
         drives=drives.astype(float),
         beta=beta,
         trajectory=trajectory,
-        jumps=jumps,
+        jumps=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
         direction=protocol.direction,
+        turning=turning,
     )
 
 
@@ -287,6 +292,7 @@ class HysteresisResult:
 
     ``loop_area`` is the integral of (n_down - n_up) over the common drive
     range: positive inside a bistability window, ~0 for a monostable curve.
+    ``turning`` is the sweeps' closed-form fold pair (None: no fold).
     """
 
     up: SweepResult
@@ -294,6 +300,7 @@ class HysteresisResult:
     jump_up: JumpEvent | None
     jump_down: JumpEvent | None
     loop_area: float
+    turning: TurningPoints | None
 
 
 def hysteresis_sweep(
@@ -324,11 +331,12 @@ def hysteresis_sweep(
     grid = up.drives
     n_up = up.n
     n_down = np.interp(grid, down.drives[::-1], down.n[::-1])
-    loop_area = float(trapezoid(n_down - n_up, grid))
+    loop_area = float(np.trapezoid(n_down - n_up, grid))
     return HysteresisResult(
         up=up,
         down=down,
         jump_up=up.jumps[0] if up.jumps else None,
         jump_down=down.jumps[0] if down.jumps else None,
         loop_area=loop_area,
+        turning=up.turning,
     )

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT, hbar as HBAR, k as K_B
+C_LIGHT = 299792458.0  # m/s, exact (SI 2019)
+HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s, exact h over 2 pi
+K_B = 1.380649e-23  # J/K, exact
 
 __all__ = [
     "Material",

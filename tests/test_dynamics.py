@@ -153,6 +153,21 @@ def test_hysteresis_jumps_and_loop():
     )
 
 
+def test_short_dwell_cold_start_is_not_a_jump():
+    # a 5-damping-time dwell leaves the first plateaus far from the branch;
+    # only the crossing of the up fold occupation counts as the jump
+    tp = turning_points(
+        REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
+    )
+    proto = RampProtocol(2.35e6, 1.08e7, 100, 5.0 / REF_GAMMA_B)
+    with pytest.warns(UserWarning, match="not quasi-static"):
+        result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    assert len(result.up.jumps) == 1
+    jump = result.up.jumps[0]
+    assert jump.n_before <= tp.n_low < jump.n_after
+    assert result.jump_up == jump
+
+
 def test_monostable_sweep_has_no_loop():
     # blue-detuned: single branch everywhere, up and down retrace each other
     delta_ml = +2.0 * math.pi * 500.0

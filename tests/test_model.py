@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
+import libration
 from libration.model import (
     MATERIALS,
     DriveEnvironment,
@@ -192,3 +197,14 @@ def test_eccentricity_round_trip():
         e = float(rng.uniform(0.0, 0.999))
         spec = NanoparticleSpec.from_eccentricity(5e-8, e, 3500.0, 5.7)
         np.testing.assert_allclose(spec.eccentricity, e, atol=1e-12)
+
+
+def test_model_imports_no_scipy():
+    # a fresh interpreter that finds libration where this test did
+    src = str(Path(libration.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, libration.model; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

@@ -317,7 +317,7 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
             "omega_applied": tr.omega_applied,
         })
 
-    tp = result.turning
+    tp = result.up.turning
     nan = math.nan
     cols = {k: [] for k in (
         "direction", "jump_detected", "jump_drive_rad_s", "jump_drive_hz",

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, trapezoid
 
 from libration.steadystate import MeanFieldParams, TurningPoints, turning_points
 
@@ -191,17 +191,17 @@ class JumpEvent:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One quasi-static ramp: per-plateau end states plus detected jumps.
+    """One quasi-static ramp: per-plateau end states plus its fold crossing.
 
     ``turning`` is the closed-form fold pair (None when the S-curve does not
-    fold); ``jumps`` holds the first fold crossing, if any: n[k-1] <= n_low <
+    fold); ``jump`` is the first fold crossing, or None: n[k-1] <= n_low <
     n[k] on an up ramp, n[k-1] >= n_high > n[k] on a down ramp.
     """
 
     drives: np.ndarray
     beta: np.ndarray
     trajectory: Trajectory
-    jumps: tuple[JumpEvent, ...]
+    jump: JumpEvent | None
     direction: str
     turning: TurningPoints | None
 
@@ -213,25 +213,23 @@ class SweepResult:
 def _fold_crossing(
     drives: np.ndarray, n: np.ndarray, delta_ml: float, eta: float,
     turning: TurningPoints | None, direction: str,
-) -> tuple[JumpEvent, ...]:
+) -> JumpEvent | None:
     """The first plateau whose occupation crosses the fold in the ramp direction."""
     if turning is None:
-        return ()
+        return None
     sign, fold = (1.0, turning.n_low) if direction == "up" else (-1.0, turning.n_high)
     for k in range(1, len(n)):
         if sign * n[k - 1] <= sign * fold < sign * n[k]:
-            return (
-                JumpEvent(
-                    step=k,
-                    drive=0.5 * (drives[k - 1] + drives[k]),
-                    drive_before=float(drives[k - 1]),
-                    drive_after=float(drives[k]),
-                    n_before=float(n[k - 1]),
-                    n_after=float(n[k]),
-                    delta_eff_before=delta_ml + 24.0 * eta * float(n[k - 1]),
-                ),
+            return JumpEvent(
+                step=k,
+                drive=0.5 * (drives[k - 1] + drives[k]),
+                drive_before=float(drives[k - 1]),
+                drive_after=float(drives[k]),
+                n_before=float(n[k - 1]),
+                n_after=float(n[k]),
+                delta_eff_before=delta_ml + 24.0 * eta * float(n[k - 1]),
             )
-    return ()
+    return None
 
 
 def quasi_static_sweep(
@@ -280,7 +278,7 @@ def quasi_static_sweep(
         drives=drives.astype(float),
         beta=beta,
         trajectory=trajectory,
-        jumps=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
+        jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
         direction=protocol.direction,
         turning=turning,
     )
@@ -292,7 +290,6 @@ class HysteresisResult:
 
     ``loop_area`` is the integral of (n_down - n_up) over the common drive
     range: positive inside a bistability window, ~0 for a monostable curve.
-    ``turning`` is the sweeps' closed-form fold pair (None: no fold).
     """
 
     up: SweepResult
@@ -300,7 +297,6 @@ class HysteresisResult:
     jump_up: JumpEvent | None
     jump_down: JumpEvent | None
     loop_area: float
-    turning: TurningPoints | None
 
 
 def hysteresis_sweep(
@@ -331,12 +327,11 @@ def hysteresis_sweep(
     grid = up.drives
     n_up = up.n
     n_down = np.interp(grid, down.drives[::-1], down.n[::-1])
-    loop_area = float(np.trapezoid(n_down - n_up, grid))
+    loop_area = float(trapezoid(n_down - n_up, grid))
     return HysteresisResult(
         up=up,
         down=down,
-        jump_up=up.jumps[0] if up.jumps else None,
-        jump_down=down.jumps[0] if down.jumps else None,
+        jump_up=up.jump,
+        jump_down=down.jump,
         loop_area=loop_area,
-        turning=up.turning,
     )

@@ -145,7 +145,7 @@ def test_hysteresis_jumps_and_loop():
     assert result.jump_up.n_after > result.jump_up.n_before
     assert result.jump_down.n_after < result.jump_down.n_before
     assert result.loop_area > 0.0
-    assert len(result.up.jumps) == 1 and len(result.down.jumps) == 1
+    assert result.up.jump is not None and result.down.jump is not None
     # the down ramp retraces the same grid by default
     # linspace(b, a, n) is not the bitwise reverse of linspace(a, b, n)
     np.testing.assert_allclose(
@@ -162,8 +162,8 @@ def test_short_dwell_cold_start_is_not_a_jump():
     proto = RampProtocol(2.35e6, 1.08e7, 100, 5.0 / REF_GAMMA_B)
     with pytest.warns(UserWarning, match="not quasi-static"):
         result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
-    assert len(result.up.jumps) == 1
-    jump = result.up.jumps[0]
+    jump = result.up.jump
+    assert jump is not None
     assert jump.n_before <= tp.n_low < jump.n_after
     assert result.jump_up == jump
 

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "SqueezeParams",
@@ -198,6 +197,9 @@ def moment_oracle(
     gamma_b = 0 this is an independent check of the closed forms; with damping
     it is the reference the closed (undamped) forms are compared against.
     """
+    # imported here so that importing libration (and its CLI) loads no scipy
+    from scipy.integrate import solve_ivp
+
     if gamma_b < 0.0:
         raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
     t_grid = np.asarray(t_grid, dtype=float)

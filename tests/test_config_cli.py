@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import libration
 from libration.cli import main
 from libration.config import ConfigError, load_config
 from libration.model import DEFAULT_DAMPING_PER_PASCAL, mode_parameters
@@ -454,3 +458,15 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
                         squeeze={"r": 40.0, "phi_rad": [0.0, math.nan], "t_max_s": 1e-3})
     with pytest.raises(ConfigError, match=r"squeeze\.phi_rad"):
         load_config(write_cfg(tmp_path, bad))
+
+
+def test_cli_imports_no_scipy():
+    # start-up of every command stays free of scipy; only the squeezing
+    # oracle loads it, when called
+    src = str(Path(libration.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, libration.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

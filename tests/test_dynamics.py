@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from libration.dynamics import (
     RampProtocol,
@@ -11,7 +12,12 @@ from libration.dynamics import (
     mean_field_rhs,
     quasi_static_sweep,
 )
-from libration.steadystate import MeanFieldParams, steady_occupations, turning_points
+from libration.steadystate import (
+    MeanFieldParams,
+    beta_from_n,
+    steady_occupations,
+    turning_points,
+)
 
 REF_DELTA_ML = -34283.6799057411
 REF_GAMMA_B = 8012.985643210628
@@ -87,11 +93,71 @@ def test_relaxation_selects_nearby_stable_branch():
     horizon = 40.0 / REF_GAMMA_B
     tr = integrate(p, 0.0 + 0.0j, (0.0, horizon), tol=1e-10)
     np.testing.assert_allclose(float(tr.n[-1]), lo, rtol=1e-6)
-    from libration.steadystate import beta_from_n
-
     start = beta_from_n(p, hi) * 1.05
     tr = integrate(p, start, (0.0, horizon), tol=1e-10)
     np.testing.assert_allclose(float(tr.n[-1]), hi, rtol=1e-6)
+
+
+def _scipy_rk45(p, beta0, t_span, tol, t_eval=None):
+    """scipy's RK45 with the tolerances ``integrate`` documents for ``tol``."""
+    rtol = max(tol / 10.0, 1e-13)
+
+    def rhs(t, y):
+        d = mean_field_rhs(complex(y[0], y[1]), p)
+        return [d.real, d.imag]
+
+    sol = solve_ivp(rhs, t_span, [beta0.real, beta0.imag], method="RK45",
+                    rtol=rtol, atol=rtol * max(1.0, abs(beta0)), t_eval=t_eval)
+    assert sol.status == 0
+    return sol.t, sol.y[0] + 1j * sol.y[1]
+
+
+def test_stepper_matches_scipy_rk45():
+    # the in-module Dormand-Prince stepper takes scipy RK45's accepted steps
+    # on one quasi-static plateau, from rest and from near each steady branch
+    dwell = 20.0 / REF_GAMMA_B
+    bistable = ref_params(6.0e6)
+    cases = [(2.0e6, 0.0j), (1.2e7, 0.0j), (6.0e6, 0.0j)]
+    cases += [(6.0e6, beta_from_n(bistable, n) * 1.05) for n in steady_occupations(bistable)]
+    for Omega, beta0 in cases:
+        p = ref_params(Omega)
+        for tol in (1e-6, 1e-8, 1e-10):
+            tr = integrate(p, beta0, (0.0, dwell), tol=tol)
+            t_ref, beta_ref = _scipy_rk45(p, beta0, (0.0, dwell), tol)
+            assert tr.complete
+            assert len(tr.t) == len(t_ref)
+            assert abs(tr.final_beta() - beta_ref[-1]) <= 1e-12 * abs(beta_ref[-1])
+    # dense output at requested times agrees too
+    t_eval = np.linspace(0.0, dwell, 37)
+    tr = integrate(bistable, 0.0j, (0.0, dwell), tol=1e-8, t_eval=t_eval)
+    _, beta_ref = _scipy_rk45(bistable, 0.0j, (0.0, dwell), 1e-8, t_eval=t_eval)
+    np.testing.assert_allclose(tr.beta, beta_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(beta_ref)))
+
+
+def test_step_underflow_returns_partial_trajectory():
+    # at t ~ 1e12 s ten ulp exceed any step the error control accepts
+    tr = integrate(ref_params(6.0e6), 300.0 + 0.0j, (1e12, 1e12 + 1.0))
+    assert not tr.complete
+    assert len(tr.t) == 1 and tr.t[0] == 1e12 and tr.beta[0] == 300.0 + 0.0j
+
+
+def test_integrate_rejects_non_finite_and_reversed_input():
+    p = ref_params(6.0e6)
+    for span in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="t_span"):
+            integrate(p, 0.0j, span)
+    for beta in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="beta_init"):
+            integrate(p, beta, (0.0, 1e-4))
+    with pytest.raises(ValueError):
+        integrate(p, 0.0j, (0.0, 1e-4), t_eval=np.array([0.0, 2e-4]))
+
+
+def test_zero_length_span_returns_start_state():
+    tr = integrate(ref_params(6.0e6), 3.0 - 1.0j, (0.5, 0.5))
+    assert tr.complete
+    np.testing.assert_array_equal(tr.t, [0.5])
+    np.testing.assert_array_equal(tr.beta, [3.0 - 1.0j])
 
 
 def test_ramp_protocol_basics():
@@ -112,6 +178,10 @@ def test_ramp_protocol_basics():
         RampProtocol(1.0e6, 2.0e6, 5, 0.0)
     with pytest.raises(ValueError):
         RampProtocol.quasi_static(1.0e6, 2.0e6, 0.0, 5)
+    for bad in ((1.0e6, 2.0e6, 5, math.inf), (1.0e6, math.nan, 5, 1e-3),
+                (math.inf, 2.0e6, 5, 1e-3), (1.0e6, 2.0e6, math.inf, 1e-3)):
+        with pytest.raises(ValueError, match="finite"):
+            RampProtocol(*bad)
 
 
 def test_plateaus_track_steady_branch():

@@ -79,8 +79,19 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _report_freq(lines: list[str], name: str, value: float) -> None:
-    lines.append(f"{name:28s} {_fmt(value)} rad/s  ({_fmt(value / TWO_PI)} Hz)")
+def _twin(name: str, value: float | np.ndarray, rad: str = "_rad_s", hz: str = "_hz") -> dict:
+    """A frequency as ``name + rad`` in rad/s with its twin ``name + hz`` in Hz."""
+    return {name + rad: value, name + hz: value / TWO_PI}
+
+
+def _or_nan(obj, field: str) -> float:
+    """``obj.field``, or NaN when there is no fold or jump to read it from."""
+    return math.nan if obj is None else getattr(obj, field)
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """Write rows that share their keys as CSV columns, in key order."""
+    write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
 
 
 def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -94,93 +105,72 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     gamma_b = gas_damping(env, cfg.damping_per_pascal)
     nbar = thermal_occupancy(cfg.temperature, mode.omega_t)
 
-    lines: list[str] = []
-    lines.append(f"{'r_a, r_b':28s} {_fmt(spec.r_a)} m, {_fmt(spec.r_b)} m "
-                 f"(eccentricity {_fmt(spec.eccentricity)})")
-    lines.append(f"{'inertia':28s} {_fmt(mode.inertia)} kg m^2")
-    lines.append(f"{'kappa_x, kappa_y':28s} {_fmt(mode.kappa_x)}, {_fmt(mode.kappa_y)}")
-    _report_freq(lines, "omega_t", mode.omega_t)
-    lines.append(f"{'period':28s} {_fmt(TWO_PI / mode.omega_t)} s")
-    _report_freq(lines, "eta", mode.eta)
-    lines.append(f"{'eta / omega_t':28s} {_fmt(mode.eta / mode.omega_t)}")
-    lines.append(f"{'theta0':28s} {_fmt(mode.theta0)} rad")
-    lines.append(f"{'J0':28s} {_fmt(mode.J0)} J s")
-    _report_freq(lines, "gamma_b", gamma_b)
-    lines.append(f"{'thermal occupancy':28s} {_fmt(nbar)}")
+    # (quantity, value, unit) rows of derive.csv, each with its report line
+    # unless a shared line reports several
+    lines = [f"{'r_a, r_b':28s} {_fmt(spec.r_a)} m, {_fmt(spec.r_b)} m "
+             f"(eccentricity {_fmt(spec.eccentricity)})"]
+    rows = [("r_a", spec.r_a, "m"), ("r_b", spec.r_b, "m"),
+            ("eccentricity", spec.eccentricity, "1")]
 
-    rows: list[tuple[str, float, str]] = [
-        ("r_a", spec.r_a, "m"),
-        ("r_b", spec.r_b, "m"),
-        ("eccentricity", spec.eccentricity, "1"),
-        ("inertia", mode.inertia, "kg m^2"),
-        ("kappa_x", mode.kappa_x, "1"),
-        ("kappa_y", mode.kappa_y, "1"),
-        ("omega_t", mode.omega_t, "rad/s"),
-        ("omega_t_over_2pi", mode.omega_t / TWO_PI, "Hz"),
-        ("period", TWO_PI / mode.omega_t, "s"),
-        ("eta", mode.eta, "rad/s"),
-        ("eta_over_2pi", mode.eta / TWO_PI, "Hz"),
-        ("eta_over_omega_t", mode.eta / mode.omega_t, "1"),
-        ("theta0", mode.theta0, "rad"),
-        ("J0", mode.J0, "J s"),
-        ("gamma_b", gamma_b, "rad/s"),
-        ("gamma_b_over_2pi", gamma_b / TWO_PI, "Hz"),
-        ("thermal_occupancy", nbar, "1"),
-    ]
+    def put(name: str, value: float, unit: str, label: str | None = None) -> None:
+        line = f"{label or name:28s} {_fmt(value)}"
+        lines.append(line if unit == "1" else f"{line} {unit}")
+        rows.append((name, value, unit))
+
+    def freq(name: str, value: float, label: str | None = None) -> None:
+        lines.append(f"{label or name:28s} {_fmt(value)} rad/s  ({_fmt(value / TWO_PI)} Hz)")
+        twin = _twin(name, value, rad="", hz="_over_2pi")
+        rows.extend(zip(twin, twin.values(), ("rad/s", "Hz")))
+
+    put("inertia", mode.inertia, "kg m^2")
+    lines.append(f"{'kappa_x, kappa_y':28s} {_fmt(mode.kappa_x)}, {_fmt(mode.kappa_y)}")
+    rows += [("kappa_x", mode.kappa_x, "1"), ("kappa_y", mode.kappa_y, "1")]
+    freq("omega_t", mode.omega_t)
+    put("period", TWO_PI / mode.omega_t, "s")
+    freq("eta", mode.eta)
+    put("eta_over_omega_t", mode.eta / mode.omega_t, "1", "eta / omega_t")
+    put("theta0", mode.theta0, "rad")
+    put("J0", mode.J0, "J s")
+    freq("gamma_b", gamma_b)
+    put("thermal_occupancy", nbar, "1", "thermal occupancy")
     if delta_ml is not None:
-        _report_freq(lines, "omega_ml", omega_ml)
-        _report_freq(lines, "delta_ml", delta_ml)
-        rows.append(("omega_ml", omega_ml, "rad/s"))
-        rows.append(("omega_ml_over_2pi", omega_ml / TWO_PI, "Hz"))
-        rows.append(("delta_ml", delta_ml, "rad/s"))
-        rows.append(("delta_ml_over_2pi", delta_ml / TWO_PI, "Hz"))
+        freq("omega_ml", omega_ml)
+        freq("delta_ml", delta_ml)
         bistable, omega_c = bistability_condition(
             omega_ml, mode.omega_t, mode.eta, gamma_b
         )
-        _report_freq(lines, "omega_c", omega_c)
+        freq("omega_c", omega_c)
         lines.append(f"{'bistable at this drive freq':28s} {'yes' if bistable else 'no'}")
-        rows.append(("omega_c", omega_c, "rad/s"))
-        rows.append(("omega_c_over_2pi", omega_c / TWO_PI, "Hz"))
         rows.append(("bistable", float(bistable), "bool"))
         strength = _drive_strength(cfg, mode, omega_ml)
         if strength is not None:
-            _report_freq(lines, "drive amplitude", strength)
-            rows.append(("drive_amplitude", strength, "rad/s"))
-            rows.append(("drive_amplitude_over_2pi", strength / TWO_PI, "Hz"))
+            freq("drive_amplitude", strength, "drive amplitude")
     print("\n".join(lines))
-
-    write_csv(out / "derive.csv", {
-        "quantity": [r[0] for r in rows],
-        "value": [r[1] for r in rows],
-        "unit": [r[2] for r in rows],
-    })
+    write_csv(out / "derive.csv", dict(zip(("quantity", "value", "unit"), zip(*rows))))
 
     if cfg.scan is not None:
         axis = np.linspace(cfg.scan.lo, cfg.scan.hi, cfg.scan.points)
-        scan_rows = {k: [] for k in (
-            cfg.scan.axis, "inertia", "omega_t", "omega_t_over_2pi", "eta", "eta_over_omega_t",
-        )}
-        for value in axis:
-            if cfg.scan.axis == "r_a_m":
-                scaled = NanoparticleSpec.from_eccentricity(
-                    float(value), spec.eccentricity, spec.density, spec.eps_r
-                )
-            else:
-                scaled = NanoparticleSpec.from_eccentricity(
-                    spec.r_a, float(value), spec.density, spec.eps_r
-                )
-            m = mode_parameters(scaled, cfg.trap)
-            scan_rows[cfg.scan.axis].append(float(value))
-            scan_rows["inertia"].append(m.inertia)
-            scan_rows["omega_t"].append(m.omega_t)
-            scan_rows["omega_t_over_2pi"].append(m.omega_t / TWO_PI)
-            scan_rows["eta"].append(m.eta)
-            scan_rows["eta_over_omega_t"].append(m.eta / m.omega_t)
-        write_csv(out / "derive_scan.csv", scan_rows)
+        by_r_a = cfg.scan.axis == "r_a_m"
+        modes = [
+            mode_parameters(NanoparticleSpec.from_eccentricity(
+                value if by_r_a else spec.r_a, spec.eccentricity if by_r_a else value,
+                spec.density, spec.eps_r,
+            ), cfg.trap)
+            for value in axis.tolist()
+        ]
+        omega_t = np.array([m.omega_t for m in modes])
+        eta = np.array([m.eta for m in modes])
+        write_csv(out / "derive_scan.csv", {
+            cfg.scan.axis: axis,
+            "inertia": [m.inertia for m in modes],
+            **_twin("omega_t", omega_t, rad="", hz="_over_2pi"),
+            "eta": eta,
+            "eta_over_omega_t": eta / omega_t,
+        })
         if fmt == "csv+svg":
             svg_line_chart(
                 out / "derive_scan.svg",
-                [("eta (rad/s)", scan_rows[cfg.scan.axis], scan_rows["eta"])],
+                [("eta (rad/s)", axis, eta)],
                 title="Kerr shift per phonon vs " + cfg.scan.axis,
                 x_label=cfg.scan.axis,
                 y_label="eta (rad/s)",
@@ -220,50 +210,32 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from exc
 
-    drives, ns, deffs, stables = [], [], [], []
-    eig = [[], [], [], []]
-    for w, branch in diagram.branches:
-        drives.append(w)
-        ns.append(branch.n)
-        deffs.append(branch.delta_eff)
-        stables.append(int(branch.stable))
-        e1, e2 = branch.eigenvalues
-        eig[0].append(e1.real)
-        eig[1].append(e1.imag)
-        eig[2].append(e2.real)
-        eig[3].append(e2.imag)
+    drives, branches = zip(*diagram.branches)
+    eig = np.array([b.eigenvalues for b in branches])
     write_csv(out / "bistability.csv", {
         "omega_drive": drives,
-        "n": ns,
-        "delta_eff": deffs,
-        "stable": stables,
-        "re_eig1": eig[0],
-        "im_eig1": eig[1],
-        "re_eig2": eig[2],
-        "im_eig2": eig[3],
+        "n": [b.n for b in branches],
+        "delta_eff": [b.delta_eff for b in branches],
+        "stable": [int(b.stable) for b in branches],
+        "re_eig1": eig[:, 0].real,
+        "im_eig1": eig[:, 0].imag,
+        "re_eig2": eig[:, 1].real,
+        "im_eig2": eig[:, 1].imag,
     })
 
     tp = diagram.turning
-    nan = math.nan
-    write_csv(out / "bistability_summary.csv", {
-        "regime": [diagram.regime],
-        "omega_ml_rad_s": [diagram.omega_ml],
-        "omega_ml_hz": [diagram.omega_ml / TWO_PI],
-        "omega_c_rad_s": [diagram.omega_c],
-        "omega_c_hz": [diagram.omega_c / TWO_PI],
-        "window_width_rad_s": [diagram.window_width],
-        "window_width_hz": [diagram.window_width / TWO_PI],
-        "drive_up_fold_rad_s": [tp.drive_low if tp else nan],
-        "drive_up_fold_hz": [tp.drive_low / TWO_PI if tp else nan],
-        "drive_down_fold_rad_s": [tp.drive_high if tp else nan],
-        "drive_down_fold_hz": [tp.drive_high / TWO_PI if tp else nan],
-        "delta_eff_up_fold_rad_s": [tp.delta_eff_low if tp else nan],
-        "delta_eff_up_fold_hz": [tp.delta_eff_low / TWO_PI if tp else nan],
-        "delta_eff_down_fold_rad_s": [tp.delta_eff_high if tp else nan],
-        "delta_eff_down_fold_hz": [tp.delta_eff_high / TWO_PI if tp else nan],
-        "n_up_fold": [tp.n_low if tp else nan],
-        "n_down_fold": [tp.n_high if tp else nan],
-    })
+    _write_rows(out / "bistability_summary.csv", [{
+        "regime": diagram.regime,
+        **_twin("omega_ml", diagram.omega_ml),
+        **_twin("omega_c", diagram.omega_c),
+        **_twin("window_width", diagram.window_width),
+        **_twin("drive_up_fold", _or_nan(tp, "drive_low")),
+        **_twin("drive_down_fold", _or_nan(tp, "drive_high")),
+        **_twin("delta_eff_up_fold", _or_nan(tp, "delta_eff_low")),
+        **_twin("delta_eff_down_fold", _or_nan(tp, "delta_eff_high")),
+        "n_up_fold": _or_nan(tp, "n_low"),
+        "n_down_fold": _or_nan(tp, "n_high"),
+    }])
     print(f"regime: {diagram.regime}")
     print(f"omega_c: {_fmt(diagram.omega_c)} rad/s ({_fmt(diagram.omega_c / TWO_PI)} Hz)")
     if tp is not None:
@@ -318,38 +290,27 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         })
 
     tp = result.up.turning
-    nan = math.nan
-    cols = {k: [] for k in (
-        "direction", "jump_detected", "jump_drive_rad_s", "jump_drive_hz",
-        "jump_delta_eff_rad_s", "jump_delta_eff_hz", "jump_n_before", "jump_n_after",
-        "static_fold_drive_rad_s", "static_fold_delta_eff_rad_s", "loop_area",
-    )}
-    for direction, jump, fold_drive, fold_deff in (
-        ("up", result.jump_up,
-         tp.drive_low if tp else nan, tp.delta_eff_low if tp else nan),
-        ("down", result.jump_down,
-         tp.drive_high if tp else nan, tp.delta_eff_high if tp else nan),
-    ):
-        cols["direction"].append(direction)
-        cols["jump_detected"].append(int(jump is not None))
-        cols["jump_drive_rad_s"].append(jump.drive if jump else nan)
-        cols["jump_drive_hz"].append(jump.drive / TWO_PI if jump else nan)
-        cols["jump_delta_eff_rad_s"].append(jump.delta_eff_before if jump else nan)
-        cols["jump_delta_eff_hz"].append(jump.delta_eff_before / TWO_PI if jump else nan)
-        cols["jump_n_before"].append(jump.n_before if jump else nan)
-        cols["jump_n_after"].append(jump.n_after if jump else nan)
-        cols["static_fold_drive_rad_s"].append(fold_drive)
-        cols["static_fold_delta_eff_rad_s"].append(fold_deff)
-        cols["loop_area"].append(result.loop_area)
-    write_csv(out / "hysteresis_summary.csv", cols)
-
-    for direction, jump in (("up", result.jump_up), ("down", result.jump_down)):
+    rows = []
+    for sweep, side in ((result.up, "low"), (result.down, "high")):
+        jump = sweep.jump
+        rows.append({
+            "direction": sweep.direction,
+            "jump_detected": int(jump is not None),
+            **_twin("jump_drive", _or_nan(jump, "drive")),
+            **_twin("jump_delta_eff", _or_nan(jump, "delta_eff_before")),
+            "jump_n_before": _or_nan(jump, "n_before"),
+            "jump_n_after": _or_nan(jump, "n_after"),
+            "static_fold_drive_rad_s": _or_nan(tp, f"drive_{side}"),
+            "static_fold_delta_eff_rad_s": _or_nan(tp, f"delta_eff_{side}"),
+            "loop_area": result.loop_area,
+        })
         if jump is None:
-            print(f"{direction}-sweep: no jump detected")
+            print(f"{sweep.direction}-sweep: no jump detected")
         else:
-            print(f"{direction}-sweep jump: Omega = {_fmt(jump.drive)} rad/s "
+            print(f"{sweep.direction}-sweep jump: Omega = {_fmt(jump.drive)} rad/s "
                   f"({_fmt(jump.drive / TWO_PI)} Hz), "
                   f"delta_eff(before) = {_fmt(jump.delta_eff_before)} rad/s")
+    _write_rows(out / "hysteresis_summary.csv", rows)
     print(f"loop area: {_fmt(result.loop_area)}")
     if fmt == "csv+svg":
         svg_line_chart(
@@ -476,15 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--format", choices=("csv", "csv+svg"), default="csv",
                        help="artifact set to write")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for stochastic extensions; outputs do not depend on it")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:  # --help, --version
+            raise
+        return 1  # a usage error is a config error; argparse would exit 2
+    try:
+        cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out, args.format)

@@ -185,7 +185,6 @@ class RunConfig:
     ramp: RampSettings | None = None
     squeeze: SqueezeSettings | None = None
     scan: ScanSettings | None = None
-    seed: int | None = None
 
     def environment(self, omega_ml: float) -> DriveEnvironment:
         """Assemble the environment once the drive frequency is known."""
@@ -354,7 +353,7 @@ def _parse_scan(section: dict) -> ScanSettings:
     return ScanSettings(axis, lo, hi, _integer(section, path, "points", minimum=2))
 
 
-def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Load, validate, and resolve a JSON run configuration."""
     p = Path(path)
     if not p.exists():
@@ -390,5 +389,4 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
         squeeze=_parse_squeeze(_require_mapping(root["squeeze"], "squeeze"))
         if "squeeze" in root else None,
         scan=_parse_scan(_require_mapping(root["derive"], "derive")) if "derive" in root else None,
-        seed=seed,
     )

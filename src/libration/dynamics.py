@@ -250,8 +250,8 @@ class RampProtocol:
             raise ValueError("drive amplitudes must be >= 0")
         if self.omega_start == self.omega_end:
             raise ValueError("ramp endpoints must differ")
-        if self.n_steps < 3:
-            raise ValueError(f"need at least 3 ramp steps, got {self.n_steps!r}")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 3:
+            raise ValueError(f"need an integer of at least 3 ramp steps, got {self.n_steps!r}")
         if not self.dwell > 0.0:
             raise ValueError(f"dwell must be positive, got {self.dwell!r}")
 
@@ -402,7 +402,7 @@ def quasi_static_sweep(
 
 @dataclass(frozen=True)
 class HysteresisResult:
-    """Up/down sweep pair with jump coordinates and enclosed loop area.
+    """Up/down sweep pair (each with its own ``jump``) and enclosed loop area.
 
     ``loop_area`` is the integral of (n_down - n_up) over the common drive
     range: positive inside a bistability window, ~0 for a monostable curve.
@@ -410,8 +410,6 @@ class HysteresisResult:
 
     up: SweepResult
     down: SweepResult
-    jump_up: JumpEvent | None
-    jump_down: JumpEvent | None
     loop_area: float
 
 
@@ -446,10 +444,4 @@ def hysteresis_sweep(
     diff = n_down - n_up
     # the trapezoid rule in scipy's operation order
     loop_area = float((np.diff(grid) * (diff[1:] + diff[:-1]) / 2.0).sum())
-    return HysteresisResult(
-        up=up,
-        down=down,
-        jump_up=up.jump,
-        jump_down=down.jump,
-        loop_area=loop_area,
-    )
+    return HysteresisResult(up=up, down=down, loop_area=loop_area)

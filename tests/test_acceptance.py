@@ -238,9 +238,9 @@ def test_criterion_08_hysteresis():
     protocol = RampProtocol.quasi_static(2.35e6, 1.08e7, gamma_b, 300)
     result = hysteresis_sweep(REFERENCE_DELTA_ML, gamma_b, mode.eta, protocol)
     up_err = down_err = math.nan
-    if result.jump_up is not None and result.jump_down is not None:
-        up_err = abs(result.jump_up.drive - tp.drive_low) / tp.drive_low
-        down_err = abs(result.jump_down.drive - tp.drive_high) / tp.drive_high
+    if result.up.jump is not None and result.down.jump is not None:
+        up_err = abs(result.up.jump.drive - tp.drive_low) / tp.drive_low
+        down_err = abs(result.down.jump.drive - tp.drive_high) / tp.drive_high
     inside_ok = up_err < 0.02 and down_err < 0.02 and result.loop_area > 0.0
 
     # outside the window (blue detuning) the ramp retraces with no loop
@@ -250,8 +250,8 @@ def test_criterion_08_hysteresis():
     )
     span = (mono.up.drives[-1] - mono.up.drives[0]) * float(np.max(mono.up.n))
     outside_ok = (
-        mono.jump_up is None
-        and mono.jump_down is None
+        mono.up.jump is None
+        and mono.down.jump is None
         and abs(mono.loop_area) < 1e-5 * span
     )
     elapsed = time.perf_counter() - t0

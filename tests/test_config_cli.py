@@ -267,6 +267,20 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+DERIVE_ROWS = [
+    ("r_a", "m"), ("r_b", "m"), ("eccentricity", "1"), ("inertia", "kg m^2"),
+    ("kappa_x", "1"), ("kappa_y", "1"), ("omega_t", "rad/s"), ("omega_t_over_2pi", "Hz"),
+    ("period", "s"), ("eta", "rad/s"), ("eta_over_2pi", "Hz"), ("eta_over_omega_t", "1"),
+    ("theta0", "rad"), ("J0", "J s"), ("gamma_b", "rad/s"), ("gamma_b_over_2pi", "Hz"),
+    ("thermal_occupancy", "1"),
+]
+DERIVE_DRIVE_ROWS = [
+    ("omega_ml", "rad/s"), ("omega_ml_over_2pi", "Hz"), ("delta_ml", "rad/s"),
+    ("delta_ml_over_2pi", "Hz"), ("omega_c", "rad/s"), ("omega_c_over_2pi", "Hz"),
+    ("bistable", "bool"), ("drive_amplitude", "rad/s"), ("drive_amplitude_over_2pi", "Hz"),
+]
+
+
 def test_cli_derive_report_and_artifacts(tmp_path, capsys):
     cfg = write_cfg(tmp_path, with_sections(BASE, drive={"detuning_hz": 200.0,
                                                          "power_w": 1e-5}))
@@ -282,6 +296,11 @@ def test_cli_derive_report_and_artifacts(tmp_path, capsys):
     assert by_name["eta"] == mode.eta
     assert by_name["delta_ml"] == TWO_PI * 200.0
     assert by_name["drive_amplitude"] > 0.0
+    assert table["quantity"] == [q for q, _ in DERIVE_ROWS + DERIVE_DRIVE_ROWS]
+    assert table["unit"] == [u for _, u in DERIVE_ROWS + DERIVE_DRIVE_ROWS]
+    for name in ("omega_t", "eta", "gamma_b", "omega_ml", "delta_ml", "omega_c",
+                 "drive_amplitude"):
+        assert by_name[f"{name}_over_2pi"] == by_name[name] / TWO_PI
 
 
 def test_cli_derive_scan_outputs(tmp_path):
@@ -292,6 +311,9 @@ def test_cli_derive_scan_outputs(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["derive", "--config", cfg, "--out", out,
                     "--format", "csv+svg"]) == 0
+    table = read_csv(out / "derive.csv")  # no drive section: no drive rows
+    assert table["quantity"] == [q for q, _ in DERIVE_ROWS]
+    assert table["unit"] == [u for _, u in DERIVE_ROWS]
     scan = read_csv(out / "derive_scan.csv")
     assert list(scan)[0] == "r_a_m"
     # stiffer but heavier rotor: both frequency and anharmonicity fall with size
@@ -301,6 +323,13 @@ def test_cli_derive_scan_outputs(tmp_path):
 
 
 BISTABILITY_HEADER = "omega_drive,n,delta_eff,stable,re_eig1,im_eig1,re_eig2,im_eig2"
+FOLD_COLUMNS = ["drive_up_fold", "drive_down_fold", "delta_eff_up_fold", "delta_eff_down_fold"]
+BISTABILITY_SUMMARY_HEADER = ",".join(
+    ["regime"]
+    + [f"{name}_{unit}" for name in ["omega_ml", "omega_c", "window_width", *FOLD_COLUMNS]
+       for unit in ("rad_s", "hz")]
+    + ["n_up_fold", "n_down_fold"]
+)
 
 
 def test_cli_bistability_run(tmp_path):
@@ -315,8 +344,12 @@ def test_cli_bistability_run(tmp_path):
     assert (out1 / "bistability.csv").read_text().splitlines()[0] == BISTABILITY_HEADER
     table = read_csv(out1 / "bistability.csv")
     assert np.any(table["stable"] == 0.0) and np.any(table["stable"] == 1.0)
+    summary_text = (out1 / "bistability_summary.csv").read_text()
+    assert summary_text.splitlines()[0] == BISTABILITY_SUMMARY_HEADER
     summary = read_csv(out1 / "bistability_summary.csv")
     assert summary["regime"] == ["bistable"]
+    for name in ("omega_ml", "omega_c", "window_width", *FOLD_COLUMNS):
+        assert summary[f"{name}_hz"][0] == summary[f"{name}_rad_s"][0] / TWO_PI
     mode = mode_parameters(load_config(cfg).particle, load_config(cfg).trap)
     gamma_b = 1.3332236842105263 * DEFAULT_DAMPING_PER_PASCAL
     delta = -34283.6799057411
@@ -333,7 +366,35 @@ def test_cli_bistability_run(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_cli_bistability_monostable_has_nan_folds(tmp_path):
+    # blue detuning: one branch everywhere, so there are no folds to report
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        drive={"detuning_rad_s": 34283.6799057411},
+        sweep={"amplitude_min_rad_s": 1.0e6, "amplitude_max_rad_s": 1.2e7,
+               "points": 21},
+    ))
+    out = tmp_path / "out"
+    assert run_cli(["bistability", "--config", cfg, "--out", out]) == 0
+    assert (out / "bistability_summary.csv").read_text().splitlines()[0] == (
+        BISTABILITY_SUMMARY_HEADER
+    )
+    summary = read_csv(out / "bistability_summary.csv")
+    assert summary["regime"] == ["monostable"]
+    for name in FOLD_COLUMNS:
+        assert math.isnan(summary[f"{name}_rad_s"][0])
+        assert math.isnan(summary[f"{name}_hz"][0])
+    assert math.isnan(summary["n_up_fold"][0]) and math.isnan(summary["n_down_fold"][0])
+    assert math.isfinite(summary["omega_c_hz"][0])
+
+
 HYSTERESIS_HEADER = "t,re_beta,im_beta,n,omega_applied"
+JUMP_COLUMNS = ["jump_drive_rad_s", "jump_drive_hz", "jump_delta_eff_rad_s",
+                "jump_delta_eff_hz", "jump_n_before", "jump_n_after"]
+HYSTERESIS_SUMMARY_HEADER = ",".join(
+    ["direction", "jump_detected", *JUMP_COLUMNS,
+     "static_fold_drive_rad_s", "static_fold_delta_eff_rad_s", "loop_area"]
+)
 
 
 def test_cli_hysteresis_run(tmp_path):
@@ -347,9 +408,13 @@ def test_cli_hysteresis_run(tmp_path):
                     "--format", "csv+svg"]) == 0
     for name in ("hysteresis_up.csv", "hysteresis_down.csv"):
         assert (out / name).read_text().splitlines()[0] == HYSTERESIS_HEADER
+    assert (out / "hysteresis_summary.csv").read_text().splitlines()[0] == (
+        HYSTERESIS_SUMMARY_HEADER
+    )
     summary = read_csv(out / "hysteresis_summary.csv")
     assert summary["direction"] == ["up", "down"]
     assert list(summary["jump_detected"]) == [1.0, 1.0]
+    np.testing.assert_array_equal(summary["jump_drive_hz"], summary["jump_drive_rad_s"] / TWO_PI)
     # jumps land near the static folds even on this coarse ramp
     assert summary["jump_drive_rad_s"][0] == pytest.approx(
         summary["static_fold_drive_rad_s"][0], rel=0.05
@@ -359,6 +424,25 @@ def test_cli_hysteresis_run(tmp_path):
     )
     assert summary["loop_area"][0] > 0.0
     ET.parse(out / "hysteresis.svg")
+
+
+def test_cli_hysteresis_blue_detuned_has_no_jumps(tmp_path):
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        drive={"detuning_rad_s": 34283.6799057411},
+        ramp={"amplitude_start_rad_s": 2.35e6, "amplitude_stop_rad_s": 1.08e7,
+              "steps": 12},
+    ))
+    out = tmp_path / "out"
+    assert run_cli(["hysteresis", "--config", cfg, "--out", out]) == 0
+    assert (out / "hysteresis_summary.csv").read_text().splitlines()[0] == (
+        HYSTERESIS_SUMMARY_HEADER
+    )
+    summary = read_csv(out / "hysteresis_summary.csv")
+    assert summary["direction"] == ["up", "down"]
+    assert list(summary["jump_detected"]) == [0.0, 0.0]
+    for name in JUMP_COLUMNS + ["static_fold_drive_rad_s", "static_fold_delta_eff_rad_s"]:
+        assert np.all(np.isnan(summary[name])), name
 
 
 SQUEEZE_HEADER = "t,S_theta,S_J,squeezed_theta,squeezed_J,regime"
@@ -429,6 +513,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     free = write_cfg(tmp_path, undamped, "free.json")
     assert run_cli(["hysteresis", "--config", free]) == 1
     assert "dwell_s" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
+    # exit 2 is kept for numerical failures; a bad command line is a config error
+    cfg = write_cfg(tmp_path, BASE)
+    for args, message in (
+        (["derive"], "--config"),
+        (["derive", "--config", cfg, "--bogus"], "unrecognized arguments"),
+        (["derive", "--config", cfg, "--seed", "3"], "unrecognized arguments"),
+        (["nonsense", "--config", cfg], "invalid choice"),
+    ):
+        assert run_cli(args) == 1, args
+        assert message in capsys.readouterr().err
+    for args in (["--help"], ["--version"], ["derive", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 0
+    assert libration.__version__ in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

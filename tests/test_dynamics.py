@@ -172,6 +172,10 @@ def test_ramp_protocol_basics():
     np.testing.assert_allclose(qs.dwell, 20.0 / 100.0)
     with pytest.raises(ValueError):
         RampProtocol(1.0e6, 2.0e6, 2, 1e-3)
+    for steps in (10.5, 10.0):  # np.linspace needs an integer count
+        with pytest.raises(ValueError, match="integer"):
+            RampProtocol(1.0e6, 2.0e6, steps, 1e-3)
+    assert RampProtocol(1.0e6, 2.0e6, np.int64(5), 1e-3).amplitudes().size == 5
     with pytest.raises(ValueError):
         RampProtocol(1.0e6, 1.0e6, 5, 1e-3)
     with pytest.raises(ValueError):
@@ -209,13 +213,13 @@ def test_hysteresis_jumps_and_loop():
     )
     result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
     step = proto.amplitudes()[1] - proto.amplitudes()[0]
-    assert result.jump_up is not None and result.jump_down is not None
-    assert abs(result.jump_up.drive - tp.drive_low) < 1.5 * step
-    assert abs(result.jump_down.drive - tp.drive_high) < 1.5 * step
-    assert result.jump_up.n_after > result.jump_up.n_before
-    assert result.jump_down.n_after < result.jump_down.n_before
+    up, down = result.up.jump, result.down.jump
+    assert up is not None and down is not None
+    assert abs(up.drive - tp.drive_low) < 1.5 * step
+    assert abs(down.drive - tp.drive_high) < 1.5 * step
+    assert up.n_after > up.n_before
+    assert down.n_after < down.n_before
     assert result.loop_area > 0.0
-    assert result.up.jump is not None and result.down.jump is not None
     # the down ramp retraces the same grid by default
     # linspace(b, a, n) is not the bitwise reverse of linspace(a, b, n)
     np.testing.assert_allclose(
@@ -235,7 +239,6 @@ def test_short_dwell_cold_start_is_not_a_jump():
     jump = result.up.jump
     assert jump is not None
     assert jump.n_before <= tp.n_low < jump.n_after
-    assert result.jump_up == jump
 
 
 def test_monostable_sweep_has_no_loop():
@@ -243,7 +246,7 @@ def test_monostable_sweep_has_no_loop():
     delta_ml = +2.0 * math.pi * 500.0
     proto = RampProtocol.quasi_static(1.0e6, 6.0e6, REF_GAMMA_B, 60)
     result = hysteresis_sweep(delta_ml, REF_GAMMA_B, REF_ETA, proto)
-    assert result.jump_up is None and result.jump_down is None
+    assert result.up.jump is None and result.down.jump is None
     n_scale = float(np.max(result.up.n))
     n_down = np.interp(result.up.drives, result.down.drives[::-1], result.down.n[::-1])
     # the very first plateau still carries the cold-start transient

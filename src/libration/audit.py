@@ -364,7 +364,7 @@ def write_findings(path: str | Path) -> list[Finding]:
     findings = run_audit()
     payload = {
         "tolerance": DEVIATION_TOLERANCE,
-        "ground_truth": "squeezing.moment_oracle (second-moment integration)",
+        "ground_truth": "squeezing.moment_oracle (exact second-moment propagator)",
         "findings": [asdict(f) for f in findings],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -155,6 +155,6 @@ REFERENCE_JUMPS = JumpCoordinates(
     delta_eff_down=TWO_PI * 5.89e3,
 )
 
-#: Frozen fit output for the reference particle (max residual 8.7%).
+#: Frozen fit output for the reference particle (max residual 8.6%).
 REFERENCE_DELTA_ML = -34283.6799057411  # rad/s  (~ -2 pi * 5456.4)
 REFERENCE_GAMMA_B = 8012.985643210628  # rad/s  (~ 2 pi * 1275.3)

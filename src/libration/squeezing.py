@@ -29,9 +29,9 @@ omega_ml2 = omega_t - 12 eta r^2:
     degenerate   (|lam_p^2| <= DEGENERATE_BAND * xi^2): the crossover, where
                  g1 ~ 2 t^2 and g2 ~ 2 t grow polynomially.
 
-The closed forms are cross-checked against :func:`moment_oracle`, which
-integrates the second-moment equations directly (optionally with damping) and
-serves as the ground truth for the test suite.
+The closed forms are cross-checked against :func:`moment_oracle`, the ground
+truth for the test suite: the exact propagator expm(A t) of the linear
+second-moment equations (optionally damped), computed without scipy.
 """
 
 from __future__ import annotations
@@ -178,60 +178,89 @@ class VarianceTrace:
     nbar: float
 
 
+#: [13/13] Pade coefficients b_0 .. b_13 of exp, and the 1-norm up to which
+#: that approximant is accurate to double precision (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in the stack ``a`` by Pade-13 scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), with one scaling
+    2^-s that brings the largest 1-norm in the stack below theta_13."""
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=-2).max()) / _THETA13)[1])
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def moment_oracle(
     params: SqueezeParams,
     t_grid: np.ndarray,
     gamma_b: float = 0.0,
     nbar_bath: float | None = None,
-    rtol: float = 1e-11,
 ) -> VarianceTrace:
-    """Ground-truth variances from direct integration of the moment equations.
+    """Ground-truth variances from the exact propagator of the moment equations.
 
     The second moments z = <b^2> and m = <b'b> of the quadratic model obey
 
         dz/dt = (2 i lam - gamma_b) z + i xi e^{2 i phi} (2 m + 1)
         dm/dt = 2 xi Im(e^{-2 i phi} z) - gamma_b (m - nbar_bath)
 
-    with thermal initial conditions z(0) = 0, m(0) = nbar.  The variances are
-    S_theta = (2 Re z + 2 m + 1)/4 and S_J = (-2 Re z + 2 m + 1)/4.  With
-    gamma_b = 0 this is an independent check of the closed forms; with damping
-    it is the reference the closed (undamped) forms are compared against.
-    """
-    # imported here so that importing libration (and its CLI) loads no scipy
-    from scipy.integrate import solve_ivp
+    with thermal initial conditions z = 0, m = nbar at t_grid[0].  Appending a
+    constant 1 to y = (Re z, Im z, m) makes this y' = A y with a 4x4 A (Van
+    Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so each sample is
+    expm(A (t - t_grid[0])) y(t_grid[0]), exact and without stepping.  No
+    eigendecomposition is used: A is defective in the degenerate band.
 
-    if gamma_b < 0.0:
-        raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must be a 1-d array with at least 2 samples")
+    The variances are S_theta = (2 Re z + 2 m + 1)/4 and
+    S_J = (-2 Re z + 2 m + 1)/4.  With gamma_b = 0 this is an independent
+    check of the closed forms; with damping it is the reference the closed
+    (undamped) forms are compared against.  A negative or non-finite gamma_b
+    or nbar_bath, or a t_grid that is not finite and increasing, raises
+    ``ValueError``; moments that overflow raise ``RuntimeError``.
+    """
     if nbar_bath is None:
         nbar_bath = params.nbar
-    lam, xi = params.lam, params.xi
-    e2 = complex(math.cos(2.0 * params.phi), math.sin(2.0 * params.phi))
-
-    def rhs(t, y):
-        z = complex(y[0], y[1])
-        m = y[2]
-        dz = (2j * lam - gamma_b) * z + 1j * xi * e2 * (2.0 * m + 1.0)
-        dm = 2.0 * xi * (np.conj(e2) * z).imag - gamma_b * (m - nbar_bath)
-        return [dz.real, dz.imag, dm]
-
-    scale = 2.0 * params.nbar + 1.0
-    sol = solve_ivp(
-        rhs,
-        (t_grid[0], t_grid[-1]),
-        [0.0, 0.0, params.nbar],
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * scale * 1e-2,
-        t_eval=t_grid,
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"moment integration failed: {sol.message}")
-    re_z, m = sol.y[0], sol.y[2]
+    for name, value in (("gamma_b", gamma_b), ("nbar_bath", nbar_bath)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    t_grid = np.array(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError("t_grid must be a 1-d array with at least 2 samples")
+    if not np.isfinite(t_grid).all() or (np.diff(t_grid) <= 0.0).any():
+        raise ValueError("t_grid must be finite and increasing")
+    lam, xi, g = params.lam, params.xi, gamma_b
+    c2, s2 = math.cos(2.0 * params.phi), math.sin(2.0 * params.phi)
+    a = np.array([
+        [-g, -2.0 * lam, -2.0 * xi * s2, -xi * s2],
+        [2.0 * lam, -g, 2.0 * xi * c2, xi * c2],
+        [-2.0 * xi * s2, 2.0 * xi * c2, -g, g * nbar_bath],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        prop = _expm(a * (t_grid - t_grid[0])[:, None, None])
+        y = prop[:, :, 2] * params.nbar + prop[:, :, 3]
+    if not np.isfinite(y).all():
+        raise RuntimeError("moment propagation overflowed")
+    re_z, m = y[:, 0], y[:, 2]
     return VarianceTrace(
-        t=sol.t,
+        t=t_grid,
         S_theta=(2.0 * re_z + 2.0 * m + 1.0) / 4.0,
         S_J=(-2.0 * re_z + 2.0 * m + 1.0) / 4.0,
         regime=params.regime,

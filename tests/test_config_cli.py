@@ -563,8 +563,7 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
 
 
 def test_cli_imports_no_scipy():
-    # start-up of every command stays free of scipy; only the squeezing
-    # oracle loads it, when called
+    # start-up of every command stays free of scipy
     src = str(Path(libration.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, libration.cli; print('scipy' in sys.modules)"
@@ -572,3 +571,18 @@ def test_cli_imports_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_squeeze_run_loads_no_scipy(tmp_path):
+    # a whole squeeze run, moment oracle included, stays free of scipy too
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["squeeze", "--config", str(root / "configs" / "squeeze.json"),
+            "--out", str(tmp_path), "--format", "csv+svg"]
+    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
+            "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stderr.strip() == "0 False"
+    assert (tmp_path / "squeeze_oracle_2.csv").exists()

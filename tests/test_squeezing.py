@@ -1,4 +1,4 @@
-"""Variance dynamics: closed forms vs the moment-equation integrator."""
+"""Variance dynamics: closed forms vs the moment-equation propagator."""
 
 import dataclasses
 import math
@@ -17,6 +17,7 @@ from libration.squeezing import (
     variance_J_closed,
     variance_theta_closed,
 )
+from oracles import moment_dop853
 
 # benchmark particle (50 x 40 nm diamond in the standard trap)
 ETA = 0.004568823977128449
@@ -57,6 +58,38 @@ def test_parameter_validation():
         moment_oracle(bench_params(10.0, 0.0), np.linspace(0, 1e-3, 50), gamma_b=-1.0)
     with pytest.raises(ValueError):
         moment_oracle(bench_params(10.0, 0.0), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "t_grid",
+    [
+        [0.0, 1e-4, math.nan],
+        [0.0, math.inf],
+        [-math.inf, 0.0],
+        [0.0, 2e-4, 1e-4],   # decreasing
+        [1e-4, 0.0],
+        [0.0, 1e-4, 1e-4],   # repeated sample
+    ],
+)
+def test_oracle_rejects_bad_time_grid(t_grid):
+    with pytest.raises(ValueError, match="t_grid must be finite and increasing"):
+        moment_oracle(bench_params(10.0, 0.0), np.array(t_grid))
+
+
+@pytest.mark.parametrize("gamma_b,nbar_bath", [(math.nan, None), (math.inf, None),
+                                               (300.0, -1.0), (300.0, math.nan)])
+def test_oracle_rejects_bad_bath(gamma_b, nbar_bath):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        moment_oracle(bench_params(10.0, 0.0), np.linspace(0.0, 1e-3, 5),
+                      gamma_b=gamma_b, nbar_bath=nbar_bath)
+
+
+def test_oracle_overflow_is_a_runtime_error():
+    # e^{2 lam_p t} ~ e^{3300} at the end of this hyperbolic grid
+    xi = 87.72142036086622
+    p = SqueezeParams(lam=0.3 * xi, xi=xi, phi=0.0, r=40.0, nbar=0.0)
+    with pytest.raises(RuntimeError, match="overflowed"):
+        moment_oracle(p, np.linspace(0.0, 20.0, 50))
 
 
 @pytest.mark.parametrize("field", ["lam", "xi", "phi", "r", "nbar"])
@@ -303,6 +336,55 @@ def test_damping_relaxes_to_bath_occupation():
     assert tr.S_J[-1] == pytest.approx(floor, rel=1e-4)
     # undamped closed form keeps the initial occupation instead
     assert variance_theta_closed(t[-1], p) == pytest.approx(13.0 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam_over_xi,phi,gamma_b,nbar,nbar_bath,t0",
+    [
+        (0.3, 1.0, 0.0, 0.0, None, 0.0),          # hyperbolic
+        (16.326, math.pi, 0.0, 2.0, None, 0.0),   # oscillatory, thermal start
+        (1.0 - 4e-10, 0.9, 0.0, 0.7, None, 0.0),  # degenerate band, |lam_p^2| ~ 1e-9 xi^2
+        (-0.6, 2.5, 300.0, 0.0, None, 0.0),       # damped, hyperbolic
+        (16.326, math.pi, 300.0, 0.0, 1.0, 0.0),  # damped, thermal bath
+        (1.0 + 2e-10, 0.4, 300.0, 2.0, 1.0, 0.0), # damped, degenerate band
+        (-4.0, 0.7, 300.0, 0.5, 1.0, 3e-3),       # grid starting after 0
+    ],
+)
+def test_oracle_matches_dop853_integration(lam_over_xi, phi, gamma_b, nbar, nbar_bath, t0):
+    xi = 87.72142036086622
+    p = SqueezeParams(lam=lam_over_xi * xi, xi=xi, phi=phi, r=40.0, nbar=nbar)
+    t = t0 + grid_for(p, n=300)
+    tr = moment_oracle(p, t, gamma_b=gamma_b, nbar_bath=nbar_bath)
+    ref_theta, ref_j = moment_dop853(p, t, gamma_b=gamma_b, nbar_bath=nbar_bath)
+    scale = max(float(np.max(ref_theta)), float(np.max(ref_j)))
+    np.testing.assert_array_equal(tr.t, t)
+    np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(tr.S_J, ref_j, rtol=0, atol=1e-9 * scale)
+    assert tr.regime == p.regime
+
+
+@pytest.mark.parametrize("lam_over_xi,phi", [(16.326, math.pi), (0.3, 1.0)])
+def test_damped_trace_settles_on_the_stationary_moments(lam_over_xi, phi):
+    # the undamped growth rate 2 lam_p ~ 167 rad/s of the hyperbolic case is
+    # below gamma_b, so both cases settle; after 40 / gamma_b the transient
+    # e^{-(gamma_b - 2 Re lam_p) t} is below 1e-8
+    xi, gamma, nbar_bath = 87.72142036086622, 300.0, 1.0
+    p = SqueezeParams(lam=lam_over_xi * xi, xi=xi, phi=phi, r=40.0, nbar=3.0)
+    t = np.linspace(0.0, 40.0 / gamma, 400)
+    tr = moment_oracle(p, t, gamma_b=gamma, nbar_bath=nbar_bath)
+    # stationary point of the moment equations in (Re z, Im z, m)
+    c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    lam = p.lam
+    a = np.array([[-gamma, -2.0 * lam, -2.0 * xi * s2],
+                  [2.0 * lam, -gamma, 2.0 * xi * c2],
+                  [-2.0 * xi * s2, 2.0 * xi * c2, -gamma]])
+    re_z, _, m = np.linalg.solve(a, [xi * s2, -xi * c2, -gamma * nbar_bath])
+    s_theta = (2.0 * re_z + 2.0 * m + 1.0) / 4.0
+    s_j = (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
+    assert tr.S_theta[-1] == pytest.approx(s_theta, rel=1e-8)
+    assert tr.S_J[-1] == pytest.approx(s_j, rel=1e-8)
+    # it started hot, away from the stationary point
+    assert abs(tr.S_theta[0] - s_theta) > 0.1 * s_theta
 
 
 def test_damping_shallows_the_breathing_minimum():

@@ -30,6 +30,7 @@ from libration.model import (
 )
 from libration.steadystate import (
     MeanFieldParams,
+    ResonanceError,
     bistability_condition,
     solve_branches,
     sweep_diagram,
@@ -205,10 +206,7 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
     gamma_b = gas_damping(cfg.environment(omega_ml), cfg.damping_per_pascal)
     grid = np.linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
-    try:
-        diagram = sweep_diagram(grid, delta_ml, gamma_b, mode.eta, mode.omega_t)
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from exc
+    diagram = sweep_diagram(grid, delta_ml, gamma_b, mode.eta, mode.omega_t)
 
     drives, branches = zip(*diagram.branches)
     eig = np.array([b.eigenvalues for b in branches])
@@ -334,13 +332,9 @@ def _squeeze_reference(cfg: RunConfig, mode, delta_ml: float, gamma_b: float):
             "config error: squeeze.from_drive needs a drive amplitude "
             "('power_w' or 'amplitude_*') in the drive section"
         )
-    try:
-        branches = solve_branches(
-            MeanFieldParams(delta_ml=delta_ml, Omega=strength,
-                            gamma_b=gamma_b, eta=mode.eta)
-        )
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from exc
+    branches = solve_branches(
+        MeanFieldParams(delta_ml=delta_ml, Omega=strength, gamma_b=gamma_b, eta=mode.eta)
+    )
     stable = [b for b in branches if b.stable]
     if not stable:
         raise NumericalError("no stable steady branch at the configured drive")
@@ -457,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (NumericalError, NoConfinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ResonanceError as exc:
+        print(f"numerical failure: ResonanceError: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,10 +8,13 @@ S-curve and jumps at the fold points, which is how the hysteresis loop and the
 (drive, effective-detuning) jump coordinates are extracted.
 
 The integrator is an adaptive Dormand-Prince 5(4) stepper written here for
-the complex scalar amplitude.  It reproduces the tableau, error norm and step
-controller of scipy's RK45, so it takes the same accepted steps, without
-scipy's per-step overhead on a two-dimensional system; this module imports no
-scipy.
+the scalar amplitude, stepped as the real pair (Re beta, Im beta) in Python
+floats with the operation order of complex arithmetic: the same steps and the
+same bits as on the complex amplitude, without the cost of generic complex
+arithmetic.  It reproduces the tableau, error norm and step controller of
+scipy's RK45, so it takes the same accepted steps, without scipy's per-step
+overhead on a two-dimensional system; this module imports no scipy.
+:func:`mean_field_rhs` is the complex reference form of the right-hand side.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
@@ -59,13 +62,16 @@ class Trajectory:
     ``omega_applied`` holds the drive amplitude in force at each sample, so a
     stepped-ramp trajectory is self-describing.  ``complete`` is False when
     the integrator failed (step-size underflow) and the arrays only reach the
-    failure time.
+    failure time.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
+    evaluations and rejected steps that produced it.
     """
 
     t: np.ndarray
     beta: np.ndarray
     omega_applied: np.ndarray
     complete: bool = True
+    n_rhs: int = 0
+    n_rejected: int = 0
 
     @property
     def n(self) -> np.ndarray:
@@ -90,10 +96,29 @@ _DENSE = (
 )
 
 
-def _rms(z: complex, scale_re: float, scale_im: float) -> float:
-    """RMS norm of (z.real, z.imag), each part divided by its own scale."""
-    a = z.real / scale_re
-    b = z.imag / scale_im
+def _pair_rhs(params: MeanFieldParams):
+    """:func:`mean_field_rhs` as ``f(br, bi) -> (dr, di)`` on (Re beta, Im beta).
+
+    The parameters are read once, and each part is the complex form's own
+    sequence of float operations, so the values are equal to it (a zero may
+    differ in sign).
+    """
+    delta = params.delta_ml
+    k = 12.0 * params.eta
+    g = -(params.gamma_b / 2.0)
+    w = 0.5 * params.Omega
+
+    def f(br: float, bi: float) -> tuple[float, float]:
+        ci = delta + k * (br * br + bi * bi + 1.0)
+        return g * br - ci * bi, g * bi + ci * br - w
+
+    return f
+
+
+def _rms(re: float, im: float, scale_re: float, scale_im: float) -> float:
+    """RMS norm of (re, im), each part divided by its own scale."""
+    a = re / scale_re
+    b = im / scale_im
     return math.sqrt(a * a + b * b) / 2.0 ** 0.5
 
 
@@ -107,10 +132,12 @@ def integrate(
     """Integrate the mean-field equation with an adaptive Dormand-Prince 5(4) stepper.
 
     The stepper (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) works
-    on the complex amplitude and uses the step controller of scipy's RK45:
-    RMS error norm over the real and imaginary parts, safety 0.9, step factor
-    in [0.2, 10] with no growth right after a rejection, and the
-    Hairer-Norsett-Wanner initial step.
+    on the real pair (Re beta, Im beta) in Python floats, in the operation
+    order of complex arithmetic, so it takes the same steps to the same bits
+    as it would on the complex amplitude.  It uses the step controller of
+    scipy's RK45: RMS error norm over the real and imaginary parts, safety
+    0.9, step factor in [0.2, 10] with no growth right after a rejection, and
+    the Hairer-Norsett-Wanner initial step.
 
     ``tol`` is the accuracy target for the trajectory: the stepper is run
     a fixed safety factor tighter than ``tol`` so that the accumulated
@@ -120,7 +147,8 @@ def integrate(
     span) times by the pair's fourth-order dense output.  When the step
     falls below 10 ulp of the time the partial trajectory up to that time is
     returned with ``complete=False``.  A zero-length span returns the start
-    state.
+    state.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
+    evaluations and the rejected steps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -141,61 +169,79 @@ def integrate(
     # error under 10*tol against closed-form linear solutions.
     rtol = max(tol / 10.0, 1e-13)
     atol = rtol * max(1.0, abs(y))
-    rhs = mean_field_rhs  # looked up per call, so a wrapped RHS sees every evaluation
+    f = _pair_rhs(params)
+    yr, yi = y.real, y.imag
 
     ts = [t]
-    ys = [y]
+    yrs, yis = [yr], [yi]
     n_eval = 0
     if t_eval is not None:
         n_eval = int(np.searchsorted(t_eval, t, side="right"))
-        ts, ys = list(t_eval[:n_eval]), [y] * n_eval
+        ts, yrs, yis = list(t_eval[:n_eval]), [yr] * n_eval, [yi] * n_eval
 
     complete = True
+    n_rhs = n_accepted = n_rejected = 0
     if t < t_end:
-        k1 = rhs(y, params)
+        k1r, k1i = f(yr, yi)
         # Hairer-Norsett-Wanner initial step (Solving ODEs I, Sec. II.4)
-        s_re = atol + abs(y.real) * rtol
-        s_im = atol + abs(y.imag) * rtol
-        d0 = _rms(y, s_re, s_im)
-        d1 = _rms(k1, s_re, s_im)
+        s_re = atol + abs(yr) * rtol
+        s_im = atol + abs(yi) * rtol
+        d0 = _rms(yr, yi, s_re, s_im)
+        d1 = _rms(k1r, k1i, s_re, s_im)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, t_end - t)
-        d2 = _rms(rhs(y + h0 * k1, params) - k1, s_re, s_im) / h0
+        dr, di = f(yr + h0 * k1r, yi + h0 * k1i)
+        d2 = _rms(dr - k1r, di - k1i, s_re, s_im) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         h_abs = min(100.0 * h0, h1, t_end - t)
+        n_rhs = 2
 
+    # The loop runs ~10^5 times per sweep: bounds are clamped by comparisons
+    # rather than min()/max() calls, each picking the operand the call would.
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        if h_abs < min_step:
+            h_abs = min_step
+        ayr, ayi = abs(yr), abs(yi)
         rejected = False
         while h_abs >= min_step:
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
             h = h_abs = t_new - t
-            k2 = rhs(y + (1 / 5 * k1) * h, params)
-            k3 = rhs(y + (3 / 40 * k1 + 9 / 40 * k2) * h, params)
-            k4 = rhs(y + (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3) * h, params)
-            k5 = rhs(
-                y + (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
-                     - 212 / 729 * k4) * h,
-                params,
+            k2r, k2i = f(yr + 1 / 5 * k1r * h, yi + 1 / 5 * k1i * h)
+            k3r, k3i = f(yr + (3 / 40 * k1r + 9 / 40 * k2r) * h,
+                         yi + (3 / 40 * k1i + 9 / 40 * k2i) * h)
+            k4r, k4i = f(yr + (44 / 45 * k1r - 56 / 15 * k2r + 32 / 9 * k3r) * h,
+                         yi + (44 / 45 * k1i - 56 / 15 * k2i + 32 / 9 * k3i) * h)
+            k5r, k5i = f(
+                yr + (19372 / 6561 * k1r - 25360 / 2187 * k2r + 64448 / 6561 * k3r
+                      - 212 / 729 * k4r) * h,
+                yi + (19372 / 6561 * k1i - 25360 / 2187 * k2i + 64448 / 6561 * k3i
+                      - 212 / 729 * k4i) * h,
             )
-            k6 = rhs(
-                y + (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                     + 49 / 176 * k4 - 5103 / 18656 * k5) * h,
-                params,
+            k6r, k6i = f(
+                yr + (9017 / 3168 * k1r - 355 / 33 * k2r + 46732 / 5247 * k3r
+                      + 49 / 176 * k4r - 5103 / 18656 * k5r) * h,
+                yi + (9017 / 3168 * k1i - 355 / 33 * k2i + 46732 / 5247 * k3i
+                      + 49 / 176 * k4i - 5103 / 18656 * k5i) * h,
             )
-            y_new = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                             - 2187 / 6784 * k5 + 11 / 84 * k6)
-            k7 = rhs(y_new, params)
-            err = (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4
-                   + 17253 / 339200 * k5 - 22 / 525 * k6 + 1 / 40 * k7) * h
+            ynr = yr + h * (35 / 384 * k1r + 500 / 1113 * k3r + 125 / 192 * k4r
+                            - 2187 / 6784 * k5r + 11 / 84 * k6r)
+            yni = yi + h * (35 / 384 * k1i + 500 / 1113 * k3i + 125 / 192 * k4i
+                            - 2187 / 6784 * k5i + 11 / 84 * k6i)
+            k7r, k7i = f(ynr, yni)
+            ar, ai = abs(ynr), abs(yni)
             err_norm = _rms(
-                err,
-                atol + max(abs(y.real), abs(y_new.real)) * rtol,
-                atol + max(abs(y.imag), abs(y_new.imag)) * rtol,
+                (-71 / 57600 * k1r + 71 / 16695 * k3r - 71 / 1920 * k4r
+                 + 17253 / 339200 * k5r - 22 / 525 * k6r + 1 / 40 * k7r) * h,
+                (-71 / 57600 * k1i + 71 / 16695 * k3i - 71 / 1920 * k4i
+                 + 17253 / 339200 * k5i - 22 / 525 * k6i + 1 / 40 * k7i) * h,
+                atol + (ar if ar > ayr else ayr) * rtol,
+                atol + (ai if ai > ayi else ayi) * rtol,
             )
             if err_norm < 1.0:
                 factor = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
@@ -203,28 +249,48 @@ def integrate(
                 break
             h_abs *= max(0.2, 0.9 * err_norm ** -0.2)
             rejected = True
+            n_rejected += 1
         else:
             complete = False
             break
+        n_accepted += 1
         if t_eval is None:
             ts.append(t_new)
-            ys.append(y_new)
+            yrs.append(ynr)
+            yis.append(yni)
         else:
-            stages = (k1, k2, k3, k4, k5, k6, k7)
-            q = [sum(k * w[j] for k, w in zip(stages, _DENSE)) for j in range(4)]
+            stages = ((k1r, k1i), (k2r, k2i), (k3r, k3i), (k4r, k4i),
+                      (k5r, k5i), (k6r, k6i), (k7r, k7i))
+            # plain left-to-right sums, as the complex form's sum(); sum() of
+            # floats is compensated from Python 3.12 on
+            q = []
+            for j in range(4):
+                qr = qi = 0.0
+                for (kr, ki), wts in zip(stages, _DENSE):
+                    qr += kr * wts[j]
+                    qi += ki * wts[j]
+                q.append((qr, qi))
             while n_eval < len(t_eval) and t_eval[n_eval] <= t_new:
                 x = (t_eval[n_eval] - t) / h
                 ts.append(t_eval[n_eval])
-                ys.append(y + h * (q[0] * x + q[1] * x**2 + q[2] * x**3 + q[3] * x**4))
+                yrs.append(yr + h * (q[0][0] * x + q[1][0] * x**2 + q[2][0] * x**3
+                                     + q[3][0] * x**4))
+                yis.append(yi + h * (q[0][1] * x + q[1][1] * x**2 + q[2][1] * x**3
+                                     + q[3][1] * x**4))
                 n_eval += 1
-        t, y, k1 = t_new, y_new, k7
+        t, yr, yi, k1r, k1i = t_new, ynr, yni, k7r, k7i
 
     t_out = np.array(ts, dtype=float)
+    beta = np.empty(t_out.shape, dtype=complex)
+    beta.real = yrs
+    beta.imag = yis
     return Trajectory(
         t=t_out,
-        beta=np.array(ys, dtype=complex),
+        beta=beta,
         omega_applied=np.full(t_out.shape, params.Omega),
         complete=complete,
+        n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
+        n_rejected=n_rejected,
     )
 
 
@@ -373,10 +439,13 @@ def quasi_static_sweep(
     times = np.empty(len(drives))
     current = complex(beta_init)
     failed = False
+    n_rhs = n_rejected = 0
     for k, w in enumerate(drives):
         p = MeanFieldParams(delta_ml=delta_ml, Omega=float(w), gamma_b=gamma_b, eta=eta)
         traj = integrate(p, current, (0.0, protocol.dwell), tol=tol)
         current = traj.final_beta()
+        n_rhs += traj.n_rhs
+        n_rejected += traj.n_rejected
         beta[k] = current
         times[k] = (k + 1) * protocol.dwell
         if not traj.complete:
@@ -386,7 +455,8 @@ def quasi_static_sweep(
             drives = drives[: k + 1]
             break
     trajectory = Trajectory(
-        t=times, beta=beta, omega_applied=drives.astype(float), complete=not failed
+        t=times, beta=beta, omega_applied=drives.astype(float), complete=not failed,
+        n_rhs=n_rhs, n_rejected=n_rejected,
     )
     tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
     turning = tp if tp.physical else None

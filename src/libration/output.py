@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,11 @@ _PALETTE = (
     "#0072b2", "#d55e00", "#009e73", "#cc79a7",
     "#56b4e9", "#e69f00", "#000000",
 )
+
+
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML character data (as ``xml.sax.saxutils.escape``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _format_cell(value) -> str:
@@ -210,24 +214,24 @@ def svg_line_chart(
         )
         parts.append(
             f'<text x="{margin_l + plot_w - 120}" y="{legend_y}" font-size="12" '
-            f'fill="#222">{escape(label)}</text>'
+            f'fill="#222">{_escape(label)}</text>'
         )
         legend_y += 18
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
-            f'fill="#000">{escape(title)}</text>'
+            f'fill="#000">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 16}" font-size="13" '
-            f'text-anchor="middle" fill="#000">{escape(x_label)}</text>'
+            f'text-anchor="middle" fill="#000">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="20" y="{margin_t + plot_h / 2:.0f}" font-size="13" '
             f'text-anchor="middle" fill="#000" '
-            f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">{_escape(y_label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

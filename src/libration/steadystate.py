@@ -39,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "MeanFieldParams",
+    "ResonanceError",
     "Stability",
     "SteadyBranch",
     "TurningPoints",
@@ -89,6 +90,29 @@ class MeanFieldParams:
     def u(self) -> float:
         """Shifted detuning u = delta_ml + 12*eta (absorbs the +1 in n+1)."""
         return self.delta_ml + 12.0 * self.eta
+
+
+class ResonanceError(RuntimeError):
+    """A steady-state root that float64 cannot resolve to the residual contract.
+
+    This happens for a root on the resonance, u + 12*eta*n ~ 0, with a tiny
+    gamma_b: u + 12*eta*n resolves there only to ulp(u), so the residual is
+    rounding noise that can exceed the bound at every float64 n.  ``params``
+    is the drive point, ``bracket`` the (lo, hi) occupations searched, and
+    ``n`` the root with the smallest residual, ``residual``.
+    """
+
+    def __init__(
+        self, params: MeanFieldParams, bracket: tuple[float, float], n: float, residual: float
+    ) -> None:
+        self.params, self.bracket, self.n, self.residual = params, bracket, n, residual
+        bound = RESIDUAL_RTOL * params.Omega**2 / 4.0
+        super().__init__(
+            f"steady-state root failed residual check at n={n!r} in [{bracket[0]!r}, "
+            f"{bracket[1]!r}]: |residual| {abs(residual):.3g} > {bound:.3g} "
+            f"(delta_ml={params.delta_ml!r}, Omega={params.Omega!r}, "
+            f"gamma_b={params.gamma_b!r}, eta={params.eta!r})"
+        )
 
 
 class Stability(enum.Enum):
@@ -191,10 +215,8 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     the unique fixed point, and the undamped degenerate circle of fixed
     points at u + 12*eta*n = 0 collapses to the same reported state.
 
-    Raises RuntimeError when a root misses |cubic(n)| <= RESIDUAL_RTOL *
-    Omega^2/4.  That happens for a root on the resonance, u + 12*eta*n ~ 0,
-    with a tiny gamma_b: u + 12*eta*n resolves there only to ulp(u), so the
-    residual is rounding noise that can exceed the bound at every float64 n.
+    Raises :class:`ResonanceError` when a root misses |cubic(n)| <=
+    RESIDUAL_RTOL * Omega^2/4.
     """
     if params.Omega == 0.0:
         return [0.0]
@@ -246,9 +268,10 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
             n_low, n_high = x_low / k, x_high / k
             brackets = [(0.0, n_low, True), (n_low, n_high, False), (n_high, top, True)]
     roots = [solve(*b) for b in brackets]
-    bad = [n for n in roots if not abs(_cubic_n(params, n)) <= RESIDUAL_RTOL * target]
-    if bad:
-        raise RuntimeError(f"steady-state root failed residual check at n={bad}")
+    for (lo, hi, _), n in zip(brackets, roots):
+        residual = _cubic_n(params, n)
+        if not abs(residual) <= RESIDUAL_RTOL * target:
+            raise ResonanceError(params, (lo, hi), n, residual)
     return roots
 
 

@@ -4,9 +4,10 @@ Nothing in here reuses the package's closed-form algebra: depolarization
 factors come from the defining ellipsoid integral, inertia from Monte-Carlo
 volume sampling, steady-state occupations from a dense scan with bisection
 refinement, fold coordinates from bounded scalar optimization of the drive
-curve, and variance traces from adaptive integration of the moment
-equations.  The only shared ingredients are the fixed-point polynomial and
-the moment equations themselves, which *are* the model.
+curve, variance traces from adaptive integration of the moment equations,
+and plateaus from the Dormand-Prince stepper in complex arithmetic.  The only
+shared ingredients are the fixed-point polynomial, the moment equations and
+the mean-field right-hand side themselves, which *are* the model.
 """
 
 from __future__ import annotations
@@ -201,3 +202,82 @@ def moment_dop853(
         raise RuntimeError(f"moment integration failed: {sol.message}")
     re_z, m = sol.y[0], sol.y[2]
     return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
+
+
+def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
+    """(t, beta) of every accepted step of the complex-arithmetic Dormand-Prince 5(4).
+
+    This is ``libration.dynamics.integrate`` as it was written on the complex
+    amplitude, before its kernel moved to (Re beta, Im beta) float pairs:
+    the same tableau, RMS error norm, step controller and Hairer-Norsett-Wanner
+    initial step, evaluated through ``mean_field_rhs``.  No dense output and
+    no input checks; a step-size underflow raises.
+    """
+    from libration.dynamics import mean_field_rhs as rhs
+
+    def rms(z, scale_re, scale_im):
+        a = z.real / scale_re
+        b = z.imag / scale_im
+        return math.sqrt(a * a + b * b) / 2.0 ** 0.5
+
+    t, t_end = float(t_span[0]), float(t_span[1])
+    y = complex(beta_init)
+    rtol = max(tol / 10.0, 1e-13)
+    atol = rtol * max(1.0, abs(y))
+    ts, ys = [t], [y]
+    if t < t_end:
+        k1 = rhs(y, params)
+        s_re = atol + abs(y.real) * rtol
+        s_im = atol + abs(y.imag) * rtol
+        d0 = rms(y, s_re, s_im)
+        d1 = rms(k1, s_re, s_im)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end - t)
+        d2 = rms(rhs(y + h0 * k1, params) - k1, s_re, s_im) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(100.0 * h0, h1, t_end - t)
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            k2 = rhs(y + (1 / 5 * k1) * h, params)
+            k3 = rhs(y + (3 / 40 * k1 + 9 / 40 * k2) * h, params)
+            k4 = rhs(y + (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3) * h, params)
+            k5 = rhs(
+                y + (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                     - 212 / 729 * k4) * h,
+                params,
+            )
+            k6 = rhs(
+                y + (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                     + 49 / 176 * k4 - 5103 / 18656 * k5) * h,
+                params,
+            )
+            y_new = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                             - 2187 / 6784 * k5 + 11 / 84 * k6)
+            k7 = rhs(y_new, params)
+            err = (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4
+                   + 17253 / 339200 * k5 - 22 / 525 * k6 + 1 / 40 * k7) * h
+            err_norm = rms(
+                err,
+                atol + max(abs(y.real), abs(y_new.real)) * rtol,
+                atol + max(abs(y.imag), abs(y_new.imag)) * rtol,
+            )
+            if err_norm < 1.0:
+                factor = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err_norm ** -0.2)
+            rejected = True
+        else:
+            raise RuntimeError(f"step size underflow at t = {t!r}")
+        ts.append(t_new)
+        ys.append(y_new)
+        t, y, k1 = t_new, y_new, k7
+    return np.array(ts, dtype=float), np.array(ys, dtype=complex)

@@ -260,6 +260,16 @@ def test_svg_chart_is_wellformed(tmp_path):
     assert "demo" in body and "wave" in body
 
 
+def test_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    from libration.output import _escape
+
+    for text in ("", "plain", "a &amp; b", "<tag>", "x > y < z", "&&<<>>",
+                 "'single' \"double\"", "Ω/2π ≈ 5 kHz & η < 1", "&lt;not&gt; twice"):
+        assert _escape(text) == escape(text)
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -515,6 +525,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "dwell_s" in capsys.readouterr().err
 
 
+def test_cli_names_the_resonance_error(tmp_path, capsys):
+    # undamped drive points whose root sits on the resonance exit 2 and say why
+    cfg = with_sections(
+        WINDOW,
+        drive={"detuning_rad_s": -1.42e5},
+        sweep={"amplitude_min_rad_s": 0.05, "amplitude_max_rad_s": 5.0, "points": 5},
+    )
+    cfg["environment"] = {"pressure_pa": 0.0, "temperature_k": 300.0}
+    path = write_cfg(tmp_path, cfg)
+    assert run_cli(["bistability", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ResonanceError: ")
+    assert "gamma_b=0.0" in err
+
+
 def test_cli_usage_errors_exit_1(tmp_path, capsys):
     # exit 2 is kept for numerical failures; a bad command line is a config error
     cfg = write_cfg(tmp_path, BASE)
@@ -563,14 +588,16 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
 
 
 def test_cli_imports_no_scipy():
-    # start-up of every command stays free of scipy
+    # start-up of every command stays free of scipy, and of the modules
+    # xml.sax.saxutils pulls in (the SVG writer escapes text itself)
     src = str(Path(libration.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, libration.cli; print('scipy' in sys.modules)"
+    heavy = ("scipy", "xml", "email", "http.client", "urllib.request")
+    code = f"import sys, libration.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_squeeze_run_loads_no_scipy(tmp_path):

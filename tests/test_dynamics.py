@@ -1,23 +1,31 @@
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+import libration
+from libration.config import load_config
 from libration.dynamics import (
     RampProtocol,
     Trajectory,
+    _pair_rhs,
     hysteresis_sweep,
     integrate,
     mean_field_rhs,
     quasi_static_sweep,
 )
+from libration.model import gas_damping, mode_parameters
 from libration.steadystate import (
     MeanFieldParams,
     beta_from_n,
     steady_occupations,
     turning_points,
 )
+from oracles import dopri_complex
 
 REF_DELTA_ML = -34283.6799057411
 REF_GAMMA_B = 8012.985643210628
@@ -134,11 +142,103 @@ def test_stepper_matches_scipy_rk45():
     np.testing.assert_allclose(tr.beta, beta_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(beta_ref)))
 
 
+def _reference_plateaus():
+    """(params, beta0) of one plateau from rest and from near each steady branch."""
+    bistable = ref_params(6.0e6)
+    cases = [(ref_params(w), 0.0j) for w in (2.0e6, 1.2e7, 6.0e6)]
+    cases += [(bistable, beta_from_n(bistable, n) * 1.05) for n in steady_occupations(bistable)]
+    return cases
+
+
+def _assert_same_steps(p, beta0, t_span, tol):
+    """The complex stepper's accepted steps, and the work counted for them."""
+    tr = integrate(p, beta0, t_span, tol=tol)
+    t_ref, beta_ref = dopri_complex(p, beta0, t_span, tol)
+    assert tr.complete
+    assert np.array_equal(tr.t, t_ref)
+    assert np.array_equal(tr.beta, beta_ref)
+    # two evaluations for the initial step, six per tried step
+    assert tr.n_rhs == 2 + 6 * (len(tr.t) - 1 + tr.n_rejected)
+    return tr
+
+
+def test_pair_kernel_is_bit_identical_to_complex_stepper():
+    # the real-pair kernel takes the complex form's accepted steps to the bit
+    dwell = 20.0 / REF_GAMMA_B
+    rejected = 0
+    for p, beta0 in _reference_plateaus():
+        for tol in (1e-6, 1e-8, 1e-10):
+            rejected += _assert_same_steps(p, beta0, (0.0, dwell), tol).n_rejected
+    assert rejected > 0
+    # an undamped plateau with an explicit dwell
+    undamped = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=6.0e6, gamma_b=0.0, eta=REF_ETA)
+    _assert_same_steps(undamped, 0.0j, (0.0, 2.5e-3), 1e-8)
+
+
+def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
+    tp = turning_points(
+        REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
+    )
+    proto = RampProtocol.quasi_static(
+        0.8 * tp.drive_high, 1.1 * tp.drive_low, REF_GAMMA_B, 40
+    )
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    assert result.up.jump is not None and result.down.jump is not None
+    beta = 0.0j
+    for sweep in (result.up, result.down):
+        ends = []
+        for w in sweep.drives:
+            tr = _assert_same_steps(ref_params(float(w)), beta, (0.0, proto.dwell), 1e-8)
+            beta = tr.final_beta()
+            ends.append(beta)
+        assert np.array_equal(sweep.beta, ends)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    delta_ml=st.floats(-1e8, 1e8),
+    Omega=st.one_of(st.just(0.0), st.floats(0.0, 1e10)),
+    gamma_b=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    eta=st.floats(1e-8, 1e2),
+    br=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    bi=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+)
+def test_pair_rhs_matches_complex_rhs(delta_ml, Omega, gamma_b, eta, br, bi):
+    # equal parts: the same bits, except that a zero may differ in sign
+    p = MeanFieldParams(delta_ml=delta_ml, Omega=Omega, gamma_b=gamma_b, eta=eta)
+    z = mean_field_rhs(complex(br, bi), p)
+    assert _pair_rhs(p)(br, bi) == (z.real, z.imag)
+
+
+def test_sweep_counts_on_shipped_hysteresis_config():
+    # the CLI's sweep of configs/hysteresis.json: 600 plateaus, 86,988
+    # accepted steps, 564,642 right-hand-side evaluations
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = load_config(root / "configs" / "hysteresis.json")
+    assert cfg.drive.mode == "detuning"
+    mode = mode_parameters(cfg.particle, cfg.trap)
+    delta_ml = cfg.drive.value
+    gamma_b = gas_damping(cfg.environment(mode.omega_t + delta_ml), cfg.damping_per_pascal)
+    proto = RampProtocol.quasi_static(
+        cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, gamma_b, cfg.ramp.steps
+    )
+    result = hysteresis_sweep(delta_ml, gamma_b, mode.eta, proto, tol=cfg.ramp.tolerance)
+    trajectories = (result.up.trajectory, result.down.trajectory)
+    plateaus = sum(len(tr.t) for tr in trajectories)
+    n_rhs = sum(tr.n_rhs for tr in trajectories)
+    n_rejected = sum(tr.n_rejected for tr in trajectories)
+    assert plateaus == 600
+    assert n_rhs == 564_642
+    assert (n_rhs - 2 * plateaus) // 6 - n_rejected == 86_988
+
+
 def test_step_underflow_returns_partial_trajectory():
     # at t ~ 1e12 s ten ulp exceed any step the error control accepts
     tr = integrate(ref_params(6.0e6), 300.0 + 0.0j, (1e12, 1e12 + 1.0))
     assert not tr.complete
     assert len(tr.t) == 1 and tr.t[0] == 1e12 and tr.beta[0] == 300.0 + 0.0j
+    # the rejected tries that ended the run are counted
+    assert tr.n_rejected > 0 and tr.n_rhs == 2 + 6 * tr.n_rejected
 
 
 def test_integrate_rejects_non_finite_and_reversed_input():
@@ -158,6 +258,7 @@ def test_zero_length_span_returns_start_state():
     assert tr.complete
     np.testing.assert_array_equal(tr.t, [0.5])
     np.testing.assert_array_equal(tr.beta, [3.0 - 1.0j])
+    assert (tr.n_rhs, tr.n_rejected) == (0, 0)
 
 
 def test_ramp_protocol_basics():

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from libration.dynamics import mean_field_rhs
 from libration.steadystate import (
+    RESIDUAL_RTOL,
     MeanFieldParams,
+    ResonanceError,
     Stability,
     beta_from_n,
     bistability_condition,
@@ -128,11 +130,11 @@ def log_uniform(lo: float, hi: float):
 def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega):
     # every draw either returns the fold-window root count, within the
     # residual contract and with the S-curve stability pattern, or raises
-    # the typed RuntimeError (a root on the resonance, below float resolution)
+    # ResonanceError (a root on the resonance, below float resolution)
     p = MeanFieldParams(delta_ml=sign * abs_delta, Omega=Omega, gamma_b=gamma_b, eta=eta)
     try:
         branches = solve_branches(p)
-    except RuntimeError:
+    except ResonanceError:
         return
     ns = [b.n for b in branches]
     assert ns == sorted(ns) and ns[0] > 0.0
@@ -147,6 +149,23 @@ def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega)
         # an undamped mode only precesses about its outer branches
         outer = Stability.STABLE if gamma_b > 0.0 else Stability.MARGINAL
         assert [b.verdict for b in branches] == [outer, Stability.UNSTABLE, outer]
+
+
+def test_resonance_error_carries_the_failing_root():
+    # undamped, with the upper root on the resonance u + 12 eta n = 0, where
+    # no float64 n meets the residual contract
+    p = MeanFieldParams(delta_ml=-1.42e5, Omega=0.118, gamma_b=0.0, eta=1.7e-3)
+    with pytest.raises(ResonanceError) as info:
+        steady_occupations(p)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert err.params == p
+    lo, hi = err.bracket
+    assert lo <= err.n <= hi
+    assert err.residual == residual(p, err.n)
+    assert abs(err.residual) > RESIDUAL_RTOL * p.Omega**2 / 4.0
+    assert err.n == pytest.approx(-p.u / (12.0 * p.eta), rel=1e-9)
+    assert "residual check" in str(err)
 
 
 @pytest.mark.parametrize("delta_ml", [-1.0e6, 1.0e5])

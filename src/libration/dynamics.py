@@ -11,9 +11,11 @@ The integrator is an adaptive Dormand-Prince 5(4) stepper written here for
 the scalar amplitude, stepped as the real pair (Re beta, Im beta) in Python
 floats with the operation order of complex arithmetic: the same steps and the
 same bits as on the complex amplitude, without the cost of generic complex
-arithmetic.  It reproduces the tableau, error norm and step controller of
-scipy's RK45, so it takes the same accepted steps, without scipy's per-step
-overhead on a two-dimensional system; this module imports no scipy.
+arithmetic.  Its step loop is flat float code, with the right-hand side and
+error norm written out inline and no function calls per stage.  It
+reproduces the tableau, error norm and step controller of scipy's RK45, so
+it takes the same accepted steps, without scipy's per-step overhead on a
+two-dimensional system; this module imports no scipy.
 :func:`mean_field_rhs` is the complex reference form of the right-hand side.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
@@ -96,6 +98,11 @@ _DENSE = (
 )
 
 
+def _rhs_constants(params: MeanFieldParams) -> tuple[float, float, float, float]:
+    """(delta_ml, 12 eta, -gamma_b/2, Omega/2): the floats the pair RHS is built from."""
+    return params.delta_ml, 12.0 * params.eta, -(params.gamma_b / 2.0), 0.5 * params.Omega
+
+
 def _pair_rhs(params: MeanFieldParams):
     """:func:`mean_field_rhs` as ``f(br, bi) -> (dr, di)`` on (Re beta, Im beta).
 
@@ -103,10 +110,7 @@ def _pair_rhs(params: MeanFieldParams):
     sequence of float operations, so the values are equal to it (a zero may
     differ in sign).
     """
-    delta = params.delta_ml
-    k = 12.0 * params.eta
-    g = -(params.gamma_b / 2.0)
-    w = 0.5 * params.Omega
+    delta, k, g, w = _rhs_constants(params)
 
     def f(br: float, bi: float) -> tuple[float, float]:
         ci = delta + k * (br * br + bi * bi + 1.0)
@@ -134,10 +138,12 @@ def integrate(
     The stepper (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) works
     on the real pair (Re beta, Im beta) in Python floats, in the operation
     order of complex arithmetic, so it takes the same steps to the same bits
-    as it would on the complex amplitude.  It uses the step controller of
-    scipy's RK45: RMS error norm over the real and imaginary parts, safety
-    0.9, step factor in [0.2, 10] with no growth right after a rejection, and
-    the Hairer-Norsett-Wanner initial step.
+    as it would on the complex amplitude.  The step loop evaluates the
+    right-hand side and the error norm inline, in the operations of
+    ``_pair_rhs`` and ``_rms``.  It uses the step controller of scipy's
+    RK45: RMS error norm over the real and imaginary parts, safety 0.9, step
+    factor in [0.2, 10] with no growth right after a rejection, and the
+    Hairer-Norsett-Wanner initial step.
 
     ``tol`` is the accuracy target for the trajectory: the stepper is run
     a fixed safety factor tighter than ``tol`` so that the accumulated
@@ -199,55 +205,71 @@ def integrate(
         h_abs = min(100.0 * h0, h1, t_end - t)
         n_rhs = 2
 
-    # The loop runs ~10^5 times per sweep: bounds are clamped by comparisons
-    # rather than min()/max() calls, each picking the operand the call would.
+    # The loop runs ~10^5 times per sweep, so it is straight-line float code:
+    # each stage is _pair_rhs and the error norm is _rms written out in their
+    # own operation order (tests hold these copies to them bit for bit), and
+    # abs/min/max are comparisons that pick the operand the call would; a
+    # zero of the other sign only ever feeds atol + x * rtol.
+    delta, k, g, w = _rhs_constants(params)
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        min_step = 10.0 * (nextafter(t, inf) - t)
         if h_abs < min_step:
             h_abs = min_step
-        ayr, ayi = abs(yr), abs(yi)
+        ayr = yr if yr > 0.0 else -yr
+        ayi = yi if yi > 0.0 else -yi
         rejected = False
         while h_abs >= min_step:
             t_new = t + h_abs
             if t_new > t_end:
                 t_new = t_end
             h = h_abs = t_new - t
-            k2r, k2i = f(yr + 1 / 5 * k1r * h, yi + 1 / 5 * k1i * h)
-            k3r, k3i = f(yr + (3 / 40 * k1r + 9 / 40 * k2r) * h,
-                         yi + (3 / 40 * k1i + 9 / 40 * k2i) * h)
-            k4r, k4i = f(yr + (44 / 45 * k1r - 56 / 15 * k2r + 32 / 9 * k3r) * h,
-                         yi + (44 / 45 * k1i - 56 / 15 * k2i + 32 / 9 * k3i) * h)
-            k5r, k5i = f(
-                yr + (19372 / 6561 * k1r - 25360 / 2187 * k2r + 64448 / 6561 * k3r
-                      - 212 / 729 * k4r) * h,
-                yi + (19372 / 6561 * k1i - 25360 / 2187 * k2i + 64448 / 6561 * k3i
-                      - 212 / 729 * k4i) * h,
-            )
-            k6r, k6i = f(
-                yr + (9017 / 3168 * k1r - 355 / 33 * k2r + 46732 / 5247 * k3r
-                      + 49 / 176 * k4r - 5103 / 18656 * k5r) * h,
-                yi + (9017 / 3168 * k1i - 355 / 33 * k2i + 46732 / 5247 * k3i
-                      + 49 / 176 * k4i - 5103 / 18656 * k5i) * h,
-            )
+            xr = yr + 1 / 5 * k1r * h
+            xi = yi + 1 / 5 * k1i * h
+            c = delta + k * (xr * xr + xi * xi + 1.0)
+            k2r, k2i = g * xr - c * xi, g * xi + c * xr - w
+            xr = yr + (3 / 40 * k1r + 9 / 40 * k2r) * h
+            xi = yi + (3 / 40 * k1i + 9 / 40 * k2i) * h
+            c = delta + k * (xr * xr + xi * xi + 1.0)
+            k3r, k3i = g * xr - c * xi, g * xi + c * xr - w
+            xr = yr + (44 / 45 * k1r - 56 / 15 * k2r + 32 / 9 * k3r) * h
+            xi = yi + (44 / 45 * k1i - 56 / 15 * k2i + 32 / 9 * k3i) * h
+            c = delta + k * (xr * xr + xi * xi + 1.0)
+            k4r, k4i = g * xr - c * xi, g * xi + c * xr - w
+            xr = yr + (19372 / 6561 * k1r - 25360 / 2187 * k2r + 64448 / 6561 * k3r
+                       - 212 / 729 * k4r) * h
+            xi = yi + (19372 / 6561 * k1i - 25360 / 2187 * k2i + 64448 / 6561 * k3i
+                       - 212 / 729 * k4i) * h
+            c = delta + k * (xr * xr + xi * xi + 1.0)
+            k5r, k5i = g * xr - c * xi, g * xi + c * xr - w
+            xr = yr + (9017 / 3168 * k1r - 355 / 33 * k2r + 46732 / 5247 * k3r
+                       + 49 / 176 * k4r - 5103 / 18656 * k5r) * h
+            xi = yi + (9017 / 3168 * k1i - 355 / 33 * k2i + 46732 / 5247 * k3i
+                       + 49 / 176 * k4i - 5103 / 18656 * k5i) * h
+            c = delta + k * (xr * xr + xi * xi + 1.0)
+            k6r, k6i = g * xr - c * xi, g * xi + c * xr - w
             ynr = yr + h * (35 / 384 * k1r + 500 / 1113 * k3r + 125 / 192 * k4r
                             - 2187 / 6784 * k5r + 11 / 84 * k6r)
             yni = yi + h * (35 / 384 * k1i + 500 / 1113 * k3i + 125 / 192 * k4i
                             - 2187 / 6784 * k5i + 11 / 84 * k6i)
-            k7r, k7i = f(ynr, yni)
-            ar, ai = abs(ynr), abs(yni)
-            err_norm = _rms(
-                (-71 / 57600 * k1r + 71 / 16695 * k3r - 71 / 1920 * k4r
-                 + 17253 / 339200 * k5r - 22 / 525 * k6r + 1 / 40 * k7r) * h,
-                (-71 / 57600 * k1i + 71 / 16695 * k3i - 71 / 1920 * k4i
-                 + 17253 / 339200 * k5i - 22 / 525 * k6i + 1 / 40 * k7i) * h,
-                atol + (ar if ar > ayr else ayr) * rtol,
-                atol + (ai if ai > ayi else ayi) * rtol,
-            )
+            c = delta + k * (ynr * ynr + yni * yni + 1.0)
+            k7r, k7i = g * ynr - c * yni, g * yni + c * ynr - w
+            ar = ynr if ynr > 0.0 else -ynr
+            ai = yni if yni > 0.0 else -yni
+            er = ((-71 / 57600 * k1r + 71 / 16695 * k3r - 71 / 1920 * k4r
+                   + 17253 / 339200 * k5r - 22 / 525 * k6r + 1 / 40 * k7r) * h
+                  / (atol + (ar if ar > ayr else ayr) * rtol))
+            ei = ((-71 / 57600 * k1i + 71 / 16695 * k3i - 71 / 1920 * k4i
+                   + 17253 / 339200 * k5i - 22 / 525 * k6i + 1 / 40 * k7i) * h
+                  / (atol + (ai if ai > ayi else ayi) * rtol))
+            err_norm = sqrt(er * er + ei * ei) / 2.0 ** 0.5
             if err_norm < 1.0:
-                factor = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor = 10.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
+                limit = 1.0 if rejected else 10.0
+                h_abs *= factor if factor < limit else limit
                 break
-            h_abs *= max(0.2, 0.9 * err_norm ** -0.2)
+            factor = 0.9 * err_norm ** -0.2
+            h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
             n_rejected += 1
         else:
@@ -494,9 +516,10 @@ def hysteresis_sweep(
 ) -> HysteresisResult:
     """Run an up ramp, then a down ramp from the final state, and compare.
 
-    The default down ramp retraces the up ramp's plateaus in reverse, so the
-    two branches are sampled on the same drive grid and the loop area is a
-    plain trapezoid integral of their difference.
+    The default down ramp retraces the up ramp's plateaus in reverse.  Its
+    drives, ``linspace(hi, lo, n)``, equal the up grid only to rounding (a
+    few drives differ in the last bit), so the down branch is interpolated
+    onto the up grid before the trapezoid integral of their difference.
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")

@@ -204,16 +204,18 @@ def moment_dop853(
     return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
 
 
-def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
-    """(t, beta) of every accepted step of the complex-arithmetic Dormand-Prince 5(4).
+def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8, t_eval=None):
+    """(t, beta) of the complex-arithmetic Dormand-Prince 5(4).
 
     This is ``libration.dynamics.integrate`` as it was written on the complex
     amplitude, before its kernel moved to (Re beta, Im beta) float pairs:
     the same tableau, RMS error norm, step controller and Hairer-Norsett-Wanner
-    initial step, evaluated through ``mean_field_rhs``.  No dense output and
-    no input checks; a step-size underflow raises.
+    initial step, evaluated through ``mean_field_rhs``.  Without ``t_eval``
+    every accepted step is returned; with it, the samples at those times of
+    Shampine's dense output, each coefficient a ``sum()`` over the complex
+    stages.  No input checks; a step-size underflow raises.
     """
-    from libration.dynamics import mean_field_rhs as rhs
+    from libration.dynamics import _DENSE, mean_field_rhs as rhs
 
     def rms(z, scale_re, scale_im):
         a = z.real / scale_re
@@ -225,6 +227,9 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
     rtol = max(tol / 10.0, 1e-13)
     atol = rtol * max(1.0, abs(y))
     ts, ys = [t], [y]
+    if t_eval is not None:
+        n_eval = int(np.searchsorted(t_eval, t, side="right"))
+        ts, ys = list(t_eval[:n_eval]), [y] * n_eval
     if t < t_end:
         k1 = rhs(y, params)
         s_re = atol + abs(y.real) * rtol
@@ -277,7 +282,16 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
             rejected = True
         else:
             raise RuntimeError(f"step size underflow at t = {t!r}")
-        ts.append(t_new)
-        ys.append(y_new)
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y_new)
+        else:
+            stages = (k1, k2, k3, k4, k5, k6, k7)
+            q = [sum(k * w[j] for k, w in zip(stages, _DENSE)) for j in range(4)]
+            while n_eval < len(t_eval) and t_eval[n_eval] <= t_new:
+                x = (t_eval[n_eval] - t) / h
+                ts.append(t_eval[n_eval])
+                ys.append(y + h * (q[0] * x + q[1] * x**2 + q[2] * x**3 + q[3] * x**4))
+                n_eval += 1
         t, y, k1 = t_new, y_new, k7
     return np.array(ts, dtype=float), np.array(ys, dtype=complex)

@@ -173,6 +173,29 @@ def test_pair_kernel_is_bit_identical_to_complex_stepper():
     # an undamped plateau with an explicit dwell
     undamped = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=6.0e6, gamma_b=0.0, eta=REF_ETA)
     _assert_same_steps(undamped, 0.0j, (0.0, 2.5e-3), 1e-8)
+    # starts with negative and negative-zero parts, where the comparisons
+    # standing in for abs/min/max would show a sign slip
+    bistable = ref_params(6.0e6)
+    low = beta_from_n(bistable, steady_occupations(bistable)[0])
+    assert low.real < 0.0 and low.imag < 0.0
+    starts = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+              0.95 * low, complex(low.real, -1e-3), -abs(low) * (1.0 + 1.0j)]
+    for beta0 in starts:
+        for tol in (1e-6, 1e-10):
+            _assert_same_steps(bistable, beta0, (0.0, dwell), tol)
+
+
+def test_dense_output_is_bit_identical_to_complex_stepper():
+    # Shampine's dense output on the real pair gives the complex form's samples
+    dwell = 20.0 / REF_GAMMA_B
+    t_eval = np.linspace(0.0, dwell, 37)
+    for p, beta0 in _reference_plateaus():
+        for tol in (1e-6, 1e-8, 1e-10):
+            tr = integrate(p, beta0, (0.0, dwell), tol=tol, t_eval=t_eval)
+            t_ref, beta_ref = dopri_complex(p, beta0, (0.0, dwell), tol, t_eval=t_eval)
+            assert tr.complete
+            assert np.array_equal(tr.t, t_eval) and np.array_equal(t_ref, t_eval)
+            assert np.array_equal(tr.beta, beta_ref)
 
 
 def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
@@ -187,11 +210,17 @@ def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
     beta = 0.0j
     for sweep in (result.up, result.down):
         ends = []
+        n_rhs = n_rejected = 0
         for w in sweep.drives:
             tr = _assert_same_steps(ref_params(float(w)), beta, (0.0, proto.dwell), 1e-8)
             beta = tr.final_beta()
             ends.append(beta)
+            n_rhs += tr.n_rhs
+            n_rejected += tr.n_rejected
         assert np.array_equal(sweep.beta, ends)
+        # the sweep's work counters are the sums over its plateaus
+        assert sweep.trajectory.n_rhs == n_rhs
+        assert sweep.trajectory.n_rejected == n_rejected
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -230,6 +259,17 @@ def test_sweep_counts_on_shipped_hysteresis_config():
     assert plateaus == 600
     assert n_rhs == 564_642
     assert (n_rhs - 2 * plateaus) // 6 - n_rejected == 86_988
+
+
+def test_default_down_grid_matches_up_grid_to_rounding():
+    # the reversed ramp's linspace(hi, lo, n) is not the bitwise reverse of
+    # linspace(lo, hi, n), which is why loop_area interpolates the down branch
+    root = Path(libration.__file__).resolve().parents[2]
+    ramp = load_config(root / "configs" / "hysteresis.json").ramp
+    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, 1e-3)
+    up = proto.amplitudes()
+    down = proto.reversed().amplitudes()[::-1]
+    np.testing.assert_allclose(down, up, rtol=1e-15, atol=0.0)
 
 
 def test_step_underflow_returns_partial_trajectory():

@@ -7,6 +7,10 @@ next to the moment-equation reference).  Exit codes: 0 success, 1 config
 error, 2 numerical failure.  All outputs are deterministic for a fixed
 config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
 summary value is reported.
+
+``hysteresis`` imports ``dynamics``, and ``squeeze`` numpy and ``squeezing``,
+inside the command: ``derive`` and ``bistability`` build no array and run
+without loading numpy, whose import is about half of their cold start.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from libration import __version__
 from libration.config import ConfigError, RunConfig, load_config
@@ -34,14 +36,6 @@ from libration.steadystate import (
     bistability_condition,
     solve_branches,
     sweep_diagram,
-)
-from libration.dynamics import RampProtocol, hysteresis_sweep
-from libration.squeezing import (
-    exponential_angle,
-    moment_oracle,
-    squeeze_params,
-    variance_J_closed,
-    variance_theta_closed,
 )
 from libration.output import svg_line_chart, write_csv
 
@@ -80,7 +74,7 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _twin(name: str, value: float | np.ndarray, rad: str = "_rad_s", hz: str = "_hz") -> dict:
+def _twin(name: str, value: float, rad: str = "_rad_s", hz: str = "_hz") -> dict:
     """A frequency as ``name + rad`` in rad/s with its twin ``name + hz`` in Hz."""
     return {name + rad: value, name + hz: value / TWO_PI}
 
@@ -88,6 +82,14 @@ def _twin(name: str, value: float | np.ndarray, rad: str = "_rad_s", hz: str = "
 def _or_nan(obj, field: str) -> float:
     """``obj.field``, or NaN when there is no fold or jump to read it from."""
     return math.nan if obj is None else getattr(obj, field)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` for n >= 2, bit for bit."""
+    step = (hi - lo) / (n - 1)
+    # where the step underflows to 0, numpy divides first and scales by the span
+    points = [lo + (i * step if step else i / (n - 1) * (hi - lo)) for i in range(n - 1)]
+    return points + [hi]
 
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
@@ -150,28 +152,26 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     write_csv(out / "derive.csv", dict(zip(("quantity", "value", "unit"), zip(*rows))))
 
     if cfg.scan is not None:
-        axis = np.linspace(cfg.scan.lo, cfg.scan.hi, cfg.scan.points)
+        axis = _linspace(cfg.scan.lo, cfg.scan.hi, cfg.scan.points)
         by_r_a = cfg.scan.axis == "r_a_m"
         modes = [
             mode_parameters(NanoparticleSpec.from_eccentricity(
                 value if by_r_a else spec.r_a, spec.eccentricity if by_r_a else value,
                 spec.density, spec.eps_r,
             ), cfg.trap)
-            for value in axis.tolist()
+            for value in axis
         ]
-        omega_t = np.array([m.omega_t for m in modes])
-        eta = np.array([m.eta for m in modes])
-        write_csv(out / "derive_scan.csv", {
-            cfg.scan.axis: axis,
-            "inertia": [m.inertia for m in modes],
-            **_twin("omega_t", omega_t, rad="", hz="_over_2pi"),
-            "eta": eta,
-            "eta_over_omega_t": eta / omega_t,
-        })
+        _write_rows(out / "derive_scan.csv", [{
+            cfg.scan.axis: value,
+            "inertia": m.inertia,
+            **_twin("omega_t", m.omega_t, rad="", hz="_over_2pi"),
+            "eta": m.eta,
+            "eta_over_omega_t": m.eta / m.omega_t,
+        } for value, m in zip(axis, modes)])
         if fmt == "csv+svg":
             svg_line_chart(
                 out / "derive_scan.svg",
-                [("eta (rad/s)", axis, eta)],
+                [("eta (rad/s)", axis, [m.eta for m in modes])],
                 title="Kerr shift per phonon vs " + cfg.scan.axis,
                 x_label=cfg.scan.axis,
                 y_label="eta (rad/s)",
@@ -179,15 +179,13 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
             )
 
 
-def _diagram_series(diagram) -> list[tuple[str, np.ndarray, np.ndarray]]:
+def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
     """S-curve plus unstable markers; the curve is monotone in occupation."""
     pts = sorted(
         ((branch.n, w, branch.stable) for w, branch in diagram.branches),
         key=lambda p: p[0],
     )
-    n_sorted = np.array([p[0] for p in pts])
-    w_sorted = np.array([p[1] for p in pts])
-    series = [("steady branch", w_sorted, n_sorted)]
+    series = [("steady branch", [p[1] for p in pts], [p[0] for p in pts])]
     unstable = [(w, n) for n, w, stable in pts if not stable]
     if unstable:
         # NaN separators render these as isolated markers, not a polyline.
@@ -195,7 +193,7 @@ def _diagram_series(diagram) -> list[tuple[str, np.ndarray, np.ndarray]]:
         for w, n in unstable:
             xs.extend([w, math.nan])
             ys.extend([n, math.nan])
-        series.append(("unstable", np.array(xs), np.array(ys)))
+        series.append(("unstable", xs, ys))
     return series
 
 
@@ -205,21 +203,19 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     mode = mode_parameters(cfg.particle, cfg.trap)
     omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
     gamma_b = gas_damping(cfg.environment(omega_ml), cfg.damping_per_pascal)
-    grid = np.linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
+    grid = _linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
     diagram = sweep_diagram(grid, delta_ml, gamma_b, mode.eta, mode.omega_t)
 
-    drives, branches = zip(*diagram.branches)
-    eig = np.array([b.eigenvalues for b in branches])
-    write_csv(out / "bistability.csv", {
-        "omega_drive": drives,
-        "n": [b.n for b in branches],
-        "delta_eff": [b.delta_eff for b in branches],
-        "stable": [int(b.stable) for b in branches],
-        "re_eig1": eig[:, 0].real,
-        "im_eig1": eig[:, 0].imag,
-        "re_eig2": eig[:, 1].real,
-        "im_eig2": eig[:, 1].imag,
-    })
+    _write_rows(out / "bistability.csv", [{
+        "omega_drive": w,
+        "n": b.n,
+        "delta_eff": b.delta_eff,
+        "stable": int(b.stable),
+        "re_eig1": b.eigenvalues[0].real,
+        "im_eig1": b.eigenvalues[0].imag,
+        "re_eig2": b.eigenvalues[1].real,
+        "im_eig2": b.eigenvalues[1].imag,
+    } for w, b in diagram.branches])
 
     tp = diagram.turning
     _write_rows(out / "bistability_summary.csv", [{
@@ -253,6 +249,8 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
+    from libration.dynamics import RampProtocol, hysteresis_sweep
+
     _need(cfg, "drive", "hysteresis")
     _need(cfg, "ramp", "hysteresis")
     mode = mode_parameters(cfg.particle, cfg.trap)
@@ -344,6 +342,11 @@ def _squeeze_reference(cfg: RunConfig, mode, delta_ml: float, gamma_b: float):
 
 
 def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
+    import numpy as np
+
+    from libration.squeezing import (exponential_angle, moment_oracle, squeeze_params,
+                                     variance_J_closed, variance_theta_closed)
+
     _need(cfg, "drive", "squeeze")
     _need(cfg, "squeeze", "squeeze")
     sq = cfg.squeeze

@@ -344,7 +344,7 @@ def _parse_scan(section: dict) -> ScanSettings:
     axis = section.get("scan")
     if axis not in ("r_a_m", "eccentricity"):
         _fail(f"{path}.scan", f"expected 'r_a_m' or 'eccentricity', got {axis!r}")
-    lo = _number(section, path, "min", minimum=0.0)
+    lo = _number(section, path, "min", minimum=0.0, strict=axis == "r_a_m")
     hi = _number(section, path, "max")
     if not hi > lo:
         _fail(path, f"max must exceed min, got [{lo}, {hi}]")

@@ -5,6 +5,10 @@ round trip bit-for-bit; rerunning a command on the same config always
 produces byte-identical files.  The SVG charts are self-contained
 hand-assembled documents (no plotting dependency) intended for quick visual
 inspection of sweep and trace outputs.
+
+Both writers are plain Python, taking arrays through ``tolist()`` and numpy
+scalars through ``item()``, so ``derive`` and ``bistability`` write without
+loading numpy; only :func:`read_csv`, which returns arrays, imports it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-
-import numpy as np
 
 __all__ = ["write_csv", "read_csv", "svg_line_chart"]
 
@@ -29,14 +31,21 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _plain(seq) -> list:
+    """The Python scalars of a sequence or a numpy array."""
+    return seq.tolist() if hasattr(seq, "tolist") else list(seq)
+
+
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         if "," in value or "\n" in value or '"' in value:
             raise ValueError(f"CSV cell may not contain separators: {value!r}")
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if hasattr(value, "item"):  # a numpy scalar
+        value = value.item()
+    if isinstance(value, int):  # bool included
         return str(int(value))
     return repr(float(value))
 
@@ -46,7 +55,7 @@ def write_csv(path: str | Path, columns: dict[str, object]) -> None:
     names = list(columns)
     if not names:
         raise ValueError("write_csv needs at least one column")
-    cols = [list(columns[name]) for name in names]
+    cols = [_plain(columns[name]) for name in names]
     length = len(cols[0])
     for name, col in zip(names, cols):
         if len(col) != length:
@@ -65,6 +74,8 @@ def read_csv(path: str | Path) -> dict[str, object]:
     Columns where every entry parses as a float come back as float arrays;
     anything else stays a list of strings.
     """
+    import numpy as np
+
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -118,25 +129,27 @@ def svg_line_chart(
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    cleaned: list[tuple[str, np.ndarray, np.ndarray]] = []
-    xs_all: list[np.ndarray] = []
-    ys_all: list[np.ndarray] = []
+    # per series, its runs of finite (x, y) points: NaN gaps break the polyline
+    cleaned: list[tuple[str, list[list[tuple[float, float]]]]] = []
     for label, x, y in series:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape:
+        x, y = _plain(x), _plain(y)
+        if len(x) != len(y):
             raise ValueError(f"series {label!r}: x and y lengths differ")
-        cleaned.append((label, x, y))
-        keep = np.isfinite(x) & np.isfinite(y)
-        if keep.any():
-            xs_all.append(x[keep])
-            ys_all.append(y[keep])
-    if not xs_all:
+        runs: list[list[tuple[float, float]]] = [[]]
+        for xv, yv in zip(x, y):
+            xv, yv = float(xv), float(yv)
+            if math.isfinite(xv) and math.isfinite(yv):
+                runs[-1].append((xv, yv))
+            elif runs[-1]:
+                runs.append([])
+        cleaned.append((label, [run for run in runs if run]))
+    points = [pt for _, runs in cleaned for run in runs for pt in run]
+    if not points:
         raise ValueError("svg_line_chart needs at least one finite data point")
-    x_lo = min(float(a.min()) for a in xs_all)
-    x_hi = max(float(a.max()) for a in xs_all)
-    y_lo = min(float(a.min()) for a in ys_all)
-    y_hi = max(float(a.max()) for a in ys_all)
+    x_lo = min(xv for xv, _ in points)
+    x_hi = max(xv for xv, _ in points)
+    y_lo = min(yv for _, yv in points)
+    y_hi = max(yv for _, yv in points)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -179,31 +192,23 @@ def svg_line_chart(
             f'<text x="{margin_l - 8}" y="{py + 4:.2f}" font-size="12" '
             f'text-anchor="end" fill="#222">{_tick_label(tick)}</text>'
         )
-    for idx, (label, x, y) in enumerate(cleaned):
+    for idx, (label, runs) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        keep = np.isfinite(x) & np.isfinite(y)
-        # Split into contiguous finite runs so NaN gaps break the polyline.
-        boundaries = np.flatnonzero(np.diff(keep.astype(int)) != 0) + 1
-        for chunk_idx in np.split(np.arange(x.size), boundaries):
-            if chunk_idx.size == 0 or not keep[chunk_idx[0]]:
-                continue
-            pts = " ".join(
-                f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}"
-                for xv, yv in zip(x[chunk_idx], y[chunk_idx])
-            )
-            if chunk_idx.size == 1 or markers:
-                for xv, yv in zip(x[chunk_idx], y[chunk_idx]):
+        for run in runs:
+            if len(run) == 1 or markers:
+                for xv, yv in run:
                     parts.append(
-                        f'<circle cx="{sx(float(xv)):.2f}" cy="{sy(float(yv)):.2f}" '
+                        f'<circle cx="{sx(xv):.2f}" cy="{sy(yv):.2f}" '
                         f'r="2.2" fill="{color}"/>'
                     )
-            if chunk_idx.size > 1:
+            if len(run) > 1:
+                pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in run)
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
                     'stroke-width="1.6"/>'
                 )
     legend_y = margin_t + 16
-    for idx, (label, _, _) in enumerate(cleaned):
+    for idx, (label, _) in enumerate(cleaned):
         if not label:
             continue
         color = _PALETTE[idx % len(_PALETTE)]

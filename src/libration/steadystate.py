@@ -26,16 +26,22 @@ end where the residual and its curvature share a sign (Fourier's condition)
 converges monotonically; bisection takes over any step that would leave the
 bracket (Kahan, "To Solve a Real Cubic Equation", 1986).  All frequencies
 are angular (rad/s).
+
+Branches are solved in Python complex scalars, so ``bistability`` runs without
+loading numpy; only :func:`stability_matrix`, which returns an array, imports it.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MeanFieldParams",
@@ -295,6 +301,13 @@ def beta_from_n(params: MeanFieldParams, n: float) -> complex:
     return (1j * params.Omega / 2.0) / denom
 
 
+def _entries(params: MeanFieldParams, n: float, beta0: complex) -> tuple[complex, complex]:
+    """First row (a00, a01) of the fluctuation matrix; see :func:`stability_matrix`."""
+    kappa = params.gamma_b / 2.0 - 1j * params.u
+    chi = -12j * params.eta
+    return kappa + 2.0 * chi * n, chi * beta0 * beta0
+
+
 def stability_matrix(
     params: MeanFieldParams, n: float, beta0: complex | None = None
 ) -> np.ndarray:
@@ -306,13 +319,20 @@ def stability_matrix(
     with kappa = gamma_b/2 - i u and chi = -12i eta.  Its trace is exactly
     gamma_b and its determinant equals d(Omega^2/4)/dn on the S-curve.
     """
+    import numpy as np
+
     if beta0 is None:
         beta0 = beta_from_n(params, n)
-    kappa = params.gamma_b / 2.0 - 1j * params.u
-    chi = -12j * params.eta
-    a00 = kappa + 2.0 * chi * n
-    a01 = chi * beta0 * beta0
+    a00, a01 = _entries(params, n, beta0)
     return np.array([[a00, a01], [np.conj(a01), np.conj(a00)]])
+
+
+def _verdict(tr: float, det: float) -> Stability:
+    if det < 0.0:
+        return Stability.UNSTABLE
+    if det == 0.0 or tr == 0.0:
+        return Stability.MARGINAL
+    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
 
 
 def classify_stability(matrix: np.ndarray) -> Stability:
@@ -323,13 +343,9 @@ def classify_stability(matrix: np.ndarray) -> Stability:
     only precesses: marginal.  A vanishing determinant (fold point) is
     marginal as well.
     """
-    tr = float(np.real(matrix[0, 0] + matrix[1, 1]))
-    det = float(np.real(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]))
-    if det < 0.0:
-        return Stability.UNSTABLE
-    if det == 0.0 or tr == 0.0:
-        return Stability.MARGINAL
-    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
+    tr = (matrix[0, 0] + matrix[1, 1]).real
+    det = (matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]).real
+    return _verdict(float(tr), float(det))
 
 
 def effective_detuning(params: MeanFieldParams, n: float) -> float:
@@ -339,11 +355,11 @@ def effective_detuning(params: MeanFieldParams, n: float) -> float:
 
 def _branch_from_n(params: MeanFieldParams, n: float, tangent: bool) -> SteadyBranch:
     beta0 = beta_from_n(params, n)
-    a = stability_matrix(params, n, beta0)
-    tr = complex(a[0, 0] + a[1, 1])
-    det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    a00, a01 = _entries(params, n, beta0)
+    tr = a00 + a00.conjugate()
+    det = a00 * a00.conjugate() - a01 * a01.conjugate()
     # eigenvalues of -A, closed form for a 2x2
-    s = np.sqrt(tr * tr - 4.0 * det)
+    s = cmath.sqrt(tr * tr - 4.0 * det)
     lam1, lam2 = sorted(
         (-(tr + s) / 2.0, -(tr - s) / 2.0), key=lambda z: (z.real, z.imag)
     )
@@ -351,8 +367,8 @@ def _branch_from_n(params: MeanFieldParams, n: float, tangent: bool) -> SteadyBr
         n=n,
         beta0=beta0,
         delta_eff=effective_detuning(params, n),
-        eigenvalues=(complex(lam1), complex(lam2)),
-        verdict=classify_stability(a),
+        eigenvalues=(lam1, lam2),
+        verdict=_verdict(tr.real, det.real),
         tangent=tangent,
     )
 
@@ -487,7 +503,7 @@ def sweep_diagram(
     omega_ml = omega_t + delta_ml
     _, omega_c = bistability_condition(omega_ml, omega_t, eta, gamma_b)
     delta = omega_ml - omega_c
-    edge_tol = 32.0 * np.finfo(float).eps * max(abs(omega_t), abs(omega_ml), 1.0)
+    edge_tol = 32.0 * sys.float_info.epsilon * max(abs(omega_t), abs(omega_ml), 1.0)
     if abs(delta) <= edge_tol:
         regime = "platform"
         delta = 0.0

@@ -1,6 +1,7 @@
 """Config validation, CSV/SVG artifacts, and end-to-end command-line runs."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import libration
-from libration.cli import main
+from libration.cli import _linspace, main
 from libration.config import ConfigError, load_config
 from libration.model import DEFAULT_DAMPING_PER_PASCAL, mode_parameters
 from libration.output import read_csv, svg_line_chart, write_csv
@@ -202,6 +204,21 @@ def test_scan_validation(tmp_path):
         load_config(write_cfg(tmp_path, ecc_high))
 
 
+def test_cli_derive_scan_rejects_zero_radius(tmp_path, capsys):
+    # a zero semi-major axis has no particle: a config error, not a traceback
+    cfg = write_cfg(tmp_path, with_sections(
+        BASE, derive={"scan": "r_a_m", "min": 0, "max": 1e-7, "points": 3}
+    ))
+    assert run_cli(["derive", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "derive.min" in err and "must be > 0" in err
+    assert "Traceback" not in err
+    ecc_from_zero = with_sections(
+        BASE, derive={"scan": "eccentricity", "min": 0, "max": 0.5, "points": 3}
+    )
+    assert load_config(write_cfg(tmp_path, ecc_from_zero)).scan.lo == 0.0
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
@@ -238,6 +255,61 @@ def test_csv_rejects_embedded_separators(tmp_path):
         write_csv(tmp_path / "t.csv", {"s": ["safe", "no,good"]})
     with pytest.raises(ValueError, match="length"):
         write_csv(tmp_path / "t.csv", {"a": [1.0], "b": [1.0, 2.0]})
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    # captured from the writer that tested numpy types cell by cell: numpy
+    # scalars and arrays write exactly as the Python values they hold
+    a = np.array([0.5, -1.0, math.inf, 2.0])
+    b = np.array([1.0, -1.0, 0.0, math.nan])
+    path = tmp_path / "t.csv"
+    write_csv(path, {
+        "np_scalars": [np.bool_(True), np.int64(-7), np.float32(0.1), np.float64(math.pi)],
+        "bool_array": np.array([True, False, True, False]),
+        "int_array": np.array([0, -3, 2**40, 7]),
+        "float_array": np.array([1e-300, -2.5e17, 0.1 + 0.2, -0.0]),
+        "float32_array": np.array([0.1, 1.0 / 3.0, 1e30, -0.0], dtype=np.float32),
+        "less": (a < b).astype(int),
+        "py_scalars": [True, 3, 1.5, "label"],
+        "non_finite": [math.nan, math.inf, -math.inf, np.float64(-math.inf)],
+        "array_non_finite": np.array([math.nan, math.inf, -math.inf, 0.0]),
+    })
+    assert path.read_text() == (
+        "np_scalars,bool_array,int_array,float_array,float32_array,less,py_scalars,"
+        "non_finite,array_non_finite\n"
+        "1,1,0,1e-300,0.10000000149011612,1,1,nan,nan\n"
+        "-7,0,-3,-2.5e+17,0.3333333432674408,0,3,inf,inf\n"
+        "0.10000000149011612,1,1099511627776,0.30000000000000004,1.0000000150474662e+30,"
+        "0,1.5,-inf,-inf\n"
+        "3.141592653589793,0,7,-0.0,-0.0,0,label,-inf,0.0\n"
+    )
+
+
+# sha256 of the pinned chart, captured from the numpy-based writer
+SVG_PINNED = {
+    False: "03592a1fe456d3c37356b4284695a07c8776ce27ae9ff2ab9895488e1c5b1e43",
+    True: "e4e7c954f9342fe2b86c5d009e340507ff492368c777486ac074e5886d071453",
+}
+
+
+@pytest.mark.parametrize("markers", [False, True])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_svg_chart_bytes_are_pinned(tmp_path, markers, as_array):
+    x = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    # leading and trailing NaN, a two-point run, a one-point run, a two-point run
+    gapped = [math.nan, 1.0, 2.0, math.nan, 3.0, math.nan, -4.0, 5.0, math.nan]
+    x_gap = [0.0, 0.5, math.nan, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    conv = np.array if as_array else list
+    series = [
+        ("gapped", x, gapped),
+        ("all NaN", x, [math.nan] * 9),
+        ("x < 2 & y", x_gap, [v * v - 1.0 for v in x]),
+        ("", [1.0], [2.0]),
+    ]
+    path = tmp_path / "chart.svg"
+    svg_line_chart(path, [(label, conv(xs), conv(ys)) for label, xs, ys in series],
+                   title="gaps & <runs>", x_label="x", y_label="y", markers=markers)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_PINNED[markers]
 
 
 def test_svg_chart_is_wellformed(tmp_path):
@@ -587,17 +659,50 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
         load_config(write_cfg(tmp_path, bad))
 
 
-def test_cli_imports_no_scipy():
-    # start-up of every command stays free of scipy, and of the modules
-    # xml.sax.saxutils pulls in (the SVG writer escapes text itself)
-    src = str(Path(libration.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    heavy = ("scipy", "xml", "email", "http.client", "urllib.request")
-    code = f"import sys, libration.cli; print([m for m in {heavy!r} if m in sys.modules])"
+# modules each command must not load (beyond these, none loads scipy or the
+# modules xml.sax.saxutils pulls in: the SVG writer escapes text itself)
+NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request")
+NOT_LOADED_BY = {
+    "derive": ("numpy", "libration.dynamics", "libration.squeezing"),
+    "bistability": ("numpy", "libration.dynamics", "libration.squeezing"),
+    "hysteresis": ("libration.squeezing",),
+    "squeeze": ("libration.dynamics",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED_BY))
+def test_cli_import_footprint(tmp_path, command):
+    # each command imports only the layers it uses; a shipped-config run
+    # with every artifact, in a fresh interpreter
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [command, "--config", str(root / "configs" / f"{command}.json"),
+            "--out", str(tmp_path), "--format", "csv+svg"]
+    banned = NEVER_LOADED + NOT_LOADED_BY[command]
+    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
+            f"print(code, [m for m in {banned!r} if m in sys.modules], file=sys.stderr)")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stderr.strip() == "0 []"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 1e12)),
+    span=st.floats(5e-324, 1e12),
+    n=st.integers(2, 2000),
+)
+@example(lo=0.0, span=5e-324, n=2000)  # step underflows to 0: numpy's other branch
+@example(lo=0.0, span=1e-310, n=7)
+@example(lo=1e6, span=1.1e7, n=241)
+def test_linspace_is_numpy_linspace(lo, span, n):
+    hi = lo + span
+    if not hi > lo:
+        return
+    assert [v.hex() for v in _linspace(lo, hi, n)] == [
+        v.hex() for v in np.linspace(lo, hi, n).tolist()
+    ]
 
 
 def test_cli_squeeze_run_loads_no_scipy(tmp_path):

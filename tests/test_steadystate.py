@@ -151,6 +151,34 @@ def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega)
         assert [b.verdict for b in branches] == [outer, Stability.UNSTABLE, outer]
 
 
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    eta=log_uniform(-8.0, 2.0),
+    gamma_b=st.one_of(st.just(0.0), log_uniform(-3.0, 6.0)),
+    abs_delta=log_uniform(-3.0, 8.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    Omega=log_uniform(-3.0, 10.0),
+)
+def test_scalar_branch_matches_matrix_path(eta, gamma_b, abs_delta, sign, Omega):
+    # solve_branches works on Python complex scalars; its eigenvalues and
+    # verdict equal, bit for bit (signed zeros included), the ones computed
+    # from the stability_matrix array with numpy's complex sqrt
+    p = MeanFieldParams(delta_ml=sign * abs_delta, Omega=Omega, gamma_b=gamma_b, eta=eta)
+    try:
+        branches = solve_branches(p)
+    except ResonanceError:
+        return
+    for b in branches:
+        a = stability_matrix(p, b.n, b.beta0)
+        tr = complex(a[0, 0] + a[1, 1])
+        det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        s = np.sqrt(tr * tr - 4.0 * det)
+        expected = sorted((-(tr + s) / 2.0, -(tr - s) / 2.0), key=lambda z: (z.real, z.imag))
+        got = [(z.real.hex(), z.imag.hex()) for z in b.eigenvalues]
+        assert got == [(float(z.real).hex(), float(z.imag).hex()) for z in expected]
+        assert b.verdict is classify_stability(a)
+
+
 def test_resonance_error_carries_the_failing_root():
     # undamped, with the upper root on the resonance u + 12 eta n = 0, where
     # no float64 n meets the residual contract

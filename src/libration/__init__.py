@@ -6,9 +6,14 @@ model       particle/trap geometry -> mode frequency, nonlinearity, zero-point s
 steadystate driven-mode mean-field steady states, stability, bistability diagrams
 dynamics    time integration and quasi-static hysteresis sweeps
 squeezing   variance evolution of the linearized fluctuations, closed forms + oracle
-calibration fitting detuning/damping to measured hysteresis jump coordinates
-audit       transcribed legacy variance formulas cross-checked against the oracle
+config      JSON run configuration, validated into SI values
+output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
+
+The package needs numpy only.  The reproduction evidence is kept with the
+tests, which also need scipy: the least-squares fit behind the reference
+working point ``model.REFERENCE_*`` (``tests/oracles.py``) and the audit of
+the transcribed variance formulas behind ``findings.json`` (``tests/audit.py``).
 """
 
 from libration.model import (

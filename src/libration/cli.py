@@ -58,7 +58,14 @@ def _drive_frequencies(cfg: RunConfig, omega_t: float) -> tuple[float, float]:
     if cfg.drive.mode == "frequency":
         omega_ml = cfg.drive.value
         return omega_ml, omega_ml - omega_t
-    return omega_t + cfg.drive.value, cfg.drive.value
+    omega_ml = omega_t + cfg.drive.value
+    if not omega_ml > 0.0:
+        raise ConfigError(
+            f"config error at drive: detuning {cfg.drive.value!r} rad/s puts the drive "
+            f"frequency omega_ml = omega_t + detuning = {omega_ml!r} rad/s at or below "
+            f"zero (omega_t = {omega_t!r} rad/s)"
+        )
+    return omega_ml, cfg.drive.value
 
 
 def _drive_strength(cfg: RunConfig, mode, omega_ml: float) -> float | None:

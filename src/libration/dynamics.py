@@ -84,20 +84,6 @@ class Trajectory:
         return complex(self.beta[-1])
 
 
-# Dense-output weights of the Dormand-Prince pair for the optimum c_6 of
-# Shampine (Math. Comp. 46, 135, 1986): row i weights stage k_{i+1} in the
-# coefficients of x, x^2, x^3, x^4, where x is the fraction of the step.
-_DENSE = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
-
 def _rhs_constants(params: MeanFieldParams) -> tuple[float, float, float, float]:
     """(delta_ml, 12 eta, -gamma_b/2, Omega/2): the floats the pair RHS is built from."""
     return params.delta_ml, 12.0 * params.eta, -(params.gamma_b / 2.0), 0.5 * params.Omega
@@ -131,7 +117,6 @@ def integrate(
     beta_init: complex = 0.0 + 0.0j,
     t_span: tuple[float, float] = (0.0, 1.0),
     tol: float = 1e-8,
-    t_eval: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the mean-field equation with an adaptive Dormand-Prince 5(4) stepper.
 
@@ -148,12 +133,10 @@ def integrate(
     ``tol`` is the accuracy target for the trajectory: the stepper is run
     a fixed safety factor tighter than ``tol`` so that the accumulated
     (global) error stays below ``tol`` at benchmark amplitude scales, not
-    just the per-step local error.  Without ``t_eval`` every accepted step is
-    returned; with it, the trajectory is sampled at those (increasing, in
-    span) times by the pair's fourth-order dense output.  When the step
-    falls below 10 ulp of the time the partial trajectory up to that time is
-    returned with ``complete=False``.  A zero-length span returns the start
-    state.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
+    just the per-step local error.  Every accepted step is returned.  When
+    the step falls below 10 ulp of the time the partial trajectory up to that
+    time is returned with ``complete=False``.  A zero-length span returns the
+    start state.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
     evaluations and the rejected steps.
     """
     if not tol > 0.0:
@@ -164,12 +147,6 @@ def integrate(
     y = complex(beta_init)
     if not (math.isfinite(y.real) and math.isfinite(y.imag)):
         raise ValueError(f"beta_init must be finite, got {beta_init!r}")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or np.any(t_eval < t) or np.any(t_eval > t_end) or np.any(
-            np.diff(t_eval) <= 0.0
-        ):
-            raise ValueError("t_eval must be 1-d, increasing and within t_span")
     # Local-error control alone lets global error build to ~60x the step
     # tolerance over a multi-cycle run; dividing by 10 keeps the end-to-end
     # error under 10*tol against closed-form linear solutions.
@@ -180,13 +157,8 @@ def integrate(
 
     ts = [t]
     yrs, yis = [yr], [yi]
-    n_eval = 0
-    if t_eval is not None:
-        n_eval = int(np.searchsorted(t_eval, t, side="right"))
-        ts, yrs, yis = list(t_eval[:n_eval]), [yr] * n_eval, [yi] * n_eval
-
     complete = True
-    n_rhs = n_accepted = n_rejected = 0
+    n_rhs = n_rejected = 0
     if t < t_end:
         k1r, k1i = f(yr, yi)
         # Hairer-Norsett-Wanner initial step (Solving ODEs I, Sec. II.4)
@@ -275,31 +247,9 @@ def integrate(
         else:
             complete = False
             break
-        n_accepted += 1
-        if t_eval is None:
-            ts.append(t_new)
-            yrs.append(ynr)
-            yis.append(yni)
-        else:
-            stages = ((k1r, k1i), (k2r, k2i), (k3r, k3i), (k4r, k4i),
-                      (k5r, k5i), (k6r, k6i), (k7r, k7i))
-            # plain left-to-right sums, as the complex form's sum(); sum() of
-            # floats is compensated from Python 3.12 on
-            q = []
-            for j in range(4):
-                qr = qi = 0.0
-                for (kr, ki), wts in zip(stages, _DENSE):
-                    qr += kr * wts[j]
-                    qi += ki * wts[j]
-                q.append((qr, qi))
-            while n_eval < len(t_eval) and t_eval[n_eval] <= t_new:
-                x = (t_eval[n_eval] - t) / h
-                ts.append(t_eval[n_eval])
-                yrs.append(yr + h * (q[0][0] * x + q[1][0] * x**2 + q[2][0] * x**3
-                                     + q[3][0] * x**4))
-                yis.append(yi + h * (q[0][1] * x + q[1][1] * x**2 + q[2][1] * x**3
-                                     + q[3][1] * x**4))
-                n_eval += 1
+        ts.append(t_new)
+        yrs.append(ynr)
+        yis.append(yni)
         t, yr, yi, k1r, k1i = t_new, ynr, yni, k7r, k7i
 
     t_out = np.array(ts, dtype=float)
@@ -311,7 +261,7 @@ def integrate(
         beta=beta,
         omega_applied=np.full(t_out.shape, params.Omega),
         complete=complete,
-        n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
+        n_rhs=n_rhs + 6 * (len(ts) - 1 + n_rejected),
         n_rejected=n_rejected,
     )
 

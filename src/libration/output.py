@@ -95,11 +95,16 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
     span = hi - lo
+    if not (span / count > 0.0 and math.isfinite(span)):
+        return [lo, hi]
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= count:
             step *= mult
             break
+    if step <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+        # value += step would not advance: the axis has no room for ticks
+        return [lo, hi]
     first = math.ceil(lo / step) * step
     ticks = []
     value = first

@@ -27,8 +27,8 @@ converges monotonically; bisection takes over any step that would leave the
 bracket (Kahan, "To Solve a Real Cubic Equation", 1986).  All frequencies
 are angular (rad/s).
 
-Branches are solved in Python complex scalars, so ``bistability`` runs without
-loading numpy; only :func:`stability_matrix`, which returns an array, imports it.
+Branches are solved in Python complex scalars: this module imports no numpy,
+so ``bistability`` runs without loading it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 __all__ = [
     "MeanFieldParams",
@@ -52,8 +49,6 @@ __all__ = [
     "BistabilityDiagram",
     "steady_occupations",
     "beta_from_n",
-    "stability_matrix",
-    "classify_stability",
     "solve_branches",
     "effective_detuning",
     "bistability_condition",
@@ -301,51 +296,19 @@ def beta_from_n(params: MeanFieldParams, n: float) -> complex:
     return (1j * params.Omega / 2.0) / denom
 
 
-def _entries(params: MeanFieldParams, n: float, beta0: complex) -> tuple[complex, complex]:
-    """First row (a00, a01) of the fluctuation matrix; see :func:`stability_matrix`."""
-    kappa = params.gamma_b / 2.0 - 1j * params.u
-    chi = -12j * params.eta
-    return kappa + 2.0 * chi * n, chi * beta0 * beta0
-
-
-def stability_matrix(
-    params: MeanFieldParams, n: float, beta0: complex | None = None
-) -> np.ndarray:
-    """Fluctuation matrix A of d(dbeta)/dt = -A dbeta about a steady state.
-
-    A = [[kappa + 2 chi n,        chi beta_0^2       ],
-         [conj(chi beta_0^2),     conj(kappa + 2 chi n)]]
-
-    with kappa = gamma_b/2 - i u and chi = -12i eta.  Its trace is exactly
-    gamma_b and its determinant equals d(Omega^2/4)/dn on the S-curve.
-    """
-    import numpy as np
-
-    if beta0 is None:
-        beta0 = beta_from_n(params, n)
-    a00, a01 = _entries(params, n, beta0)
-    return np.array([[a00, a01], [np.conj(a01), np.conj(a00)]])
-
-
 def _verdict(tr: float, det: float) -> Stability:
-    if det < 0.0:
-        return Stability.UNSTABLE
-    if det == 0.0 or tr == 0.0:
-        return Stability.MARGINAL
-    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
-
-
-def classify_stability(matrix: np.ndarray) -> Stability:
-    """Routh-Hurwitz verdict for the 2x2 fluctuation matrix.
+    """Routh-Hurwitz verdict from the trace and determinant of the fluctuation matrix.
 
     Stable needs trace > 0 and determinant > 0 (both eigenvalues of -A in the
     left half-plane).  An undamped mode (trace == 0) with positive determinant
     only precesses: marginal.  A vanishing determinant (fold point) is
     marginal as well.
     """
-    tr = (matrix[0, 0] + matrix[1, 1]).real
-    det = (matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]).real
-    return _verdict(float(tr), float(det))
+    if det < 0.0:
+        return Stability.UNSTABLE
+    if det == 0.0 or tr == 0.0:
+        return Stability.MARGINAL
+    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
 
 
 def effective_detuning(params: MeanFieldParams, n: float) -> float:
@@ -354,8 +317,20 @@ def effective_detuning(params: MeanFieldParams, n: float) -> float:
 
 
 def _branch_from_n(params: MeanFieldParams, n: float, tangent: bool) -> SteadyBranch:
+    """The branch at occupation n, classified by its fluctuation matrix A.
+
+    d(dbeta)/dt = -A dbeta about the steady state, with
+
+        A = [[kappa + 2 chi n,        chi beta_0^2       ],
+             [conj(chi beta_0^2),     conj(kappa + 2 chi n)]],
+
+    kappa = gamma_b/2 - i u and chi = -12i eta.  Its trace is exactly gamma_b
+    and its determinant equals d(Omega^2/4)/dn on the S-curve.
+    """
     beta0 = beta_from_n(params, n)
-    a00, a01 = _entries(params, n, beta0)
+    kappa = params.gamma_b / 2.0 - 1j * params.u
+    chi = -12j * params.eta
+    a00, a01 = kappa + 2.0 * chi * n, chi * beta0 * beta0
     tr = a00 + a00.conjugate()
     det = a00 * a00.conjugate() - a01 * a01.conjugate()
     # eigenvalues of -A, closed form for a 2x2

@@ -3,12 +3,14 @@
 The closed forms shipped in :mod:`libration.squeezing` were re-derived from
 the Bogoliubov solution of the quadratic fluctuation model.  The analytic
 expressions they replace are transcribed verbatim below and audited against
-the moment-equation oracle (the ground truth of this package).  Some of the
+the moment-equation oracle (the ground truth of the package).  Some of the
 transcriptions carry defects — sign/function transpositions, a missing rate
-factor, an overall factor of two — and are retained only so the defects stay
-documented and machine-checkable; ``findings.json`` at the repository root
-records the verdicts, and the test suite fails if a formula's live deviation
-disagrees with its recorded status.
+factor, an overall factor of two — and are kept here, with the tests, only so
+the defects stay documented and machine-checkable; ``findings.json`` at the
+repository root records the verdicts, and the test suite fails if a formula's
+live deviation disagrees with its recorded status.  Regenerate that file with
+
+    PYTHONPATH=src python tests/audit.py
 
 Every function takes the time grid first and a :class:`SqueezeParams` second,
 mirroring the public evaluators.  None of them should be used for physics:
@@ -377,5 +379,5 @@ def load_findings(path: str | Path) -> list[Finding]:
 
 
 if __name__ == "__main__":  # regenerate the repository findings file
-    for finding in write_findings(Path(__file__).resolve().parents[2] / "findings.json"):
+    for finding in write_findings(Path(__file__).resolve().parents[1] / "findings.json"):
         print(f"{finding.formula:36s} {finding.status:9s} dev={finding.max_rel_deviation:.3e}")

@@ -4,19 +4,30 @@ Nothing in here reuses the package's closed-form algebra: depolarization
 factors come from the defining ellipsoid integral, inertia from Monte-Carlo
 volume sampling, steady-state occupations from a dense scan with bisection
 refinement, fold coordinates from bounded scalar optimization of the drive
-curve, variance traces from adaptive integration of the moment equations,
-and plateaus from the Dormand-Prince stepper in complex arithmetic.  The only
-shared ingredients are the fixed-point polynomial, the moment equations and
-the mean-field right-hand side themselves, which *are* the model.
+curve, branch stability from the fluctuation matrix as a numpy array,
+variance traces from adaptive integration of the moment equations, and
+plateaus from the Dormand-Prince stepper in complex arithmetic.  The only
+shared ingredients are the fixed-point polynomial, the fluctuation matrix,
+the moment equations and the mean-field right-hand side themselves, which
+*are* the model.
+
+The one exception is the calibration at the end: a least-squares fit of the
+package's closed-form folds to the measured jump coordinates of the
+reference particle, which reproduces the frozen working point
+``libration.model.REFERENCE_DELTA_ML`` / ``REFERENCE_GAMMA_B``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, least_squares, minimize_scalar
+
+from libration.model import NanoparticleSpec, TrapConfig
+from libration.steadystate import Stability, TurningPoints, beta_from_n, turning_points
 
 SQRT3 = math.sqrt(3.0)
 
@@ -169,6 +180,41 @@ def draw_mean_field(rng: np.random.Generator) -> tuple[float, float, float, floa
     return delta_ml, Omega, gamma_b, eta
 
 
+def stability_matrix(params, n: float, beta0: complex | None = None) -> np.ndarray:
+    """Fluctuation matrix A of d(dbeta)/dt = -A dbeta about a steady state.
+
+    A = [[kappa + 2 chi n,        chi beta_0^2       ],
+         [conj(chi beta_0^2),     conj(kappa + 2 chi n)]]
+
+    with kappa = gamma_b/2 - i u and chi = -12i eta, for ``params`` a
+    MeanFieldParams.  Its trace is exactly gamma_b and its determinant equals
+    d(Omega^2/4)/dn on the S-curve.
+    """
+    if beta0 is None:
+        beta0 = beta_from_n(params, n)
+    kappa = params.gamma_b / 2.0 - 1j * params.u
+    chi = -12j * params.eta
+    a00, a01 = kappa + 2.0 * chi * n, chi * beta0 * beta0
+    return np.array([[a00, a01], [np.conj(a01), np.conj(a00)]])
+
+
+def classify_stability(matrix: np.ndarray) -> Stability:
+    """Routh-Hurwitz verdict for the 2x2 fluctuation matrix.
+
+    Stable needs trace > 0 and determinant > 0 (both eigenvalues of -A in the
+    left half-plane).  An undamped mode (trace == 0) with positive determinant
+    only precesses: marginal.  A vanishing determinant (fold point) is
+    marginal as well.
+    """
+    tr = float((matrix[0, 0] + matrix[1, 1]).real)
+    det = float((matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]).real)
+    if det < 0.0:
+        return Stability.UNSTABLE
+    if det == 0.0 or tr == 0.0:
+        return Stability.MARGINAL
+    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
+
+
 def moment_dop853(
     params, t_grid, gamma_b: float = 0.0, nbar_bath: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,18 +250,16 @@ def moment_dop853(
     return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
 
 
-def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8, t_eval=None):
+def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
     """(t, beta) of the complex-arithmetic Dormand-Prince 5(4).
 
     This is ``libration.dynamics.integrate`` as it was written on the complex
     amplitude, before its kernel moved to (Re beta, Im beta) float pairs:
     the same tableau, RMS error norm, step controller and Hairer-Norsett-Wanner
-    initial step, evaluated through ``mean_field_rhs``.  Without ``t_eval``
-    every accepted step is returned; with it, the samples at those times of
-    Shampine's dense output, each coefficient a ``sum()`` over the complex
-    stages.  No input checks; a step-size underflow raises.
+    initial step, evaluated through ``mean_field_rhs``.  Every accepted step
+    is returned.  No input checks; a step-size underflow raises.
     """
-    from libration.dynamics import _DENSE, mean_field_rhs as rhs
+    from libration.dynamics import mean_field_rhs as rhs
 
     def rms(z, scale_re, scale_im):
         a = z.real / scale_re
@@ -227,9 +271,6 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8, t_eval=
     rtol = max(tol / 10.0, 1e-13)
     atol = rtol * max(1.0, abs(y))
     ts, ys = [t], [y]
-    if t_eval is not None:
-        n_eval = int(np.searchsorted(t_eval, t, side="right"))
-        ts, ys = list(t_eval[:n_eval]), [y] * n_eval
     if t < t_end:
         k1 = rhs(y, params)
         s_re = atol + abs(y.real) * rtol
@@ -282,16 +323,119 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8, t_eval=
             rejected = True
         else:
             raise RuntimeError(f"step size underflow at t = {t!r}")
-        if t_eval is None:
-            ts.append(t_new)
-            ys.append(y_new)
-        else:
-            stages = (k1, k2, k3, k4, k5, k6, k7)
-            q = [sum(k * w[j] for k, w in zip(stages, _DENSE)) for j in range(4)]
-            while n_eval < len(t_eval) and t_eval[n_eval] <= t_new:
-                x = (t_eval[n_eval] - t) / h
-                ts.append(t_eval[n_eval])
-                ys.append(y + h * (q[0] * x + q[1] * x**2 + q[2] * x**3 + q[3] * x**4))
-                n_eval += 1
+        ts.append(t_new)
+        ys.append(y_new)
         t, y, k1 = t_new, y_new, k7
     return np.array(ts, dtype=float), np.array(ys, dtype=complex)
+
+
+@dataclass(frozen=True)
+class JumpCoordinates:
+    """Measured hysteresis jump coordinates (all angular, rad/s).
+
+    drive_up / delta_eff_up : drive amplitude and pre-jump effective detuning
+        of the upward jump (lower branch folding).
+    drive_down / delta_eff_down : the same for the downward jump.
+    """
+
+    drive_up: float
+    delta_eff_up: float
+    drive_down: float
+    delta_eff_down: float
+
+    def __post_init__(self) -> None:
+        if not (self.drive_up > 0.0 and self.drive_down > 0.0):
+            raise ValueError("jump drive amplitudes must be positive")
+        if self.drive_down >= self.drive_up:
+            raise ValueError("the downward jump must sit at lower drive than the upward one")
+
+
+@dataclass(frozen=True)
+class CalibrationResult:
+    delta_ml: float
+    gamma_b: float
+    predicted: TurningPoints
+    residuals: tuple[float, float, float, float]
+
+    @property
+    def max_residual(self) -> float:
+        """Largest relative deviation among the four fitted coordinates."""
+        return max(abs(r) for r in self.residuals)
+
+
+def _predict(u: float, gamma_b: float, eta: float) -> TurningPoints | None:
+    if gamma_b <= 0.0 or u >= -SQRT3 * gamma_b / 2.0:
+        return None
+    tp = turning_points(u + SQRT3 * gamma_b / 2.0, eta, gamma_b)
+    return tp if tp.physical else None
+
+
+def fit_turning_points(
+    measured: JumpCoordinates,
+    eta: float,
+    delta_ml_guess: float,
+    gamma_b_guess: float,
+) -> CalibrationResult:
+    """Least-squares fit of (delta_ml, gamma_b) to measured jump coordinates.
+
+    A frequency-locked drive swept up and down in amplitude jumps between
+    branches at the two folds of the S-curve; each jump has a drive amplitude
+    and the effective detuning delta_eff = delta_ml + 24 eta n of the branch
+    just before it lets go.  The fit inverts the closed-form folds of
+    :func:`libration.steadystate.turning_points` for the two unknowns by
+    minimizing the four relative residuals.  The problem is overdetermined
+    (four observations, two parameters), so the residuals of the optimum
+    quantify how consistent the measurement is with the single-mode model.
+    """
+    if not eta > 0.0:
+        raise ValueError(f"eta must be > 0, got {eta!r}")
+
+    targets = (
+        measured.drive_up,
+        measured.delta_eff_up,
+        measured.drive_down,
+        measured.delta_eff_down,
+    )
+    scales = tuple(max(abs(x), 1e-30) for x in targets)
+
+    def residuals(params):
+        u, gamma_b = params
+        tp = _predict(u, gamma_b, eta)
+        if tp is None:
+            return [1e3] * 4
+        pred = (tp.drive_low, tp.delta_eff_low, tp.drive_high, tp.delta_eff_high)
+        return [(p - t) / s for p, t, s in zip(pred, targets, scales)]
+
+    fit = least_squares(
+        residuals,
+        x0=[delta_ml_guess + 12.0 * eta, gamma_b_guess],
+        method="lm",
+        xtol=1e-15,
+        ftol=1e-15,
+    )
+    u, gamma_b = fit.x
+    tp = _predict(u, gamma_b, eta)
+    if tp is None:
+        raise RuntimeError("calibration did not converge to a bistable working point")
+    return CalibrationResult(
+        delta_ml=u - 12.0 * eta,
+        gamma_b=float(gamma_b),
+        predicted=tp,
+        residuals=tuple(residuals(fit.x)),
+    )
+
+
+# Reference measurement behind libration.model's REFERENCE_* working point:
+# the e = 0.9 diamond particle, amplitude-swept at 10 mTorr and room
+# temperature.  Jump coordinates as measured (Hz values times 2 pi).
+REFERENCE_PARTICLE = NanoparticleSpec.from_eccentricity(
+    r_a=50e-9, eccentricity=0.9, density=3500.0, eps_r=5.7
+)
+REFERENCE_TRAP = TrapConfig(power=0.1, waist=0.6e-6)
+REFERENCE_TEMPERATURE = 300.0  # K
+REFERENCE_JUMPS = JumpCoordinates(
+    drive_up=2.0 * math.pi * 1.55e6,
+    delta_eff_up=-2.0 * math.pi * 1.65e3,
+    drive_down=2.0 * math.pi * 466e3,
+    delta_eff_down=2.0 * math.pi * 5.89e3,
+)

@@ -11,26 +11,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from libration.audit import DEVIATION_TOLERANCE, DOCUMENTED_STATUS, load_findings, run_audit
-from libration.calibration import (
+from libration.dynamics import RampProtocol, hysteresis_sweep
+from libration.model import (
     REFERENCE_DELTA_ML,
     REFERENCE_GAMMA_B,
-    REFERENCE_JUMPS,
-    REFERENCE_PARTICLE,
-    REFERENCE_TRAP,
+    NanoparticleSpec,
+    TrapConfig,
+    mode_parameters,
 )
-from libration.dynamics import RampProtocol, hysteresis_sweep
-from libration.model import NanoparticleSpec, TrapConfig, mode_parameters
 from libration.squeezing import SqueezeParams, exponential_angle, moment_oracle
 from libration.steadystate import (
     MeanFieldParams,
     bistability_condition,
     solve_branches,
-    stability_matrix,
     steady_occupations,
     turning_points,
 )
-from oracles import draw_mean_field, drive_curve_folds, fold_extrema_scan, scan_roots
+from audit import DEVIATION_TOLERANCE, DOCUMENTED_STATUS, load_findings, run_audit
+from oracles import (
+    REFERENCE_JUMPS,
+    REFERENCE_PARTICLE,
+    REFERENCE_TRAP,
+    draw_mean_field,
+    drive_curve_folds,
+    fold_extrema_scan,
+    scan_roots,
+    stability_matrix,
+)
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi

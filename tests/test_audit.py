@@ -1,8 +1,8 @@
 """Audit of the transcribed variance formulas against the moment oracle.
 
-The package ships known-defective transcriptions alongside the re-derived
-closed forms; these tests pin down the defect signatures and make the suite
-fail if findings.json ever disagrees with live behavior.
+``tests/audit.py`` keeps known-defective transcriptions next to the
+package's re-derived closed forms; these tests pin down the defect signatures
+and make the suite fail if findings.json ever disagrees with live behavior.
 """
 
 import math
@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from libration.audit import (
+from libration.squeezing import SqueezeParams, variance_theta_closed
+from audit import (
     DEVIATION_TOLERANCE,
     DOCUMENTED_STATUS,
     load_findings,
@@ -23,7 +24,6 @@ from libration.audit import (
     transcribed_theta_special_oscillatory,
     write_findings,
 )
-from libration.squeezing import SqueezeParams, variance_theta_closed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,15 +4,8 @@ import math
 
 import pytest
 
-from libration.calibration import (
-    REFERENCE_DELTA_ML,
-    REFERENCE_GAMMA_B,
-    REFERENCE_JUMPS,
-    REFERENCE_PARTICLE,
-    REFERENCE_TRAP,
-    fit_turning_points,
-)
-from libration.model import mode_parameters
+from libration.model import REFERENCE_DELTA_ML, REFERENCE_GAMMA_B, mode_parameters
+from oracles import REFERENCE_JUMPS, REFERENCE_PARTICLE, REFERENCE_TRAP, fit_turning_points
 
 
 def test_fit_reproduces_frozen_reference():

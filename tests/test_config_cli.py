@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -385,6 +386,47 @@ def test_cli_derive_report_and_artifacts(tmp_path, capsys):
         assert by_name[f"{name}_over_2pi"] == by_name[name] / TWO_PI
 
 
+def test_cli_derive_cold_mode_is_in_its_ground_state(tmp_path):
+    # hbar omega_t / kB T ~ 1e8 overflows expm1: the occupancy is 0, not a traceback
+    cold = copy.deepcopy(BASE)
+    cold["environment"]["temperature_k"] = 1e-12
+    out = tmp_path / "out"
+    assert run_cli(["derive", "--config", write_cfg(tmp_path, cold), "--out", out]) == 0
+    table = read_csv(out / "derive.csv")
+    assert dict(zip(table["quantity"], table["value"]))["thermal_occupancy"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["derive", "bistability"])
+def test_cli_rejects_a_detuning_below_minus_omega_t(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        drive={"detuning_rad_s": -1e9},
+        sweep={"amplitude_min_rad_s": 1.0e6, "amplitude_max_rad_s": 1.2e7, "points": 5},
+    ))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "detuning -1000000000.0 rad/s" in err and "omega_ml = " in err
+    assert "Traceback" not in err
+
+
+def test_cli_derive_svg_of_a_sub_ulp_scan_terminates(tmp_path):
+    # a scan span below one ulp of its values once left the SVG tick loop
+    # stuck; a fresh interpreter with a deadline
+    cfg = write_cfg(tmp_path, with_sections(
+        BASE, derive={"scan": "eccentricity", "min": 0.3, "max": 0.3000000000000001,
+                      "points": 5},
+    ))
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-m", "libration.cli", "derive", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--format", "csv+svg"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    ET.parse(tmp_path / "out" / "derive_scan.svg")
+
+
 def test_cli_derive_scan_outputs(tmp_path):
     cfg = write_cfg(tmp_path, with_sections(
         BASE,
@@ -685,6 +727,25 @@ def test_cli_import_footprint(tmp_path, command):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert out.stderr.strip() == "0 []"
+    if command == "squeeze":  # the moment oracle ran through its last trace
+        assert (tmp_path / "squeeze_oracle_2.csv").exists()
+
+
+PACKAGE_MODULES = ["libration"] + [
+    f"libration.{m.name}" for m in pkgutil.iter_modules(libration.__path__)
+]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_package_imports_no_scipy(module):
+    # scipy is a test-only dependency: no module of the package may load it
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = f"import sys, {module}; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -703,18 +764,3 @@ def test_linspace_is_numpy_linspace(lo, span, n):
     assert [v.hex() for v in _linspace(lo, hi, n)] == [
         v.hex() for v in np.linspace(lo, hi, n).tolist()
     ]
-
-
-def test_cli_squeeze_run_loads_no_scipy(tmp_path):
-    # a whole squeeze run, moment oracle included, stays free of scipy too
-    root = Path(libration.__file__).resolve().parents[2]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = ["squeeze", "--config", str(root / "configs" / "squeeze.json"),
-            "--out", str(tmp_path), "--format", "csv+svg"]
-    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
-            "print(code, 'scipy' in sys.modules, file=sys.stderr)")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-    )
-    assert out.stderr.strip() == "0 False"
-    assert (tmp_path / "squeeze_oracle_2.csv").exists()

@@ -67,14 +67,13 @@ def test_integrator_global_error_vs_linear_solution():
         fixed = -b / a
         return fixed + (beta0 - fixed) * np.exp(a * t)
 
-    t_eval = np.linspace(0.0, 0.01, 300)
     for Omega, label_scale in ((9.0e6, 220.0), (7.0e4, 1.7)):
         p = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=Omega,
                             gamma_b=REF_GAMMA_B, eta=1e-30)
         for tol in (1e-6, 1e-8, 1e-10):
-            tr = integrate(p, 0.0 + 0.0j, (0.0, 0.01), tol=tol, t_eval=t_eval)
+            tr = integrate(p, 0.0 + 0.0j, (0.0, 0.01), tol=tol)
             assert tr.complete
-            ref = exact(p, 0.0 + 0.0j, tr.t)
+            ref = exact(p, 0.0 + 0.0j, tr.t)  # at every accepted step
             err = float(np.max(np.abs(tr.beta - ref)))
             scale = float(np.max(np.abs(ref)))
             assert scale == pytest.approx(label_scale, rel=0.2)
@@ -84,11 +83,11 @@ def test_integrator_global_error_vs_linear_solution():
             assert err < 10.0 * tol
 
 
-def test_integrate_t_eval_and_drive_column():
+def test_integrate_drive_column():
     p = ref_params(5.0e6)
-    t_eval = np.linspace(0.0, 1e-4, 50)
-    tr = integrate(p, 1.0 + 0.0j, (0.0, 1e-4), tol=1e-8, t_eval=t_eval)
-    np.testing.assert_array_equal(tr.t, t_eval)
+    tr = integrate(p, 1.0 + 0.0j, (0.0, 1e-4), tol=1e-8)
+    assert tr.t[0] == 0.0 and tr.t[-1] == 1e-4 and np.all(np.diff(tr.t) > 0.0)
+    assert tr.beta[0] == 1.0
     assert np.all(tr.omega_applied == 5.0e6)
     np.testing.assert_allclose(tr.n, np.abs(tr.beta) ** 2, rtol=1e-14)
     with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ def test_relaxation_selects_nearby_stable_branch():
     np.testing.assert_allclose(float(tr.n[-1]), hi, rtol=1e-6)
 
 
-def _scipy_rk45(p, beta0, t_span, tol, t_eval=None):
+def _scipy_rk45(p, beta0, t_span, tol):
     """scipy's RK45 with the tolerances ``integrate`` documents for ``tol``."""
     rtol = max(tol / 10.0, 1e-13)
 
@@ -115,7 +114,7 @@ def _scipy_rk45(p, beta0, t_span, tol, t_eval=None):
         return [d.real, d.imag]
 
     sol = solve_ivp(rhs, t_span, [beta0.real, beta0.imag], method="RK45",
-                    rtol=rtol, atol=rtol * max(1.0, abs(beta0)), t_eval=t_eval)
+                    rtol=rtol, atol=rtol * max(1.0, abs(beta0)))
     assert sol.status == 0
     return sol.t, sol.y[0] + 1j * sol.y[1]
 
@@ -135,11 +134,6 @@ def test_stepper_matches_scipy_rk45():
             assert tr.complete
             assert len(tr.t) == len(t_ref)
             assert abs(tr.final_beta() - beta_ref[-1]) <= 1e-12 * abs(beta_ref[-1])
-    # dense output at requested times agrees too
-    t_eval = np.linspace(0.0, dwell, 37)
-    tr = integrate(bistable, 0.0j, (0.0, dwell), tol=1e-8, t_eval=t_eval)
-    _, beta_ref = _scipy_rk45(bistable, 0.0j, (0.0, dwell), 1e-8, t_eval=t_eval)
-    np.testing.assert_allclose(tr.beta, beta_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(beta_ref)))
 
 
 def _reference_plateaus():
@@ -183,19 +177,6 @@ def test_pair_kernel_is_bit_identical_to_complex_stepper():
     for beta0 in starts:
         for tol in (1e-6, 1e-10):
             _assert_same_steps(bistable, beta0, (0.0, dwell), tol)
-
-
-def test_dense_output_is_bit_identical_to_complex_stepper():
-    # Shampine's dense output on the real pair gives the complex form's samples
-    dwell = 20.0 / REF_GAMMA_B
-    t_eval = np.linspace(0.0, dwell, 37)
-    for p, beta0 in _reference_plateaus():
-        for tol in (1e-6, 1e-8, 1e-10):
-            tr = integrate(p, beta0, (0.0, dwell), tol=tol, t_eval=t_eval)
-            t_ref, beta_ref = dopri_complex(p, beta0, (0.0, dwell), tol, t_eval=t_eval)
-            assert tr.complete
-            assert np.array_equal(tr.t, t_eval) and np.array_equal(t_ref, t_eval)
-            assert np.array_equal(tr.beta, beta_ref)
 
 
 def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
@@ -289,8 +270,6 @@ def test_integrate_rejects_non_finite_and_reversed_input():
     for beta in (complex(math.nan, 0.0), complex(0.0, math.inf)):
         with pytest.raises(ValueError, match="beta_init"):
             integrate(p, beta, (0.0, 1e-4))
-    with pytest.raises(ValueError):
-        integrate(p, 0.0j, (0.0, 1e-4), t_eval=np.array([0.0, 2e-4]))
 
 
 def test_zero_length_span_returns_start_state():

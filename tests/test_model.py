@@ -174,6 +174,10 @@ def test_thermal_occupancy():
     )
     cold = thermal_occupancy(1e-6, omega)  # hbar omega / kB T ~ 48 here
     np.testing.assert_allclose(cold, math.exp(-hbar * omega / (k_B * 1e-6)), rtol=1e-6)
+    # past expm1's range (hbar omega / kB T above ~709) the mode is in its ground state
+    assert thermal_occupancy(1e-12, omega) == 0.0
+    assert thermal_occupancy(1e-320, omega) == 0.0  # kB T underflows to 0
+    assert thermal_occupancy(hbar * omega / (k_B * 700.0), omega) > 0.0
     with pytest.raises(ValueError):
         thermal_occupancy(0.0, omega)
 

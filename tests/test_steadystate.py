@@ -12,20 +12,25 @@ from libration.steadystate import (
     Stability,
     beta_from_n,
     bistability_condition,
-    classify_stability,
     effective_detuning,
     minimum_drive,
     solve_branches,
-    stability_matrix,
     steady_occupations,
     sweep_diagram,
     turning_points,
 )
-from oracles import draw_mean_field, drive_curve_folds, fold_extrema_scan, scan_roots
+from oracles import (
+    classify_stability,
+    draw_mean_field,
+    drive_curve_folds,
+    fold_extrema_scan,
+    scan_roots,
+    stability_matrix,
+)
 
 SQRT3 = math.sqrt(3.0)
 
-# fitted working point used by the hysteresis benchmark (see calibration.py)
+# fitted working point used by the hysteresis benchmark (libration.model.REFERENCE_*)
 REF_DELTA_ML = -34283.6799057411
 REF_GAMMA_B = 8012.985643210628
 REF_ETA = 0.021209365972552064

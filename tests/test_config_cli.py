@@ -727,8 +727,21 @@ def test_cli_import_footprint(tmp_path, command):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert out.stderr.strip() == "0 []"
-    if command == "squeeze":  # the moment oracle ran through its last trace
-        assert (tmp_path / "squeeze_oracle_2.csv").exists()
+
+
+def test_cli_squeeze_run_loads_no_scipy(tmp_path):
+    # a whole squeeze run, moment oracle included, stays free of scipy too
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["squeeze", "--config", str(root / "configs" / "squeeze.json"),
+            "--out", str(tmp_path), "--format", "csv+svg"]
+    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
+            "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stderr.strip() == "0 False"
+    assert (tmp_path / "squeeze_oracle_2.csv").exists()
 
 
 PACKAGE_MODULES = ["libration"] + [

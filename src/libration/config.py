@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from libration.model import MATERIALS, DriveEnvironment, NanoparticleSpec, TrapConfig

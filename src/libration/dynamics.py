@@ -15,7 +15,9 @@ arithmetic.  Its step loop is flat float code, with the right-hand side and
 error norm written out inline and no function calls per stage.  It
 reproduces the tableau, error norm and step controller of scipy's RK45, so
 it takes the same accepted steps, without scipy's per-step overhead on a
-two-dimensional system; this module imports no scipy.
+two-dimensional system.  Trajectories and sweeps are lists of Python floats
+and complex numbers, so this module imports neither scipy nor numpy.  The
+occupation n is ``re*re + im*im``, the expression the right-hand side uses.
 :func:`mean_field_rhs` is the complex reference form of the right-hand side.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
@@ -27,12 +29,11 @@ it was following.  An S-curve that does not fold has no jumps.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from libration.steadystate import MeanFieldParams, TurningPoints, turning_points
+from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, turning_points
 
 __all__ = [
     "RampProtocol",
@@ -63,22 +64,22 @@ class Trajectory:
 
     ``omega_applied`` holds the drive amplitude in force at each sample, so a
     stepped-ramp trajectory is self-describing.  ``complete`` is False when
-    the integrator failed (step-size underflow) and the arrays only reach the
+    the integrator failed (step-size underflow) and the lists only reach the
     failure time.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
     evaluations and rejected steps that produced it.
     """
 
-    t: np.ndarray
-    beta: np.ndarray
-    omega_applied: np.ndarray
+    t: list[float]
+    beta: list[complex]
+    omega_applied: list[float]
     complete: bool = True
     n_rhs: int = 0
     n_rejected: int = 0
 
     @property
-    def n(self) -> np.ndarray:
-        """Occupation |beta(t)|^2."""
-        return np.abs(self.beta) ** 2
+    def n(self) -> list[float]:
+        """Occupation |beta(t)|^2, as re*re + im*im."""
+        return [b.real * b.real + b.imag * b.imag for b in self.beta]
 
     def final_beta(self) -> complex:
         return complex(self.beta[-1])
@@ -135,9 +136,10 @@ def integrate(
     (global) error stays below ``tol`` at benchmark amplitude scales, not
     just the per-step local error.  Every accepted step is returned.  When
     the step falls below 10 ulp of the time the partial trajectory up to that
-    time is returned with ``complete=False``.  A zero-length span returns the
-    start state.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
-    evaluations and the rejected steps.
+    time is returned with ``complete=False``, as is the start state when the
+    initial step is zero or NaN (a derivative that overflows).  A zero-length
+    span returns the start state.  ``n_rhs`` and ``n_rejected`` count the
+    right-hand-side evaluations and the rejected steps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -167,7 +169,10 @@ def integrate(
         d0 = _rms(yr, yi, s_re, s_im)
         d1 = _rms(k1r, k1i, s_re, s_im)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, t_end - t)
+        # a zero step (the derivative overflowed) becomes NaN, as a NaN
+        # derivative makes it: h_abs is then NaN, which fails the loop's size
+        # test and ends the run with complete=False
+        h0 = min(h0, t_end - t) or math.nan
         dr, di = f(yr + h0 * k1r, yi + h0 * k1i)
         d2 = _rms(dr - k1r, di - k1i, s_re, s_im) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -252,14 +257,10 @@ def integrate(
         yis.append(yni)
         t, yr, yi, k1r, k1i = t_new, ynr, yni, k7r, k7i
 
-    t_out = np.array(ts, dtype=float)
-    beta = np.empty(t_out.shape, dtype=complex)
-    beta.real = yrs
-    beta.imag = yis
     return Trajectory(
-        t=t_out,
-        beta=beta,
-        omega_applied=np.full(t_out.shape, params.Omega),
+        t=ts,
+        beta=list(map(complex, yrs, yis)),
+        omega_applied=[params.Omega] * len(ts),
         complete=complete,
         n_rhs=n_rhs + 6 * (len(ts) - 1 + n_rejected),
         n_rejected=n_rejected,
@@ -272,7 +273,8 @@ class RampProtocol:
 
     The drive moves linearly from ``omega_start`` to ``omega_end`` in
     ``n_steps`` plateaus of ``dwell`` seconds each; the mode relaxes on each
-    plateau before the amplitude moves again.
+    plateau before the amplitude moves again.  ``n_steps`` may be of any
+    integral type; it is stored as an int.
     """
 
     omega_start: float
@@ -288,8 +290,9 @@ class RampProtocol:
             raise ValueError("drive amplitudes must be >= 0")
         if self.omega_start == self.omega_end:
             raise ValueError("ramp endpoints must differ")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 3:
+        if not hasattr(self.n_steps, "__index__") or self.n_steps < 3:
             raise ValueError(f"need an integer of at least 3 ramp steps, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", operator.index(self.n_steps))
         if not self.dwell > 0.0:
             raise ValueError(f"dwell must be positive, got {self.dwell!r}")
 
@@ -316,8 +319,9 @@ class RampProtocol:
         """Mean amplitude slew rate in rad/s per second."""
         return (self.omega_end - self.omega_start) / (self.n_steps * self.dwell)
 
-    def amplitudes(self) -> np.ndarray:
-        return np.linspace(self.omega_start, self.omega_end, self.n_steps)
+    def amplitudes(self) -> list[float]:
+        """The plateau drives, ``np.linspace(omega_start, omega_end, n_steps)`` bit for bit."""
+        return _linspace(float(self.omega_start), float(self.omega_end), self.n_steps)
 
     def reversed(self) -> "RampProtocol":
         return RampProtocol(self.omega_end, self.omega_start, self.n_steps, self.dwell)
@@ -352,20 +356,21 @@ class SweepResult:
     n[k] on an up ramp, n[k-1] >= n_high > n[k] on a down ramp.
     """
 
-    drives: np.ndarray
-    beta: np.ndarray
+    drives: list[float]
+    beta: list[complex]
     trajectory: Trajectory
     jump: JumpEvent | None
     direction: str
     turning: TurningPoints | None
 
     @property
-    def n(self) -> np.ndarray:
-        return np.abs(self.beta) ** 2
+    def n(self) -> list[float]:
+        """Plateau occupations: those of ``trajectory``, which holds ``beta``."""
+        return self.trajectory.n
 
 
 def _fold_crossing(
-    drives: np.ndarray, n: np.ndarray, delta_ml: float, eta: float,
+    drives: list[float], n: list[float], delta_ml: float, eta: float,
     turning: TurningPoints | None, direction: str,
 ) -> JumpEvent | None:
     """The first plateau whose occupation crosses the fold in the ramp direction."""
@@ -377,11 +382,11 @@ def _fold_crossing(
             return JumpEvent(
                 step=k,
                 drive=0.5 * (drives[k - 1] + drives[k]),
-                drive_before=float(drives[k - 1]),
-                drive_after=float(drives[k]),
-                n_before=float(n[k - 1]),
-                n_after=float(n[k]),
-                delta_eff_before=delta_ml + 24.0 * eta * float(n[k - 1]),
+                drive_before=drives[k - 1],
+                drive_after=drives[k],
+                n_before=n[k - 1],
+                n_after=n[k],
+                delta_eff_before=delta_ml + 24.0 * eta * n[k - 1],
             )
     return None
 
@@ -407,33 +412,27 @@ def quasi_static_sweep(
             stacklevel=2,
         )
     drives = protocol.amplitudes()
-    beta = np.empty(len(drives), dtype=complex)
-    times = np.empty(len(drives))
+    beta = []
     current = complex(beta_init)
-    failed = False
     n_rhs = n_rejected = 0
-    for k, w in enumerate(drives):
-        p = MeanFieldParams(delta_ml=delta_ml, Omega=float(w), gamma_b=gamma_b, eta=eta)
+    for w in drives:
+        p = MeanFieldParams(delta_ml=delta_ml, Omega=w, gamma_b=gamma_b, eta=eta)
         traj = integrate(p, current, (0.0, protocol.dwell), tol=tol)
         current = traj.final_beta()
         n_rhs += traj.n_rhs
         n_rejected += traj.n_rejected
-        beta[k] = current
-        times[k] = (k + 1) * protocol.dwell
+        beta.append(current)
         if not traj.complete:
-            failed = True
-            beta = beta[: k + 1]
-            times = times[: k + 1]
-            drives = drives[: k + 1]
             break
+    drives = drives[: len(beta)]
     trajectory = Trajectory(
-        t=times, beta=beta, omega_applied=drives.astype(float), complete=not failed,
-        n_rhs=n_rhs, n_rejected=n_rejected,
+        t=[(k + 1) * protocol.dwell for k in range(len(beta))], beta=beta,
+        omega_applied=drives, complete=traj.complete, n_rhs=n_rhs, n_rejected=n_rejected,
     )
     tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
     turning = tp if tp.physical else None
     return SweepResult(
-        drives=drives.astype(float),
+        drives=drives,
         beta=beta,
         trajectory=trajectory,
         jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
@@ -446,8 +445,8 @@ def quasi_static_sweep(
 class HysteresisResult:
     """Up/down sweep pair (each with its own ``jump``) and enclosed loop area.
 
-    ``loop_area`` is the integral of (n_down - n_up) over the common drive
-    range: positive inside a bistability window, ~0 for a monostable curve.
+    ``loop_area`` is the integral of (n_down - n_up) over the drive range:
+    positive inside a bistability window, ~0 for a monostable curve.
     """
 
     up: SweepResult
@@ -460,31 +459,25 @@ def hysteresis_sweep(
     gamma_b: float,
     eta: float,
     protocol_up: RampProtocol,
-    protocol_down: RampProtocol | None = None,
     beta_init: complex = 0.0 + 0.0j,
     tol: float = 1e-8,
 ) -> HysteresisResult:
-    """Run an up ramp, then a down ramp from the final state, and compare.
+    """Run an up ramp, then its reverse from the final state, and compare.
 
-    The default down ramp retraces the up ramp's plateaus in reverse.  Its
-    drives, ``linspace(hi, lo, n)``, equal the up grid only to rounding (a
-    few drives differ in the last bit), so the down branch is interpolated
-    onto the up grid before the trapezoid integral of their difference.
+    The down ramp's drives, ``linspace(hi, lo, n)``, equal the up grid only
+    to rounding (a few differ in the last bit), so each branch is integrated
+    by the trapezoid rule on its own plateaus.  The terms (x0 - x1)(y0 + y1)/2
+    along both ramps are +integral(n_down) on the falling drive and
+    -integral(n_up) on the rising one; ``loop_area`` is their ``math.fsum``.
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")
-    if protocol_down is None:
-        protocol_down = protocol_up.reversed()
-    if protocol_down.direction != "down":
-        raise ValueError("protocol_down must ramp the amplitude downward")
     up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, beta_init, tol)
     down = quasi_static_sweep(
-        delta_ml, gamma_b, eta, protocol_down, up.beta[-1], tol
+        delta_ml, gamma_b, eta, protocol_up.reversed(), up.beta[-1], tol
     )
-    grid = up.drives
-    n_up = up.n
-    n_down = np.interp(grid, down.drives[::-1], down.n[::-1])
-    diff = n_down - n_up
-    # the trapezoid rule in scipy's operation order
-    loop_area = float((np.diff(grid) * (diff[1:] + diff[:-1]) / 2.0).sum())
-    return HysteresisResult(up=up, down=down, loop_area=loop_area)
+    terms = []
+    for sweep in (up, down):
+        x, y = sweep.drives, sweep.n
+        terms += [(x0 - x1) * (y0 + y1) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
+    return HysteresisResult(up=up, down=down, loop_area=math.fsum(terms))

@@ -37,7 +37,7 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
@@ -454,6 +454,14 @@ def minimum_drive(delta_eff: float, eta: float, gamma_b: float) -> tuple[float, 
     omega_min = gamma_b * math.sqrt(k / (12.0 * eta))
     delta0 = math.sqrt(3.0) * gamma_b / 2.0 - k
     return omega_min, delta0
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` for an int n >= 2, bit for bit."""
+    step = (hi - lo) / (n - 1)
+    # where the step underflows to 0, numpy divides first and scales by the span
+    points = [lo + (i * step if step else i / (n - 1) * (hi - lo)) for i in range(n - 1)]
+    return points + [hi]
 
 
 def sweep_diagram(

@@ -9,7 +9,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from libration.dynamics import RampProtocol, hysteresis_sweep
 from libration.model import (

@@ -550,6 +550,17 @@ def test_cli_hysteresis_run(tmp_path):
     ET.parse(out / "hysteresis.svg")
 
 
+def test_cli_hysteresis_reports_an_unstartable_plateau(tmp_path, capsys):
+    # at a drive of 1e300 rad/s the initial-step estimate of a plateau
+    # underflows to zero: a numerical failure, not a ZeroDivisionError
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        ramp={"amplitude_start_rad_s": 2.35e6, "amplitude_stop_rad_s": 1e300, "steps": 3},
+    ))
+    assert run_cli(["hysteresis", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "up-sweep integration failed" in capsys.readouterr().err
+
+
 def test_cli_hysteresis_blue_detuned_has_no_jumps(tmp_path):
     cfg = write_cfg(tmp_path, with_sections(
         WINDOW,
@@ -707,7 +718,7 @@ NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request")
 NOT_LOADED_BY = {
     "derive": ("numpy", "libration.dynamics", "libration.squeezing"),
     "bistability": ("numpy", "libration.dynamics", "libration.squeezing"),
-    "hysteresis": ("libration.squeezing",),
+    "hysteresis": ("numpy", "libration.squeezing"),
     "squeeze": ("libration.dynamics",),
 }
 
@@ -749,16 +760,29 @@ PACKAGE_MODULES = ["libration"] + [
 ]
 
 
-@pytest.mark.parametrize("module", PACKAGE_MODULES)
-def test_package_imports_no_scipy(module):
-    # scipy is a test-only dependency: no module of the package may load it
+def _loaded_by_import(module: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` importing ``module`` loads, in a fresh interpreter."""
     root = Path(libration.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = f"import sys, {module}; print('scipy' in sys.modules)"
+    code = (f"import json, sys, {module}; "
+            f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("module", [m for m in PACKAGE_MODULES if m != "libration.squeezing"])
+def test_package_imports_no_numpy(module):
+    # only squeezing computes on arrays; every other module loads numpy, if
+    # at all, inside the function that needs it (output.read_csv)
+    assert _loaded_by_import(module, ("numpy",)) == []
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_package_imports_no_scipy(module):
+    # scipy is a test-only dependency: no module of the package may load it
+    assert _loaded_by_import(module, ("scipy",)) == []
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

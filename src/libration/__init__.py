@@ -2,11 +2,12 @@
 
 Modules
 -------
-model       particle/trap geometry -> mode frequency, nonlinearity, zero-point scales
+model       particle/trap geometry -> mode frequency, nonlinearity, zero-point scales;
+            gas damping from the pressure, drive amplitude from the modulation power
 steadystate driven-mode mean-field steady states, stability, bistability diagrams
 dynamics    time integration and quasi-static hysteresis sweeps
 squeezing   variance evolution of the linearized fluctuations, closed forms + oracle
-config      JSON run configuration, validated into SI values
+config      JSON run configuration, validated into SI values, gas damping resolved once
 output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
 
@@ -19,7 +20,6 @@ the transcribed variance formulas behind ``findings.json`` (``tests/audit.py``).
 
 from libration.model import (
     MATERIALS,
-    DriveEnvironment,
     Material,
     ModeParameters,
     NanoparticleSpec,

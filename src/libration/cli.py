@@ -27,7 +27,6 @@ from libration.model import (
     NanoparticleSpec,
     NoConfinementError,
     drive_amplitude,
-    gas_damping,
     mode_parameters,
     thermal_occupancy,
 )
@@ -48,13 +47,6 @@ class NumericalError(RuntimeError):
     """A solver or integrator failed to produce a usable result."""
 
 
-def _need(cfg: RunConfig, section: str, command: str) -> None:
-    if getattr(cfg, section) is None:
-        raise ConfigError(
-            f"config error: the '{command}' command needs a '{section}' section"
-        )
-
-
 def _drive_frequencies(cfg: RunConfig, omega_t: float) -> tuple[float, float]:
     """(omega_ml, delta_ml) in rad/s from an absolute frequency or a detuning."""
     if cfg.drive.mode == "frequency":
@@ -70,12 +62,21 @@ def _drive_frequencies(cfg: RunConfig, omega_t: float) -> tuple[float, float]:
     return omega_ml, cfg.drive.value
 
 
-def _drive_strength(cfg: RunConfig, mode, omega_ml: float) -> float | None:
+def _driven_mode(cfg: RunConfig, command: str, section: str):
+    """(mode, delta_ml) for a command that needs a drive and its own ``section``."""
+    for name in ("drive", section):
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"config error: the '{command}' command needs a '{name}' section")
+    mode = mode_parameters(cfg.particle, cfg.trap)
+    return mode, _drive_frequencies(cfg, mode.omega_t)[1]
+
+
+def _drive_strength(cfg: RunConfig, mode) -> float | None:
     """Resolve the drive amplitude Omega (rad/s), if the config defines one."""
     if cfg.drive.amplitude is not None:
         return cfg.drive.amplitude
-    if cfg.drive.power_w:
-        return drive_amplitude(cfg.particle, cfg.trap, cfg.environment(omega_ml), mode)
+    if cfg.drive.power_w is not None:
+        return drive_amplitude(cfg.particle, cfg.trap, cfg.drive.power_w, mode)
     return None
 
 
@@ -101,12 +102,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     spec = cfg.particle
     mode = mode_parameters(spec, cfg.trap)
-    omega_ml = mode.omega_t
-    delta_ml = None
-    if cfg.drive is not None:
-        omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
-    env = cfg.environment(omega_ml)
-    gamma_b = gas_damping(env, cfg.damping_per_pascal)
+    drive = None if cfg.drive is None else _drive_frequencies(cfg, mode.omega_t)
     nbar = thermal_occupancy(cfg.temperature, mode.omega_t)
 
     # (quantity, value, unit) rows of derive.csv, each with its report line
@@ -135,18 +131,19 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     put("eta_over_omega_t", mode.eta / mode.omega_t, "1", "eta / omega_t")
     put("theta0", mode.theta0, "rad")
     put("J0", mode.J0, "J s")
-    freq("gamma_b", gamma_b)
+    freq("gamma_b", cfg.gamma_b)
     put("thermal_occupancy", nbar, "1", "thermal occupancy")
-    if delta_ml is not None:
+    if drive is not None:
+        omega_ml, delta_ml = drive
         freq("omega_ml", omega_ml)
         freq("delta_ml", delta_ml)
         bistable, omega_c = bistability_condition(
-            omega_ml, mode.omega_t, mode.eta, gamma_b
+            omega_ml, mode.omega_t, mode.eta, cfg.gamma_b
         )
         freq("omega_c", omega_c)
         lines.append(f"{'bistable at this drive freq':28s} {'yes' if bistable else 'no'}")
         rows.append(("bistable", float(bistable), "bool"))
-        strength = _drive_strength(cfg, mode, omega_ml)
+        strength = _drive_strength(cfg, mode)
         if strength is not None:
             freq("drive_amplitude", strength, "drive amplitude")
     print("\n".join(lines))
@@ -199,13 +196,9 @@ def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
 
 
 def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
-    _need(cfg, "drive", "bistability")
-    _need(cfg, "sweep", "bistability")
-    mode = mode_parameters(cfg.particle, cfg.trap)
-    omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
-    gamma_b = gas_damping(cfg.environment(omega_ml), cfg.damping_per_pascal)
+    mode, delta_ml = _driven_mode(cfg, "bistability", "sweep")
     grid = _linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
-    diagram = sweep_diagram(grid, delta_ml, gamma_b, mode.eta, mode.omega_t)
+    diagram = sweep_diagram(grid, delta_ml, cfg.gamma_b, mode.eta, mode.omega_t)
 
     _write_rows(out / "bistability.csv", [{
         "omega_drive": w,
@@ -252,27 +245,23 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
 def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.dynamics import RampProtocol, hysteresis_sweep
 
-    _need(cfg, "drive", "hysteresis")
-    _need(cfg, "ramp", "hysteresis")
-    mode = mode_parameters(cfg.particle, cfg.trap)
-    omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
-    gamma_b = gas_damping(cfg.environment(omega_ml), cfg.damping_per_pascal)
+    mode, delta_ml = _driven_mode(cfg, "hysteresis", "ramp")
     if cfg.ramp.dwell_s is not None:
         protocol = RampProtocol(
             cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop,
             cfg.ramp.steps, cfg.ramp.dwell_s,
         )
     else:
-        if not gamma_b > 0.0:
+        if not cfg.gamma_b > 0.0:
             raise ConfigError(
                 "config error: ramp.dwell_s is required when gamma_b is zero "
                 "(no damping time to set the quasi-static dwell)"
             )
         protocol = RampProtocol.quasi_static(
-            cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, gamma_b, cfg.ramp.steps
+            cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, cfg.gamma_b, cfg.ramp.steps
         )
     result = hysteresis_sweep(
-        delta_ml, gamma_b, mode.eta, protocol, tol=cfg.ramp.tolerance
+        delta_ml, cfg.gamma_b, mode.eta, protocol, tol=cfg.ramp.tolerance
     )
     for sweep in (result.up, result.down):
         if not sweep.trajectory.complete:
@@ -322,17 +311,16 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         )
 
 
-def _squeeze_reference(cfg: RunConfig, mode, delta_ml: float, gamma_b: float):
+def _squeeze_reference(cfg: RunConfig, mode, delta_ml: float):
     """(r, default_phi) from the chosen steady branch of the driven mode."""
-    omega_ml = mode.omega_t + delta_ml
-    strength = _drive_strength(cfg, mode, omega_ml)
+    strength = _drive_strength(cfg, mode)
     if strength is None:
         raise ConfigError(
             "config error: squeeze.from_drive needs a drive amplitude "
             "('power_w' or 'amplitude_*') in the drive section"
         )
     branches = solve_branches(
-        MeanFieldParams(delta_ml=delta_ml, Omega=strength, gamma_b=gamma_b, eta=mode.eta)
+        MeanFieldParams(delta_ml=delta_ml, Omega=strength, gamma_b=cfg.gamma_b, eta=mode.eta)
     )
     stable = [b for b in branches if b.stable]
     if not stable:
@@ -348,23 +336,19 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.squeezing import (exponential_angle, moment_oracle, squeeze_params,
                                      variance_J_closed, variance_theta_closed)
 
-    _need(cfg, "drive", "squeeze")
-    _need(cfg, "squeeze", "squeeze")
+    mode, delta_ml = _driven_mode(cfg, "squeeze", "squeeze")
     sq = cfg.squeeze
-    mode = mode_parameters(cfg.particle, cfg.trap)
-    omega_ml, delta_ml = _drive_frequencies(cfg, mode.omega_t)
-    gamma_b = gas_damping(cfg.environment(omega_ml), cfg.damping_per_pascal)
     if sq.thermal:
         nbar = thermal_occupancy(cfg.temperature, mode.omega_t)
     else:
         nbar = sq.nbar if sq.nbar is not None else 0.0
     if sq.from_drive:
-        r, phi_default = _squeeze_reference(cfg, mode, delta_ml, gamma_b)
+        r, phi_default = _squeeze_reference(cfg, mode, delta_ml)
         phis = sq.phi_rad if sq.phi_rad else (phi_default,)
     else:
         r, phis = sq.r, sq.phi_rad
     t = np.linspace(0.0, sq.t_max_s, sq.points)
-    oracle_gamma = gamma_b if sq.include_damping else 0.0
+    oracle_gamma = cfg.gamma_b if sq.include_damping else 0.0
     floor = (2.0 * nbar + 1.0) / 4.0
 
     def write_trace(name: str, t, s_th, s_j, regime: str) -> None:

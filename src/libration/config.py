@@ -2,14 +2,18 @@
 
 Configs are plain JSON objects with ``particle``, ``trap`` and ``environment``
 sections plus optional ``drive``, ``sweep``, ``ramp``, ``squeeze`` and
-``derive`` sections, depending on the subcommand.  Two conventions are
+``derive`` sections, depending on the subcommand.  Three conventions are
 enforced here so they hold everywhere downstream:
 
 * every frequency-valued key carries an explicit unit suffix, ``_hz`` or
   ``_rad_s`` (the loader multiplies ``_hz`` values by 2 pi, and the rest of
   the package speaks rad/s only);
 * material presets ("diamond", "silica") are expanded before validation, so
-  explicit ``density_kg_m3`` / ``eps_r`` values may override preset fields.
+  explicit ``density_kg_m3`` / ``eps_r`` values may override preset fields;
+* the gas damping is resolved here, once: an explicit ``gamma_b_*`` wins,
+  else ``gamma_b = damping_per_pascal_rad_s * pressure_pa`` (the default
+  constant is :data:`~libration.model.DEFAULT_DAMPING_PER_PASCAL`), and the
+  commands read only the result, ``RunConfig.gamma_b``.
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from libration.model import MATERIALS, DriveEnvironment, NanoparticleSpec, TrapConfig
+from libration.model import MATERIALS, NanoparticleSpec, TrapConfig, gas_damping
 from libration.model import DEFAULT_DAMPING_PER_PASCAL
 
 __all__ = [
@@ -97,6 +101,8 @@ def _integer(section: dict, path: str, key: str, *, required: bool = True,
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+    if not _is_finite_number(value):
+        _fail(f"{path}.{key}", f"expected an integer within float range, got {value!r}")
     if value < minimum:
         _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
     return value
@@ -176,25 +182,13 @@ class ScanSettings:
 class RunConfig:
     particle: NanoparticleSpec
     trap: TrapConfig
-    pressure: float
+    gamma_b: float  # rad/s, resolved from the environment section
     temperature: float
-    gamma_b_override: float | None
-    damping_per_pascal: float
     drive: DriveSettings | None = None
     sweep: SweepSettings | None = None
     ramp: RampSettings | None = None
     squeeze: SqueezeSettings | None = None
     scan: ScanSettings | None = None
-
-    def environment(self, omega_ml: float) -> DriveEnvironment:
-        """Assemble the environment once the drive frequency is known."""
-        return DriveEnvironment(
-            power_ml=self.drive.power_w if self.drive and self.drive.power_w else 0.0,
-            omega_ml=omega_ml,
-            pressure=self.pressure,
-            temperature=self.temperature,
-            gamma_b_override=self.gamma_b_override,
-        )
 
 
 def _parse_particle(section: dict) -> NanoparticleSpec:
@@ -360,7 +354,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config error: {p} is not valid JSON ({exc})") from exc
     root = _require_mapping(raw, "(root)")
     _check_known(root, "(root)", {
@@ -376,13 +370,20 @@ def load_config(path: str | Path) -> RunConfig:
     })
     damping = _number(env, "environment", "damping_per_pascal_rad_s",
                       required=False, minimum=0.0)
+    particle = _parse_particle(_require_mapping(root["particle"], "particle"))
+    trap = _parse_trap(_require_mapping(root["trap"], "trap"))
+    pressure = _number(env, "environment", "pressure_pa", minimum=0.0)
+    temperature = _number(env, "environment", "temperature_k", minimum=0.0, strict=True)
+    gamma_b = _frequency(env, "environment", "gamma_b", required=False, minimum=0.0)
+    if gamma_b is None:
+        gamma_b = gas_damping(pressure, DEFAULT_DAMPING_PER_PASCAL if damping is None else damping)
+        if not math.isfinite(gamma_b):
+            _fail("environment", "damping_per_pascal_rad_s * pressure_pa overflows float range")
     return RunConfig(
-        particle=_parse_particle(_require_mapping(root["particle"], "particle")),
-        trap=_parse_trap(_require_mapping(root["trap"], "trap")),
-        pressure=_number(env, "environment", "pressure_pa", minimum=0.0),
-        temperature=_number(env, "environment", "temperature_k", minimum=0.0, strict=True),
-        gamma_b_override=_frequency(env, "environment", "gamma_b", required=False, minimum=0.0),
-        damping_per_pascal=damping if damping is not None else DEFAULT_DAMPING_PER_PASCAL,
+        particle=particle,
+        trap=trap,
+        gamma_b=gamma_b,
+        temperature=temperature,
         drive=_parse_drive(_require_mapping(root["drive"], "drive")) if "drive" in root else None,
         sweep=_parse_sweep(_require_mapping(root["sweep"], "sweep")) if "sweep" in root else None,
         ramp=_parse_ramp(_require_mapping(root["ramp"], "ramp")) if "ramp" in root else None,

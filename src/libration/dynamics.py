@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -283,16 +284,19 @@ class RampProtocol:
     dwell: float
 
     def __post_init__(self) -> None:
-        fields = (self.omega_start, self.omega_end, self.n_steps, self.dwell)
+        # The count first: math.isfinite overflows on an integer beyond float range.
+        if not hasattr(self.n_steps, "__index__") or not 3 <= self.n_steps <= sys.float_info.max:
+            raise ValueError(
+                f"need a finite integer of at least 3 ramp steps, got {self.n_steps!r}"
+            )
+        object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        fields = (self.omega_start, self.omega_end, self.dwell)
         if not all(math.isfinite(v) for v in fields):
             raise ValueError(f"ramp fields must be finite, got {fields!r}")
         if self.omega_start < 0.0 or self.omega_end < 0.0:
             raise ValueError("drive amplitudes must be >= 0")
         if self.omega_start == self.omega_end:
             raise ValueError("ramp endpoints must differ")
-        if not hasattr(self.n_steps, "__index__") or self.n_steps < 3:
-            raise ValueError(f"need an integer of at least 3 ramp steps, got {self.n_steps!r}")
-        object.__setattr__(self, "n_steps", operator.index(self.n_steps))
         if not self.dwell > 0.0:
             raise ValueError(f"dwell must be positive, got {self.dwell!r}")
 

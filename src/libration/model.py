@@ -15,7 +15,10 @@ and a negative Kerr-type nonlinearity per phonon
 along/across the long axis, obtained from the depolarization factors of the
 equivalent ellipsoid.  Everything in this module is static single-particle
 bookkeeping: geometry, material response, and the numbers (omega_t, eta,
-zero-point scales) that the driven / squeezed dynamics modules consume.
+zero-point scales) that the driven / squeezed dynamics modules consume, plus
+the two rates of a working point: the gas damping gamma_b from the pressure
+and the drive amplitude Omega from the modulation power.  Neither depends on
+the drive frequency, so both are plain functions of the numbers they read.
 
 Units: SI throughout; every frequency-like quantity is an angular frequency in
 rad/s unless a name says otherwise.  Conversions to Hz live in the CLI layer.
@@ -36,7 +39,6 @@ __all__ = [
     "NanoparticleSpec",
     "TrapConfig",
     "ModeParameters",
-    "DriveEnvironment",
     "NoConfinementError",
     "depolarization_factors",
     "susceptibilities",
@@ -164,46 +166,6 @@ class TrapConfig:
             raise ValueError(f"trap power must be positive, got {self.power!r}")
         if not self.waist > 0.0:
             raise ValueError(f"beam waist must be positive, got {self.waist!r}")
-
-
-@dataclass(frozen=True)
-class DriveEnvironment:
-    """External drive and gas environment for the librational mode.
-
-    Parameters
-    ----------
-    power_ml : float
-        Power of the modulation beam driving the mode (W); zero means undriven.
-    omega_ml : float
-        Angular frequency of the drive (rad/s).
-    pressure : float
-        Residual gas pressure (Pa).
-    temperature : float
-        Gas temperature (K).
-    gamma_b_override : float, optional
-        Explicit librational damping rate (rad/s).  When set it bypasses the
-        pressure-proportional model in :func:`gas_damping`.
-    """
-
-    power_ml: float
-    omega_ml: float
-    pressure: float
-    temperature: float
-    gamma_b_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.power_ml < 0.0:
-            raise ValueError(f"drive power must be >= 0, got {self.power_ml!r}")
-        if not self.omega_ml > 0.0:
-            raise ValueError(f"drive frequency must be positive, got {self.omega_ml!r}")
-        if self.pressure < 0.0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure!r}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.gamma_b_override is not None and self.gamma_b_override < 0.0:
-            raise ValueError(
-                f"gamma_b_override must be >= 0, got {self.gamma_b_override!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -342,36 +304,42 @@ def mode_parameters(spec: NanoparticleSpec, trap: TrapConfig) -> ModeParameters:
 def drive_amplitude(
     spec: NanoparticleSpec,
     trap: TrapConfig,
-    env: DriveEnvironment,
+    power_ml: float,
     mode: ModeParameters | None = None,
 ) -> float:
-    """Coherent drive amplitude Omega (rad/s) of the modulation beam.
+    """Coherent drive amplitude Omega (rad/s) of a modulation beam of power ``power_ml`` (W).
 
     Omega = P_ml V (kappa_x - kappa_y) / (pi w0^2 c) * sqrt(2 / (hbar I omega_t)),
 
-    linear in the modulation power P_ml; zero power gives Omega = 0.
-    ``mode`` may be passed to reuse precomputed mode parameters.
+    linear in the modulation power P_ml; zero power gives Omega = 0.  The
+    drive frequency does not enter.  ``mode`` may be passed to reuse
+    precomputed mode parameters.
     """
+    if not power_ml >= 0.0:
+        raise ValueError(f"drive power must be >= 0, got {power_ml!r}")
     if mode is None:
         mode = mode_parameters(spec, trap)
     return (
-        env.power_ml * spec.volume * (mode.kappa_x - mode.kappa_y)
+        power_ml * spec.volume * (mode.kappa_x - mode.kappa_y)
         / (math.pi * trap.waist**2 * C_LIGHT)
         * math.sqrt(2.0 / (HBAR * mode.inertia * mode.omega_t))
     )
 
 
 def gas_damping(
-    env: DriveEnvironment, damping_per_pascal: float = DEFAULT_DAMPING_PER_PASCAL
+    pressure: float, damping_per_pascal: float = DEFAULT_DAMPING_PER_PASCAL
 ) -> float:
-    """Librational damping rate gamma_b (rad/s).
+    """Librational damping rate gamma_b = damping_per_pascal * pressure (rad/s).
 
-    Uses the explicit override when the environment carries one, otherwise the
-    free-molecular-flow proportionality gamma_b = damping_per_pascal * pressure.
+    The free-molecular-flow proportionality to the residual gas pressure
+    (Pa); an explicitly given damping rate replaces this model altogether
+    (see :func:`libration.config.load_config`).
     """
-    if env.gamma_b_override is not None:
-        return env.gamma_b_override
-    return damping_per_pascal * env.pressure
+    if not pressure >= 0.0:
+        raise ValueError(f"pressure must be >= 0, got {pressure!r}")
+    if not damping_per_pascal >= 0.0:
+        raise ValueError(f"damping per pascal must be >= 0, got {damping_per_pascal!r}")
+    return damping_per_pascal * pressure
 
 
 def thermal_occupancy(temperature: float, omega: float) -> float:

@@ -1,7 +1,9 @@
 """Config validation, CSV/SVG artifacts, and end-to-end command-line runs."""
 
+import ast
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -60,8 +62,7 @@ def test_minimal_config_loads(tmp_path):
     assert cfg.particle.r_a == 5e-8 and cfg.particle.r_b == 4e-8
     assert cfg.particle.density == 3500.0  # diamond preset
     assert cfg.trap.power == 0.1
-    assert cfg.pressure == 1.3332236842105263
-    assert cfg.damping_per_pascal == DEFAULT_DAMPING_PER_PASCAL
+    assert cfg.gamma_b == DEFAULT_DAMPING_PER_PASCAL * 1.3332236842105263
     assert cfg.drive is None and cfg.ramp is None and cfg.squeeze is None
 
 
@@ -78,9 +79,29 @@ def test_hz_and_rad_s_suffixes_agree(tmp_path):
     )
     a = load_config(write_cfg(tmp_path, in_hz, "a.json"))
     b = load_config(write_cfg(tmp_path, in_rad, "b.json"))
-    assert a.gamma_b_override == b.gamma_b_override == 1275.3 * TWO_PI
+    assert a.gamma_b == b.gamma_b == 1275.3 * TWO_PI
     assert a.drive.value == b.drive.value == -200.0 * TWO_PI
     assert a.drive.mode == "detuning"
+
+
+def test_damping_per_pascal_sets_gamma_b(tmp_path, capsys):
+    pressure = BASE["environment"]["pressure_pa"]
+    env = {**BASE["environment"], "damping_per_pascal_rad_s": 4321.5}
+    path = write_cfg(tmp_path, with_sections(BASE, environment=env))
+    assert load_config(path).gamma_b == 4321.5 * pressure  # bit for bit
+    # derive reports the resolved damping
+    assert run_cli(["derive", "--config", path, "--out", tmp_path / "out"]) == 0
+    assert f"gamma_b                      {4321.5 * pressure:.10g} rad/s" in capsys.readouterr().out
+    table = read_csv(tmp_path / "out" / "derive.csv")
+    assert dict(zip(table["quantity"], table["value"]))["gamma_b"] == 4321.5 * pressure
+    # an explicit damping rate wins over the pressure model
+    env["gamma_b_hz"] = 1000.0
+    path = write_cfg(tmp_path, with_sections(BASE, environment=env))
+    assert load_config(path).gamma_b == 1000.0 * TWO_PI
+    # a product beyond float range is a config error, not an infinite damping
+    env = {**BASE["environment"], "pressure_pa": 1e300, "damping_per_pascal_rad_s": 1e300}
+    with pytest.raises(ConfigError, match=r"environment: damping_per_pascal_rad_s \* pressure"):
+        load_config(write_cfg(tmp_path, with_sections(BASE, environment=env)))
 
 
 def test_both_unit_suffixes_rejected(tmp_path):
@@ -225,6 +246,10 @@ def test_missing_file_and_bad_json(tmp_path):
         load_config(tmp_path / "nope.json")
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
+    with pytest.raises(ConfigError, match="valid JSON"):
+        load_config(broken)
+    # Python's int() refuses integer literals of more than 4300 digits
+    broken.write_text(json.dumps(BASE)[:-1] + ', "sweep": {"points": 1' + "0" * 5000 + "}}")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(broken)
     listy = tmp_path / "list.json"
@@ -384,6 +409,16 @@ def test_cli_derive_report_and_artifacts(tmp_path, capsys):
     for name in ("omega_t", "eta", "gamma_b", "omega_ml", "delta_ml", "omega_c",
                  "drive_amplitude"):
         assert by_name[f"{name}_over_2pi"] == by_name[name] / TWO_PI
+
+
+def test_cli_derive_reports_a_zero_drive_power(tmp_path):
+    # power_w 0 is a zero drive, as amplitude_* 0 is
+    cfg = write_cfg(tmp_path, with_sections(BASE, drive={"detuning_hz": 200.0,
+                                                         "power_w": 0.0}))
+    assert run_cli(["derive", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    table = read_csv(tmp_path / "out" / "derive.csv")
+    assert table["quantity"] == [q for q, _ in DERIVE_ROWS + DERIVE_DRIVE_ROWS]
+    assert dict(zip(table["quantity"], table["value"]))["drive_amplitude"] == 0.0
 
 
 def test_cli_derive_cold_mode_is_in_its_ground_state(tmp_path):
@@ -623,6 +658,19 @@ def test_cli_squeeze_from_drive(tmp_path, capsys):
     assert np.max(np.abs(closed["S_theta"] - oracle["S_theta"])) > 1e-6
 
 
+def test_cli_squeeze_from_a_zero_drive_power(tmp_path, capsys):
+    # from_drive with power_w 0 squeezes about r = 0, exactly as amplitude_rad_s 0
+    squeeze = {"from_drive": True, "t_max_s": 1e-3, "points": 80}
+    for name, strength in (("power", {"power_w": 0.0}), ("amplitude", {"amplitude_rad_s": 0.0})):
+        cfg = write_cfg(tmp_path, with_sections(
+            WINDOW, drive={**WINDOW["drive"], **strength}, squeeze=squeeze), f"{name}.json")
+        assert run_cli(["squeeze", "--config", cfg, "--out", tmp_path / name]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("r = 0, ")
+    for csv in ("squeeze_closed.csv", "squeeze_oracle.csv"):
+        power, amplitude = (tmp_path / name / csv for name in ("power", "amplitude"))
+        assert power.read_bytes() == amplitude.read_bytes()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["derive", "--config", tmp_path / "missing.json"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -697,6 +745,22 @@ def test_cli_rejects_non_finite_detuning(tmp_path, capsys, value):
     assert "drive.detuning_rad_s" in err and "finite" in err
     assert "Traceback" not in err
     assert not (out / "bistability_summary.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("hysteresis", "ramp", "steps"),
+    ("bistability", "sweep", "points"),
+    ("derive", "derive", "points"),
+    ("squeeze", "squeeze", "points"),
+])
+def test_cli_rejects_counts_beyond_float_range(tmp_path, capsys, command, section, key):
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg[section][key] = 10**400
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {section}.{key}: ")
+    assert "Traceback" not in err
 
 
 def test_non_finite_numbers_rejected_everywhere(tmp_path):
@@ -777,6 +841,25 @@ def test_package_imports_no_numpy(module):
     # only squeezing computes on arrays; every other module loads numpy, if
     # at all, inside the function that needs it (output.read_csv)
     assert _loaded_by_import(module, ("numpy",)) == []
+
+
+@pytest.mark.parametrize("module", [m for m in PACKAGE_MODULES if m != "libration.cli"])
+def test_public_names_resolve(module):
+    # every name a module exports exists; the package's names are its
+    # re-exports, each of which must be the object of the module it names
+    # (cli is the entry point and exports none)
+    mod = importlib.import_module(module)
+    names = list(getattr(mod, "__all__", ()))
+    if module == "libration":
+        tree = ast.parse(Path(mod.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert getattr(mod, alias.name) is getattr(source, alias.name), alias.name
+                    names.append(alias.name)
+    assert names
+    assert [name for name in names if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

@@ -19,7 +19,7 @@ from libration.dynamics import (
     mean_field_rhs,
     quasi_static_sweep,
 )
-from libration.model import gas_damping, mode_parameters
+from libration.model import mode_parameters
 from libration.steadystate import (
     MeanFieldParams,
     beta_from_n,
@@ -229,11 +229,10 @@ def _shipped_hysteresis():
     assert cfg.drive.mode == "detuning"
     mode = mode_parameters(cfg.particle, cfg.trap)
     delta_ml = cfg.drive.value
-    gamma_b = gas_damping(cfg.environment(mode.omega_t + delta_ml), cfg.damping_per_pascal)
     proto = RampProtocol.quasi_static(
-        cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, gamma_b, cfg.ramp.steps
+        cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, cfg.gamma_b, cfg.ramp.steps
     )
-    return hysteresis_sweep(delta_ml, gamma_b, mode.eta, proto, tol=cfg.ramp.tolerance)
+    return hysteresis_sweep(delta_ml, cfg.gamma_b, mode.eta, proto, tol=cfg.ramp.tolerance)
 
 
 def test_sweep_counts_on_shipped_hysteresis_config():
@@ -378,7 +377,8 @@ def test_ramp_protocol_basics():
     with pytest.raises(ValueError):
         RampProtocol.quasi_static(1.0e6, 2.0e6, 0.0, 5)
     for bad in ((1.0e6, 2.0e6, 5, math.inf), (1.0e6, math.nan, 5, 1e-3),
-                (math.inf, 2.0e6, 5, 1e-3), (1.0e6, 2.0e6, math.inf, 1e-3)):
+                (math.inf, 2.0e6, 5, 1e-3), (1.0e6, 2.0e6, math.inf, 1e-3),
+                (1.0e6, 2.0e6, 10**400, 1e-3)):  # a count beyond float range
         with pytest.raises(ValueError, match="finite"):
             RampProtocol(*bad)
 

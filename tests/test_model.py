@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,9 +10,9 @@ import pytest
 from scipy.constants import hbar, k as k_B
 
 import libration
+from libration.config import load_config
 from libration.model import (
     MATERIALS,
-    DriveEnvironment,
     NanoparticleSpec,
     NoConfinementError,
     TrapConfig,
@@ -147,21 +148,31 @@ def test_drive_amplitude_linear_in_power(benchmark_particle, trap):
     mode = mode_parameters(benchmark_particle, trap)
 
     def om(p):
-        env = DriveEnvironment(power_ml=p, omega_ml=mode.omega_t, pressure=1.0,
-                               temperature=300.0)
-        return drive_amplitude(benchmark_particle, trap, env, mode)
+        return drive_amplitude(benchmark_particle, trap, p, mode)
 
     np.testing.assert_allclose(om(1.0), 477104968961.2661, rtol=1e-12)
     np.testing.assert_allclose(om(2e-5) / om(1e-5), 2.0, rtol=1e-13)
     assert om(0.0) == 0.0
+    assert drive_amplitude(benchmark_particle, trap, 1.0) == om(1.0)
+    for bad in (-1e-5, math.nan):
+        with pytest.raises(ValueError, match="drive power"):
+            om(bad)
 
 
-def test_gas_damping_and_override():
-    env = DriveEnvironment(power_ml=0.0, omega_ml=1e6, pressure=2.0, temperature=300.0)
-    np.testing.assert_allclose(gas_damping(env, 5000.0), 10000.0, rtol=1e-14)
-    env = DriveEnvironment(power_ml=0.0, omega_ml=1e6, pressure=2.0,
-                           temperature=300.0, gamma_b_override=123.0)
-    assert gas_damping(env, 5000.0) == 123.0
+def test_gas_damping_and_override(tmp_path):
+    np.testing.assert_allclose(gas_damping(2.0, 5000.0), 10000.0, rtol=1e-14)
+    for bad in ((-1.0, 5000.0), (math.nan, 5000.0), (2.0, -1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            gas_damping(*bad)
+    # an explicit damping rate replaces the pressure model when the config loads
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "particle": {"material": "diamond", "r_a_m": 5e-8, "r_b_m": 4e-8},
+        "trap": {"power_w": 0.1, "waist_m": 6e-7},
+        "environment": {"pressure_pa": 2.0, "temperature_k": 300.0,
+                        "damping_per_pascal_rad_s": 5000.0, "gamma_b_rad_s": 123.0},
+    }))
+    assert load_config(path).gamma_b == 123.0
 
 
 def test_thermal_occupancy():

@@ -7,7 +7,7 @@ model       particle/trap geometry -> mode frequency, nonlinearity, zero-point s
 steadystate driven-mode mean-field steady states, stability, bistability diagrams
 dynamics    time integration and quasi-static hysteresis sweeps
 squeezing   variance evolution of the linearized fluctuations, closed forms + oracle
-config      JSON run configuration, validated into SI values, gas damping resolved once
+config      JSON run configuration: validated SI values, the working point resolved once
 output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
 

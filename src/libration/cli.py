@@ -23,13 +23,8 @@ from pathlib import Path
 
 from libration import __version__
 from libration.config import ConfigError, RunConfig, load_config
-from libration.model import (
-    NanoparticleSpec,
-    NoConfinementError,
-    drive_amplitude,
-    mode_parameters,
-    thermal_occupancy,
-)
+from libration.model import (NanoparticleSpec, NoConfinementError, mode_parameters,
+                             thermal_occupancy)
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
@@ -47,37 +42,11 @@ class NumericalError(RuntimeError):
     """A solver or integrator failed to produce a usable result."""
 
 
-def _drive_frequencies(cfg: RunConfig, omega_t: float) -> tuple[float, float]:
-    """(omega_ml, delta_ml) in rad/s from an absolute frequency or a detuning."""
-    if cfg.drive.mode == "frequency":
-        omega_ml = cfg.drive.value
-        return omega_ml, omega_ml - omega_t
-    omega_ml = omega_t + cfg.drive.value
-    if not omega_ml > 0.0:
-        raise ConfigError(
-            f"config error at drive: detuning {cfg.drive.value!r} rad/s puts the drive "
-            f"frequency omega_ml = omega_t + detuning = {omega_ml!r} rad/s at or below "
-            f"zero (omega_t = {omega_t!r} rad/s)"
-        )
-    return omega_ml, cfg.drive.value
-
-
-def _driven_mode(cfg: RunConfig, command: str, section: str):
-    """(mode, delta_ml) for a command that needs a drive and its own ``section``."""
+def _need_sections(cfg: RunConfig, command: str, section: str) -> None:
+    """Reject a config without a drive or without the command's own ``section``."""
     for name in ("drive", section):
         if getattr(cfg, name) is None:
             raise ConfigError(f"config error: the '{command}' command needs a '{name}' section")
-    mode = mode_parameters(cfg.particle, cfg.trap)
-    return mode, _drive_frequencies(cfg, mode.omega_t)[1]
-
-
-def _drive_strength(cfg: RunConfig, mode) -> float | None:
-    """Resolve the drive amplitude Omega (rad/s), if the config defines one."""
-    if cfg.drive.amplitude is not None:
-        return cfg.drive.amplitude
-    if cfg.drive.power_w is not None:
-        return drive_amplitude(cfg.particle, cfg.trap, cfg.drive.power_w, mode)
-    return None
 
 
 def _fmt(value: float) -> str:
@@ -100,10 +69,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
-    spec = cfg.particle
-    mode = mode_parameters(spec, cfg.trap)
-    drive = None if cfg.drive is None else _drive_frequencies(cfg, mode.omega_t)
-    nbar = thermal_occupancy(cfg.temperature, mode.omega_t)
+    spec, mode, drive = cfg.particle, cfg.mode, cfg.drive
 
     # (quantity, value, unit) rows of derive.csv, each with its report line
     # unless a shared line reports several
@@ -132,20 +98,19 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     put("theta0", mode.theta0, "rad")
     put("J0", mode.J0, "J s")
     freq("gamma_b", cfg.gamma_b)
-    put("thermal_occupancy", nbar, "1", "thermal occupancy")
+    put("thermal_occupancy", thermal_occupancy(cfg.temperature, mode.omega_t), "1",
+        "thermal occupancy")
     if drive is not None:
-        omega_ml, delta_ml = drive
-        freq("omega_ml", omega_ml)
-        freq("delta_ml", delta_ml)
+        freq("omega_ml", drive.omega_ml)
+        freq("delta_ml", drive.delta_ml)
         bistable, omega_c = bistability_condition(
-            omega_ml, mode.omega_t, mode.eta, cfg.gamma_b
+            drive.omega_ml, mode.omega_t, mode.eta, cfg.gamma_b
         )
         freq("omega_c", omega_c)
         lines.append(f"{'bistable at this drive freq':28s} {'yes' if bistable else 'no'}")
         rows.append(("bistable", float(bistable), "bool"))
-        strength = _drive_strength(cfg, mode)
-        if strength is not None:
-            freq("drive_amplitude", strength, "drive amplitude")
+        if drive.amplitude is not None:
+            freq("drive_amplitude", drive.amplitude, "drive amplitude")
     print("\n".join(lines))
     write_csv(out / "derive.csv", dict(zip(("quantity", "value", "unit"), zip(*rows))))
 
@@ -196,9 +161,10 @@ def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
 
 
 def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
-    mode, delta_ml = _driven_mode(cfg, "bistability", "sweep")
+    _need_sections(cfg, "bistability", "sweep")
     grid = _linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
-    diagram = sweep_diagram(grid, delta_ml, cfg.gamma_b, mode.eta, mode.omega_t)
+    diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
+                            cfg.mode.omega_t)
 
     _write_rows(out / "bistability.csv", [{
         "omega_drive": w,
@@ -245,23 +211,19 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
 def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.dynamics import RampProtocol, hysteresis_sweep
 
-    mode, delta_ml = _driven_mode(cfg, "hysteresis", "ramp")
-    if cfg.ramp.dwell_s is not None:
-        protocol = RampProtocol(
-            cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop,
-            cfg.ramp.steps, cfg.ramp.dwell_s,
-        )
+    _need_sections(cfg, "hysteresis", "ramp")
+    ramp = cfg.ramp
+    if ramp.dwell_s is not None:
+        protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps,
+                                ramp.dwell_s)
+    elif cfg.gamma_b > 0.0:
+        protocol = RampProtocol.quasi_static(ramp.amplitude_start, ramp.amplitude_stop,
+                                             cfg.gamma_b, ramp.steps)
     else:
-        if not cfg.gamma_b > 0.0:
-            raise ConfigError(
-                "config error: ramp.dwell_s is required when gamma_b is zero "
-                "(no damping time to set the quasi-static dwell)"
-            )
-        protocol = RampProtocol.quasi_static(
-            cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, cfg.gamma_b, cfg.ramp.steps
-        )
+        raise ConfigError("config error: ramp.dwell_s is required when gamma_b is zero "
+                          "(no damping time to set the quasi-static dwell)")
     result = hysteresis_sweep(
-        delta_ml, cfg.gamma_b, mode.eta, protocol, tol=cfg.ramp.tolerance
+        cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol, tol=ramp.tolerance
     )
     for sweep in (result.up, result.down):
         if not sweep.trajectory.complete:
@@ -311,17 +273,16 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         )
 
 
-def _squeeze_reference(cfg: RunConfig, mode, delta_ml: float):
+def _squeeze_reference(cfg: RunConfig):
     """(r, default_phi) from the chosen steady branch of the driven mode."""
-    strength = _drive_strength(cfg, mode)
-    if strength is None:
+    drive = cfg.drive
+    if drive.amplitude is None:
         raise ConfigError(
             "config error: squeeze.from_drive needs a drive amplitude "
             "('power_w' or 'amplitude_*') in the drive section"
         )
-    branches = solve_branches(
-        MeanFieldParams(delta_ml=delta_ml, Omega=strength, gamma_b=cfg.gamma_b, eta=mode.eta)
-    )
+    branches = solve_branches(MeanFieldParams(delta_ml=drive.delta_ml, Omega=drive.amplitude,
+                                              gamma_b=cfg.gamma_b, eta=cfg.mode.eta))
     stable = [b for b in branches if b.stable]
     if not stable:
         raise NumericalError("no stable steady branch at the configured drive")
@@ -336,14 +297,10 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.squeezing import (exponential_angle, moment_oracle, squeeze_params,
                                      variance_J_closed, variance_theta_closed)
 
-    mode, delta_ml = _driven_mode(cfg, "squeeze", "squeeze")
-    sq = cfg.squeeze
-    if sq.thermal:
-        nbar = thermal_occupancy(cfg.temperature, mode.omega_t)
-    else:
-        nbar = sq.nbar if sq.nbar is not None else 0.0
+    _need_sections(cfg, "squeeze", "squeeze")
+    sq, nbar = cfg.squeeze, cfg.squeeze.nbar
     if sq.from_drive:
-        r, phi_default = _squeeze_reference(cfg, mode, delta_ml)
+        r, phi_default = _squeeze_reference(cfg)
         phis = sq.phi_rad if sq.phi_rad else (phi_default,)
     else:
         r, phis = sq.r, sq.phi_rad
@@ -363,7 +320,7 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
 
     svg_series = []
     for idx, phi in enumerate(phis):
-        params = squeeze_params(delta_ml, mode.eta, r, phi, nbar)
+        params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
         suffix = "" if len(phis) == 1 else f"_{idx}"
         s_th = np.asarray(variance_theta_closed(t, params))
         s_j = np.asarray(variance_J_closed(t, params))

@@ -10,24 +10,39 @@ enforced here so they hold everywhere downstream:
   the package speaks rad/s only);
 * material presets ("diamond", "silica") are expanded before validation, so
   explicit ``density_kg_m3`` / ``eps_r`` values may override preset fields;
-* the gas damping is resolved here, once: an explicit ``gamma_b_*`` wins,
-  else ``gamma_b = damping_per_pascal_rad_s * pressure_pa`` (the default
-  constant is :data:`~libration.model.DEFAULT_DAMPING_PER_PASCAL`), and the
-  commands read only the result, ``RunConfig.gamma_b``.
+* the working point is resolved here, once, and the commands read only the
+  results: ``RunConfig.gamma_b`` (an explicit ``gamma_b_*``, else
+  ``damping_per_pascal_rad_s * pressure_pa``, by default
+  :data:`~libration.model.DEFAULT_DAMPING_PER_PASCAL`), ``RunConfig.mode``
+  (``mode_parameters(particle, trap)``), ``RunConfig.drive`` (``omega_ml`` and
+  ``delta_ml`` from a frequency or a detuning, ``amplitude`` from
+  ``amplitude_*`` or ``drive_amplitude(..., power_w, mode)``, else None) and
+  ``SqueezeSettings.nbar`` (the thermal occupancy at omega_t when ``thermal``
+  is set, else ``nbar``, else 0).
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
-offending key.
+offending key.  The mode is derived after every section is valid, so a config
+error comes before the ``NoConfinementError`` of a spherical particle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from libration.model import MATERIALS, NanoparticleSpec, TrapConfig, gas_damping
-from libration.model import DEFAULT_DAMPING_PER_PASCAL
+from libration.model import (
+    DEFAULT_DAMPING_PER_PASCAL,
+    MATERIALS,
+    ModeParameters,
+    NanoparticleSpec,
+    TrapConfig,
+    drive_amplitude,
+    gas_damping,
+    mode_parameters,
+    thermal_occupancy,
+)
 
 __all__ = [
     "ConfigError",
@@ -84,11 +99,8 @@ def _number(section: dict, path: str, key: str, *, required: bool = True,
     if not _is_finite_number(value):
         _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
     value = float(value)
-    if minimum is not None:
-        if strict and not value > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum}, got {value}")
-        if not strict and not value >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        _fail(f"{path}.{key}", f"must be {'>' if strict else '>='} {minimum}, got {value}")
     return value
 
 
@@ -115,30 +127,27 @@ def _frequency(section: dict, path: str, base: str, *, required: bool = True,
     if key_hz in section and key_rad in section:
         _fail(path, f"give exactly one of '{key_hz}' or '{key_rad}', not both")
     if key_hz in section:
-        value = _number(section, path, key_hz)
-        value *= TWO_PI
+        value = _number(section, path, key_hz) * TWO_PI
+        if not math.isfinite(value):
+            _fail(f"{path}.{key_hz}", f"{section[key_hz]!r} Hz overflows float range in rad/s")
     elif key_rad in section:
         value = _number(section, path, key_rad)
     else:
         if required:
             _fail(path, f"missing frequency key '{key_hz}' or '{key_rad}'")
         return None
-    if minimum is not None:
-        if strict and not value > minimum:
-            _fail(path, f"'{base}' must be > {minimum} rad/s, got {value}")
-        if not strict and not value >= minimum:
-            _fail(path, f"'{base}' must be >= {minimum} rad/s, got {value}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        _fail(path, f"'{base}' must be {'>' if strict else '>='} {minimum} rad/s, got {value}")
     return value
 
 
 @dataclass(frozen=True)
 class DriveSettings:
-    """Drive specification; the frequency is either absolute or a detuning."""
+    """The resolved drive, in rad/s; ``amplitude`` is None when no strength is given."""
 
-    mode: str  # "frequency" | "detuning"
-    value: float  # rad/s
-    power_w: float | None = None
-    amplitude: float | None = None  # rad/s, direct Omega override
+    omega_ml: float
+    delta_ml: float  # omega_ml - omega_t
+    amplitude: float | None
 
 
 @dataclass(frozen=True)
@@ -162,8 +171,7 @@ class SqueezeSettings:
     from_drive: bool
     r: float | None
     phi_rad: tuple[float, ...]
-    nbar: float | None
-    thermal: bool
+    nbar: float  # initial (and oracle bath) occupation
     t_max_s: float
     points: int
     include_damping: bool
@@ -182,6 +190,7 @@ class ScanSettings:
 class RunConfig:
     particle: NanoparticleSpec
     trap: TrapConfig
+    mode: ModeParameters
     gamma_b: float  # rad/s, resolved from the environment section
     temperature: float
     drive: DriveSettings | None = None
@@ -232,7 +241,8 @@ def _parse_trap(section: dict) -> TrapConfig:
     )
 
 
-def _parse_drive(section: dict) -> DriveSettings:
+def _parse_drive(section: dict) -> tuple[float | None, float | None, float | None, float | None]:
+    """The validated (frequency, detuning, power_w, amplitude) of the drive."""
     path = "drive"
     _check_known(section, path, {
         "frequency_hz", "frequency_rad_s", "detuning_hz", "detuning_rad_s",
@@ -246,12 +256,25 @@ def _parse_drive(section: dict) -> DriveSettings:
     amplitude = _frequency(section, path, "amplitude", required=False, minimum=0.0)
     if power is not None and amplitude is not None:
         _fail(path, "give at most one of 'power_w' or a direct 'amplitude'")
-    return DriveSettings(
-        mode="frequency" if freq is not None else "detuning",
-        value=freq if freq is not None else det,
-        power_w=power,
-        amplitude=amplitude,
-    )
+    return freq, det, power, amplitude
+
+
+def _resolve_drive(freq, det, power, amplitude, particle: NanoparticleSpec, trap: TrapConfig,
+                   mode: ModeParameters) -> DriveSettings:
+    """The drive of ``_parse_drive``'s values at the particle's mode."""
+    if freq is not None:
+        omega_ml, delta_ml = freq, freq - mode.omega_t
+    else:
+        omega_ml, delta_ml = mode.omega_t + det, det
+        if not omega_ml > 0.0:
+            _fail("drive", f"detuning {det!r} rad/s puts the drive frequency omega_ml = "
+                  f"omega_t + detuning = {omega_ml!r} rad/s at or below zero "
+                  f"(omega_t = {mode.omega_t!r} rad/s)")
+    if power is not None:
+        amplitude = drive_amplitude(particle, trap, power, mode)
+        if not math.isfinite(amplitude):
+            _fail("drive", f"the drive amplitude from power_w {power!r} W overflows float range")
+    return DriveSettings(omega_ml, delta_ml, amplitude)
 
 
 def _parse_sweep(section: dict) -> SweepSettings:
@@ -285,6 +308,7 @@ def _parse_ramp(section: dict) -> RampSettings:
 
 
 def _parse_squeeze(section: dict) -> SqueezeSettings:
+    """The squeeze settings; ``load_config`` sets ``nbar`` when ``thermal`` is true."""
     path = "squeeze"
     _check_known(section, path, {
         "r", "from_drive", "phi_rad", "nbar", "thermal",
@@ -323,8 +347,7 @@ def _parse_squeeze(section: dict) -> SqueezeSettings:
         from_drive=from_drive,
         r=r,
         phi_rad=phis,
-        nbar=nbar,
-        thermal=thermal,
+        nbar=0.0 if nbar is None else nbar,
         t_max_s=_number(section, path, "t_max_s", minimum=0.0, strict=True),
         points=_integer(section, path, "points", required=False, minimum=2) or 400,
         include_damping=include_damping,
@@ -350,10 +373,12 @@ def _parse_scan(section: dict) -> ScanSettings:
 def load_config(path: str | Path) -> RunConfig:
     """Load, validate, and resolve a JSON run configuration."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except OSError as exc:  # a directory, a file without read permission
+        raise ConfigError(f"config error: cannot read {p} ({exc.strerror})") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config error: {p} is not valid JSON ({exc})") from exc
     root = _require_mapping(raw, "(root)")
@@ -379,15 +404,17 @@ def load_config(path: str | Path) -> RunConfig:
         gamma_b = gas_damping(pressure, DEFAULT_DAMPING_PER_PASCAL if damping is None else damping)
         if not math.isfinite(gamma_b):
             _fail("environment", "damping_per_pascal_rad_s * pressure_pa overflows float range")
+    drive, sweep, ramp, squeeze, scan = (
+        parse(_require_mapping(root[name], name)) if name in root else None
+        for name, parse in (("drive", _parse_drive), ("sweep", _parse_sweep),
+                            ("ramp", _parse_ramp), ("squeeze", _parse_squeeze),
+                            ("derive", _parse_scan))
+    )
+    mode = mode_parameters(particle, trap)
+    if squeeze is not None and root["squeeze"].get("thermal", False):
+        squeeze = replace(squeeze, nbar=thermal_occupancy(temperature, mode.omega_t))
     return RunConfig(
-        particle=particle,
-        trap=trap,
-        gamma_b=gamma_b,
-        temperature=temperature,
-        drive=_parse_drive(_require_mapping(root["drive"], "drive")) if "drive" in root else None,
-        sweep=_parse_sweep(_require_mapping(root["sweep"], "sweep")) if "sweep" in root else None,
-        ramp=_parse_ramp(_require_mapping(root["ramp"], "ramp")) if "ramp" in root else None,
-        squeeze=_parse_squeeze(_require_mapping(root["squeeze"], "squeeze"))
-        if "squeeze" in root else None,
-        scan=_parse_scan(_require_mapping(root["derive"], "derive")) if "derive" in root else None,
+        particle, trap, mode, gamma_b, temperature,
+        drive=None if drive is None else _resolve_drive(*drive, particle, trap, mode),
+        sweep=sweep, ramp=ramp, squeeze=squeeze, scan=scan,
     )

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import libration
 from libration.cli import _linspace, main
 from libration.config import ConfigError, load_config
-from libration.model import DEFAULT_DAMPING_PER_PASCAL, mode_parameters
+from libration.model import DEFAULT_DAMPING_PER_PASCAL, mode_parameters, thermal_occupancy
 from libration.output import read_csv, svg_line_chart, write_csv
 from libration.steadystate import turning_points
 
@@ -63,6 +63,7 @@ def test_minimal_config_loads(tmp_path):
     assert cfg.particle.density == 3500.0  # diamond preset
     assert cfg.trap.power == 0.1
     assert cfg.gamma_b == DEFAULT_DAMPING_PER_PASCAL * 1.3332236842105263
+    assert cfg.mode == mode_parameters(cfg.particle, cfg.trap)
     assert cfg.drive is None and cfg.ramp is None and cfg.squeeze is None
 
 
@@ -80,8 +81,7 @@ def test_hz_and_rad_s_suffixes_agree(tmp_path):
     a = load_config(write_cfg(tmp_path, in_hz, "a.json"))
     b = load_config(write_cfg(tmp_path, in_rad, "b.json"))
     assert a.gamma_b == b.gamma_b == 1275.3 * TWO_PI
-    assert a.drive.value == b.drive.value == -200.0 * TWO_PI
-    assert a.drive.mode == "detuning"
+    assert a.drive.delta_ml == b.drive.delta_ml == -200.0 * TWO_PI
 
 
 def test_damping_per_pascal_sets_gamma_b(tmp_path, capsys):
@@ -244,6 +244,10 @@ def test_cli_derive_scan_rejects_zero_radius(tmp_path, capsys):
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
+    # a path that exists but is no readable file
+    with pytest.raises(ConfigError, match="cannot read") as exc:
+        load_config(tmp_path)
+    assert str(tmp_path) in str(exc.value)
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
@@ -658,6 +662,26 @@ def test_cli_squeeze_from_drive(tmp_path, capsys):
     assert np.max(np.abs(closed["S_theta"] - oracle["S_theta"])) > 1e-6
 
 
+def test_cli_squeeze_thermal_occupation(tmp_path, capsys):
+    # thermal: true starts the traces, and damps the oracle, at the mode's
+    # Bose-Einstein occupancy at temperature_k
+    cfg = write_cfg(tmp_path, with_sections(
+        BASE,
+        drive={"detuning_hz": 200.0},
+        squeeze={"r": 40.0, "phi_rad": math.pi, "t_max_s": 1e-3, "points": 50,
+                 "thermal": True},
+    ))
+    out = tmp_path / "out"
+    assert run_cli(["squeeze", "--config", cfg, "--out", out]) == 0
+    loaded = load_config(cfg)
+    nbar = thermal_occupancy(300.0, mode_parameters(loaded.particle, loaded.trap).omega_t)
+    assert nbar > 1e6  # room temperature
+    assert f", nbar = {nbar:.10g}, " in capsys.readouterr().out.splitlines()[-1]
+    for name in ("squeeze_closed.csv", "squeeze_oracle.csv"):
+        assert read_csv(out / name)["S_theta"][0] == pytest.approx((2.0 * nbar + 1.0) / 4.0,
+                                                                    rel=1e-12)
+
+
 def test_cli_squeeze_from_a_zero_drive_power(tmp_path, capsys):
     # from_drive with power_w 0 squeezes about r = 0, exactly as amplitude_rad_s 0
     squeeze = {"from_drive": True, "t_max_s": 1e-3, "points": 80}
@@ -763,6 +787,54 @@ def test_cli_rejects_counts_beyond_float_range(tmp_path, capsys, command, sectio
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("bistability", "environment", "gamma_b"),
+    ("bistability", "sweep", "amplitude_max"),
+    ("squeeze", "drive", "detuning"),
+])
+def test_cli_rejects_hz_values_beyond_float_range(tmp_path, capsys, command, section, key):
+    # 1e308 Hz is a finite number, but 2 pi times it is not
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg[section].pop(f"{key}_rad_s", None)
+    cfg[section][f"{key}_hz"] = 1e308
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {section}.{key}_hz: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["derive", "squeeze"])
+def test_cli_rejects_a_drive_power_whose_amplitude_overflows(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        drive={**WINDOW["drive"], "power_w": 1e308},
+        squeeze={"from_drive": True, "t_max_s": 1e-3, "points": 80},
+    ))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at drive: ") and "power_w" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, bad", [
+    ("derive", "drive", {"power_w": 1e-5}),
+    ("bistability", "sweep", {"points": 5}),
+    ("squeeze", "squeeze", {"r": 1.0}),
+])
+def test_cli_sphere_reports_config_errors_first(tmp_path, capsys, command, section, bad):
+    # a sphere has no librational mode (exit 2), but only once every
+    # section is valid: an invalid one is a config error (exit 1)
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg["particle"] = {"material": "diamond", "r_a_m": 5e-8, "eccentricity": 0.0}
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 2
+    assert "no librational confinement" in capsys.readouterr().err
+    cfg[section] = bad
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error at {section}")
+
+
 def test_non_finite_numbers_rejected_everywhere(tmp_path):
     for section, key in (("trap", "power_w"), ("environment", "temperature_k")):
         for value in (math.nan, -math.inf, 10**400):
@@ -860,6 +932,26 @@ def test_public_names_resolve(module):
                     names.append(alias.name)
     assert names
     assert [name for name in names if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", [m for m in PACKAGE_MODULES if m != "libration"])
+def test_no_unused_imports(module):
+    # every name a module imports is read somewhere in it, or exported by
+    # __all__ (the package's own imports are its re-exports, held to their
+    # sources by test_public_names_resolve)
+    mod = importlib.import_module(module)
+    tree = ast.parse(Path(mod.__file__).read_text())
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(mod, "__all__", ()))
+    assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

@@ -226,9 +226,8 @@ def _shipped_hysteresis():
     """The CLI's sweep of configs/hysteresis.json."""
     root = Path(libration.__file__).resolve().parents[2]
     cfg = load_config(root / "configs" / "hysteresis.json")
-    assert cfg.drive.mode == "detuning"
     mode = mode_parameters(cfg.particle, cfg.trap)
-    delta_ml = cfg.drive.value
+    delta_ml = cfg.drive.delta_ml
     proto = RampProtocol.quasi_static(
         cfg.ramp.amplitude_start, cfg.ramp.amplitude_stop, cfg.gamma_b, cfg.ramp.steps
     )

@@ -49,6 +49,14 @@ def _need_sections(cfg: RunConfig, command: str, section: str) -> None:
             raise ConfigError(f"config error: the '{command}' command needs a '{name}' section")
 
 
+def _grid(values, section: str, keys: str):
+    """``values``, or a config error naming ``keys`` when neighbouring points collide."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"config error at {section}: {keys} give a grid whose points "
+                          "collide; widen the span or use fewer points")
+    return values
+
+
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
@@ -162,7 +170,8 @@ def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
 
 def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     _need_sections(cfg, "bistability", "sweep")
-    grid = _linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points)
+    grid = _grid(_linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points),
+                 "sweep", "amplitude_min_*, amplitude_max_* and points")
     diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
 
@@ -213,15 +222,7 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
 
     _need_sections(cfg, "hysteresis", "ramp")
     ramp = cfg.ramp
-    if ramp.dwell_s is not None:
-        protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps,
-                                ramp.dwell_s)
-    elif cfg.gamma_b > 0.0:
-        protocol = RampProtocol.quasi_static(ramp.amplitude_start, ramp.amplitude_stop,
-                                             cfg.gamma_b, ramp.steps)
-    else:
-        raise ConfigError("config error: ramp.dwell_s is required when gamma_b is zero "
-                          "(no damping time to set the quasi-static dwell)")
+    protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
     result = hysteresis_sweep(
         cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol, tol=ramp.tolerance
     )
@@ -264,8 +265,8 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         svg_line_chart(
             out / "hysteresis.svg",
             [
-                ("up sweep", result.up.drives, result.up.n),
-                ("down sweep", result.down.drives, result.down.n),
+                ("up sweep", result.up.trajectory.omega_applied, result.up.trajectory.n),
+                ("down sweep", result.down.trajectory.omega_applied, result.down.trajectory.n),
             ],
             title="Quasi-static amplitude ramp",
             x_label="drive amplitude (rad/s)",
@@ -304,7 +305,7 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
         phis = sq.phi_rad if sq.phi_rad else (phi_default,)
     else:
         r, phis = sq.r, sq.phi_rad
-    t = np.linspace(0.0, sq.t_max_s, sq.points)
+    t = _grid(np.linspace(0.0, sq.t_max_s, sq.points), "squeeze", "t_max_s and points")
     oracle_gamma = cfg.gamma_b if sq.include_damping else 0.0
     floor = (2.0 * nbar + 1.0) / 4.0
 

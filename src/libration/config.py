@@ -18,11 +18,14 @@ enforced here so they hold everywhere downstream:
   ``delta_ml`` from a frequency or a detuning, ``amplitude`` from
   ``amplitude_*`` or ``drive_amplitude(..., power_w, mode)``, else None) and
   ``SqueezeSettings.nbar`` (the thermal occupancy at omega_t when ``thermal``
-  is set, else ``nbar``, else 0).
+  is set, else ``nbar``, else 0) and ``RampSettings.dwell`` (``dwell_s``, else
+  ``DWELL_DAMPING_CYCLES / gamma_b``).
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
-error comes before the ``NoConfinementError`` of a spherical particle.
+error comes before the ``NoConfinementError`` of a spherical particle.  A mode
+beyond float range is a config error that names the particle when its moment
+of inertia is beyond float range, else the trap.
 """
 
 from __future__ import annotations
@@ -34,13 +37,16 @@ from pathlib import Path
 
 from libration.model import (
     DEFAULT_DAMPING_PER_PASCAL,
+    DWELL_DAMPING_CYCLES,
     MATERIALS,
     ModeParameters,
     NanoparticleSpec,
+    NoConfinementError,
     TrapConfig,
     drive_amplitude,
     gas_damping,
     mode_parameters,
+    rotational_inertia,
     thermal_occupancy,
 )
 
@@ -162,7 +168,7 @@ class RampSettings:
     amplitude_start: float
     amplitude_stop: float
     steps: int
-    dwell_s: float | None
+    dwell: float  # s per step: dwell_s, else DWELL_DAMPING_CYCLES / gamma_b
     tolerance: float
 
 
@@ -290,7 +296,7 @@ def _parse_sweep(section: dict) -> SweepSettings:
     return SweepSettings(lo, hi, _integer(section, path, "points", minimum=2))
 
 
-def _parse_ramp(section: dict) -> RampSettings:
+def _parse_ramp(section: dict, gamma_b: float) -> RampSettings:
     path = "ramp"
     _check_known(section, path, {
         "amplitude_start_hz", "amplitude_start_rad_s",
@@ -303,6 +309,14 @@ def _parse_ramp(section: dict) -> RampSettings:
         _fail(path, "amplitude_stop must exceed amplitude_start (the ramp runs up, then back down)")
     steps = _integer(section, path, "steps", minimum=3)
     dwell = _number(section, path, "dwell_s", required=False, minimum=0.0, strict=True)
+    if dwell is None:
+        if not gamma_b > 0.0:
+            raise ConfigError("config error: ramp.dwell_s is required when gamma_b is zero "
+                              "(no damping time to set the quasi-static dwell)")
+        dwell = DWELL_DAMPING_CYCLES / gamma_b
+        if not math.isfinite(dwell):
+            _fail(path, f"the default dwell {DWELL_DAMPING_CYCLES:g} / gamma_b overflows "
+                  f"float range at gamma_b = {gamma_b!r} rad/s; give 'dwell_s'")
     tol = _number(section, path, "tolerance", required=False, minimum=0.0, strict=True)
     return RampSettings(start, stop, steps, dwell, tol if tol is not None else 1e-8)
 
@@ -407,10 +421,21 @@ def load_config(path: str | Path) -> RunConfig:
     drive, sweep, ramp, squeeze, scan = (
         parse(_require_mapping(root[name], name)) if name in root else None
         for name, parse in (("drive", _parse_drive), ("sweep", _parse_sweep),
-                            ("ramp", _parse_ramp), ("squeeze", _parse_squeeze),
-                            ("derive", _parse_scan))
+                            ("ramp", lambda ramp: _parse_ramp(ramp, gamma_b)),
+                            ("squeeze", _parse_squeeze), ("derive", _parse_scan))
     )
-    mode = mode_parameters(particle, trap)
+    try:
+        mode = mode_parameters(particle, trap)
+    except NoConfinementError:
+        raise
+    except (ArithmeticError, ValueError):  # an overflow, or a mode beyond float range
+        try:
+            inertia_ok = 0.0 < rotational_inertia(particle) < math.inf
+        except OverflowError:
+            inertia_ok = False
+        if inertia_ok:
+            _fail("trap", "the particle's librational mode in this trap is beyond float range")
+        _fail("particle", "its moment of inertia is beyond float range")
     if squeeze is not None and root["squeeze"].get("thermal", False):
         squeeze = replace(squeeze, nbar=thermal_occupancy(temperature, mode.omega_t))
     return RunConfig(

@@ -34,6 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+from libration.model import DWELL_DAMPING_CYCLES
 from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, turning_points
 
 __all__ = [
@@ -47,10 +48,6 @@ __all__ = [
     "quasi_static_sweep",
     "hysteresis_sweep",
 ]
-
-#: Default dwell per ramp step, in units of 1/gamma_b.
-DWELL_DAMPING_CYCLES = 20.0
-
 
 def mean_field_rhs(beta: complex, params: MeanFieldParams) -> complex:
     """d(beta)/dt = (i delta_ml - gamma_b/2 + 12 i eta (|beta|^2 + 1)) beta - i Omega/2."""
@@ -81,9 +78,6 @@ class Trajectory:
     def n(self) -> list[float]:
         """Occupation |beta(t)|^2, as re*re + im*im."""
         return [b.real * b.real + b.imag * b.imag for b in self.beta]
-
-    def final_beta(self) -> complex:
-        return complex(self.beta[-1])
 
 
 def _rhs_constants(params: MeanFieldParams) -> tuple[float, float, float, float]:
@@ -300,28 +294,9 @@ class RampProtocol:
         if not self.dwell > 0.0:
             raise ValueError(f"dwell must be positive, got {self.dwell!r}")
 
-    @classmethod
-    def quasi_static(
-        cls,
-        omega_start: float,
-        omega_end: float,
-        gamma_b: float,
-        n_steps: int,
-        dwell_cycles: float = DWELL_DAMPING_CYCLES,
-    ) -> "RampProtocol":
-        """Ramp with dwell = dwell_cycles / gamma_b (default 20 damping times)."""
-        if not gamma_b > 0.0:
-            raise ValueError("quasi-static dwell needs gamma_b > 0")
-        return cls(omega_start, omega_end, n_steps, dwell_cycles / gamma_b)
-
     @property
     def direction(self) -> str:
         return "up" if self.omega_end > self.omega_start else "down"
-
-    @property
-    def ramp_rate(self) -> float:
-        """Mean amplitude slew rate in rad/s per second."""
-        return (self.omega_end - self.omega_start) / (self.n_steps * self.dwell)
 
     def amplitudes(self) -> list[float]:
         """The plateau drives, ``np.linspace(omega_start, omega_end, n_steps)`` bit for bit."""
@@ -333,7 +308,7 @@ class RampProtocol:
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """Fold crossing: the first plateau ``step`` whose end state left its branch.
+    """Fold crossing: the first plateau whose end state left its branch.
 
     ``drive`` is the midpoint of the two plateau amplitudes bracketing the
     jump; ``delta_eff_before`` is the effective detuning of the last settled
@@ -342,10 +317,7 @@ class JumpEvent:
     refined; the drive coordinates converge much faster.
     """
 
-    step: int
     drive: float
-    drive_before: float
-    drive_after: float
     n_before: float
     n_after: float
     delta_eff_before: float
@@ -355,22 +327,17 @@ class JumpEvent:
 class SweepResult:
     """One quasi-static ramp: per-plateau end states plus its fold crossing.
 
-    ``turning`` is the closed-form fold pair (None when the S-curve does not
-    fold); ``jump`` is the first fold crossing, or None: n[k-1] <= n_low <
-    n[k] on an up ramp, n[k-1] >= n_high > n[k] on a down ramp.
+    ``trajectory`` holds one sample per plateau: its drive, end state and
+    occupation.  ``turning`` is the closed-form fold pair (None when the
+    S-curve does not fold); ``jump`` is the first fold crossing, or None:
+    n[k-1] <= n_low < n[k] on an up ramp, n[k-1] >= n_high > n[k] on a down
+    ramp.
     """
 
-    drives: list[float]
-    beta: list[complex]
     trajectory: Trajectory
     jump: JumpEvent | None
     direction: str
     turning: TurningPoints | None
-
-    @property
-    def n(self) -> list[float]:
-        """Plateau occupations: those of ``trajectory``, which holds ``beta``."""
-        return self.trajectory.n
 
 
 def _fold_crossing(
@@ -384,10 +351,7 @@ def _fold_crossing(
     for k in range(1, len(n)):
         if sign * n[k - 1] <= sign * fold < sign * n[k]:
             return JumpEvent(
-                step=k,
                 drive=0.5 * (drives[k - 1] + drives[k]),
-                drive_before=drives[k - 1],
-                drive_after=drives[k],
                 n_before=n[k - 1],
                 n_after=n[k],
                 delta_eff_before=delta_ml + 24.0 * eta * n[k - 1],
@@ -422,7 +386,7 @@ def quasi_static_sweep(
     for w in drives:
         p = MeanFieldParams(delta_ml=delta_ml, Omega=w, gamma_b=gamma_b, eta=eta)
         traj = integrate(p, current, (0.0, protocol.dwell), tol=tol)
-        current = traj.final_beta()
+        current = traj.beta[-1]
         n_rhs += traj.n_rhs
         n_rejected += traj.n_rejected
         beta.append(current)
@@ -436,8 +400,6 @@ def quasi_static_sweep(
     tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
     turning = tp if tp.physical else None
     return SweepResult(
-        drives=drives,
-        beta=beta,
         trajectory=trajectory,
         jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
         direction=protocol.direction,
@@ -463,7 +425,6 @@ def hysteresis_sweep(
     gamma_b: float,
     eta: float,
     protocol_up: RampProtocol,
-    beta_init: complex = 0.0 + 0.0j,
     tol: float = 1e-8,
 ) -> HysteresisResult:
     """Run an up ramp, then its reverse from the final state, and compare.
@@ -476,12 +437,12 @@ def hysteresis_sweep(
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")
-    up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, beta_init, tol)
+    up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, tol=tol)
     down = quasi_static_sweep(
-        delta_ml, gamma_b, eta, protocol_up.reversed(), up.beta[-1], tol
+        delta_ml, gamma_b, eta, protocol_up.reversed(), up.trajectory.beta[-1], tol
     )
     terms = []
     for sweep in (up, down):
-        x, y = sweep.drives, sweep.n
+        x, y = sweep.trajectory.omega_applied, sweep.trajectory.n
         terms += [(x0 - x1) * (y0 + y1) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
     return HysteresisResult(up=up, down=down, loop_area=math.fsum(terms))

@@ -48,6 +48,7 @@ __all__ = [
     "gas_damping",
     "thermal_occupancy",
     "DEFAULT_DAMPING_PER_PASCAL",
+    "DWELL_DAMPING_CYCLES",
     "REFERENCE_PRESSURE",
     "REFERENCE_DELTA_ML",
     "REFERENCE_GAMMA_B",
@@ -67,6 +68,9 @@ REFERENCE_GAMMA_B = 8012.985643210628  # rad/s  (~ 2 pi * 1275.3)
 # the fitted reference damping over the reference pressure, so a
 # quasi-static sweep at 10 mTorr reproduces the reference jump coordinates.
 DEFAULT_DAMPING_PER_PASCAL = REFERENCE_GAMMA_B / REFERENCE_PRESSURE  # rad/s per Pa
+
+#: Default dwell per quasi-static ramp step, in units of 1/gamma_b.
+DWELL_DAMPING_CYCLES = 20.0
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,8 @@ class ModeParameters:
                 "need kappa_x > kappa_y > 0, got "
                 f"kappa_x={self.kappa_x!r}, kappa_y={self.kappa_y!r}"
             )
-        if not (self.omega_t > 0.0 and self.inertia > 0.0):
-            raise ValueError("omega_t and inertia must be positive")
+        if not (0.0 < self.omega_t < math.inf and 0.0 < self.inertia < math.inf):
+            raise ValueError("omega_t and inertia must be positive and finite")
         if abs(self.eta * 24.0 * self.inertia - HBAR) > 1e-12 * HBAR:
             raise ValueError("eta is inconsistent with hbar/(24 I)")
         if abs(self.theta0 * self.J0 - 2.0 * HBAR) > 1e-12 * 2.0 * HBAR:

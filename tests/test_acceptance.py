@@ -12,6 +12,7 @@ import numpy as np
 
 from libration.dynamics import RampProtocol, hysteresis_sweep
 from libration.model import (
+    DWELL_DAMPING_CYCLES,
     REFERENCE_DELTA_ML,
     REFERENCE_GAMMA_B,
     NanoparticleSpec,
@@ -241,7 +242,7 @@ def test_criterion_08_hysteresis():
     ]
     fit_ok = max(abs(r) for r in residuals) < 0.10
 
-    protocol = RampProtocol.quasi_static(2.35e6, 1.08e7, gamma_b, 300)
+    protocol = RampProtocol(2.35e6, 1.08e7, 300, DWELL_DAMPING_CYCLES / gamma_b)
     result = hysteresis_sweep(REFERENCE_DELTA_ML, gamma_b, mode.eta, protocol)
     up_err = down_err = math.nan
     if result.up.jump is not None and result.down.jump is not None:
@@ -252,9 +253,10 @@ def test_criterion_08_hysteresis():
     # outside the window (blue detuning) the ramp retraces with no loop
     mono = hysteresis_sweep(
         +TWO_PI * 500.0, gamma_b, mode.eta,
-        RampProtocol.quasi_static(1.0e6, 6.0e6, gamma_b, 60),
+        RampProtocol(1.0e6, 6.0e6, 60, DWELL_DAMPING_CYCLES / gamma_b),
     )
-    span = (mono.up.drives[-1] - mono.up.drives[0]) * float(np.max(mono.up.n))
+    up = mono.up.trajectory
+    span = (up.omega_applied[-1] - up.omega_applied[0]) * float(np.max(up.n))
     outside_ok = (
         mono.up.jump is None
         and mono.down.jump is None

@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 import libration
 from libration.cli import _linspace, main
 from libration.config import ConfigError, load_config
-from libration.model import DEFAULT_DAMPING_PER_PASCAL, mode_parameters, thermal_occupancy
+from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES, mode_parameters,
+                             thermal_occupancy)
 from libration.output import read_csv, svg_line_chart, write_csv
 from libration.steadystate import turning_points
 
@@ -188,6 +189,19 @@ def test_ramp_validation(tmp_path):
     )
     with pytest.raises(ConfigError, match="ramp.steps"):
         load_config(write_cfg(tmp_path, short))
+
+
+def test_ramp_dwell_resolves_at_load(tmp_path):
+    ramp = {"amplitude_start_rad_s": 1e6, "amplitude_stop_rad_s": 2e6, "steps": 5}
+    cfg = load_config(write_cfg(tmp_path, with_sections(BASE, ramp=ramp)))
+    assert cfg.ramp.dwell == DWELL_DAMPING_CYCLES / cfg.gamma_b
+    cfg = load_config(write_cfg(tmp_path, with_sections(BASE, ramp={**ramp, "dwell_s": 2.5e-3})))
+    assert cfg.ramp.dwell == 2.5e-3
+    # a damping so weak that 20 / gamma_b overflows needs an explicit dwell
+    weak = with_sections(BASE, ramp=ramp,
+                         environment={**BASE["environment"], "gamma_b_rad_s": 1e-320})
+    with pytest.raises(ConfigError, match=r"config error at ramp: .*give 'dwell_s'"):
+        load_config(write_cfg(tmp_path, weak))
 
 
 def test_squeeze_validation(tmp_path):
@@ -833,6 +847,57 @@ def test_cli_sphere_reports_config_errors_first(tmp_path, capsys, command, secti
     cfg[section] = bad
     assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
     assert capsys.readouterr().err.startswith(f"config error at {section}")
+
+
+@pytest.mark.parametrize("command", ["derive", "bistability", "hysteresis", "squeeze"])
+def test_cli_undamped_ramp_without_dwell_fails_at_load(tmp_path, capsys, command):
+    # no damping time sets the default dwell: every command stops at load,
+    # before it creates the output directory
+    cfg = with_sections(
+        WINDOW,
+        ramp={"amplitude_start_rad_s": 1e6, "amplitude_stop_rad_s": 2e6, "steps": 5},
+        sweep={"amplitude_min_rad_s": 1e6, "amplitude_max_rad_s": 2e6, "points": 5},
+        squeeze={"r": 40.0, "phi_rad": 0.5, "t_max_s": 1e-3, "points": 50},
+    )
+    cfg["environment"] = {"pressure_pa": 0.0, "temperature_k": 300.0}
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "config error: ramp.dwell_s is required when gamma_b is zero "
+        "(no damping time to set the quasi-static dwell)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, grid, keys", [
+    ("bistability", "sweep",
+     {"amplitude_min_rad_s": 1.0, "amplitude_max_rad_s": 1.0000000000000002, "points": 5},
+     "amplitude_min_*, amplitude_max_* and points"),
+    ("squeeze", "squeeze", {"t_max_s": 5e-324, "points": 10}, "t_max_s and points"),
+], ids=["bistability", "squeeze"])
+def test_cli_rejects_colliding_grid_points(tmp_path, capsys, command, section, grid, keys):
+    # a span too narrow for the point count rounds neighbouring points together
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg[section].update(grid)
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {section}: {keys} give a grid whose points collide")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, values", [
+    ("trap", {"trap": {"power_w": 0.1, "waist_m": 1e200}}),  # waist**2 overflows
+    ("particle", {"particle": {"material": "diamond", "r_a_m": 1e-120, "r_b_m": 5e-121}}),
+    ("trap", {"trap": {"power_w": 1e308, "waist_m": 1e-30}}),  # omega_t = inf
+], ids=["wide-waist", "tiny-particle", "huge-power"])
+def test_cli_rejects_a_mode_beyond_float_range(tmp_path, capsys, section, values):
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = {**json.loads((root / "configs" / "derive.json").read_text()), **values}
+    assert run_cli(["derive", "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {section}: ") and "beyond float range" in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_numbers_rejected_everywhere(tmp_path):

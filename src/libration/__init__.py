@@ -11,11 +11,11 @@ config      JSON run configuration: validated SI values, the working point resol
 output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
 
-The package needs numpy only, and only ``squeezing`` and ``output.read_csv``
-load it.  The reproduction evidence is kept with the
-tests, which also need scipy: the least-squares fit behind the reference
-working point ``model.REFERENCE_*`` (``tests/oracles.py``) and the audit of
-the transcribed variance formulas behind ``findings.json`` (``tests/audit.py``).
+The package needs numpy only, and only ``squeezing`` loads it.  The
+reproduction evidence is kept with the tests, which also need scipy: the
+least-squares fit behind the reference working point ``model.REFERENCE_*``
+(``tests/oracles.py``) and the audit of the transcribed variance formulas
+behind ``findings.json`` (``tests/audit.py``).
 """
 
 from libration.model import (

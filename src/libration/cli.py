@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from libration import __version__
 from libration.config import ConfigError, RunConfig, load_config
-from libration.model import (NanoparticleSpec, NoConfinementError, mode_parameters,
-                             thermal_occupancy)
+from libration.model import NoConfinementError, thermal_occupancy
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
@@ -123,15 +123,9 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
     write_csv(out / "derive.csv", dict(zip(("quantity", "value", "unit"), zip(*rows))))
 
     if cfg.scan is not None:
-        axis = _linspace(cfg.scan.lo, cfg.scan.hi, cfg.scan.points)
-        by_r_a = cfg.scan.axis == "r_a_m"
-        modes = [
-            mode_parameters(NanoparticleSpec.from_eccentricity(
-                value if by_r_a else spec.r_a, spec.eccentricity if by_r_a else value,
-                spec.density, spec.eps_r,
-            ), cfg.trap)
-            for value in axis
-        ]
+        axis, modes = cfg.scan.grid, cfg.scan.modes
+        if not modes:
+            raise NoConfinementError("the derive scan reaches a sphere, which has no confinement")
         _write_rows(out / "derive_scan.csv", [{
             cfg.scan.axis: value,
             "inertia": m.inertia,
@@ -223,9 +217,12 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     _need_sections(cfg, "hysteresis", "ramp")
     ramp = cfg.ramp
     protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    result = hysteresis_sweep(
-        cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol, tol=ramp.tolerance
-    )
+    with warnings.catch_warnings(record=True) as caught:  # a short dwell, once per sweep
+        warnings.simplefilter("always")
+        result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol,
+                                  tol=ramp.tolerance)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     for sweep in (result.up, result.down):
         if not sweep.trajectory.complete:
             raise NumericalError(f"{sweep.direction}-sweep integration failed")
@@ -323,8 +320,11 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     for idx, phi in enumerate(phis):
         params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
         suffix = "" if len(phis) == 1 else f"_{idx}"
-        s_th = np.asarray(variance_theta_closed(t, params))
-        s_j = np.asarray(variance_J_closed(t, params))
+        quarter = math.pi / (4.0 * abs(params.lambda_p)) if params.regime == "oscillatory" else 0.0
+        if idx == 0 and t[1] > quarter > 0.0:  # lam_p, and so the period, is the same for all phi
+            print(f"warning: the grid step {_fmt(float(t[1]))} s exceeds a quarter breathing "
+                  f"period, pi/(4 |lam_p|) = {_fmt(quarter)} s: aliased traces", file=sys.stderr)
+        s_th, s_j = variance_theta_closed(t, params), variance_J_closed(t, params)
         write_trace(f"squeeze_closed{suffix}.csv", t, s_th, s_j, params.regime)
         try:
             trace = moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)

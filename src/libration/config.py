@@ -18,14 +18,15 @@ enforced here so they hold everywhere downstream:
   ``delta_ml`` from a frequency or a detuning, ``amplitude`` from
   ``amplitude_*`` or ``drive_amplitude(..., power_w, mode)``, else None) and
   ``SqueezeSettings.nbar`` (the thermal occupancy at omega_t when ``thermal``
-  is set, else ``nbar``, else 0) and ``RampSettings.dwell`` (``dwell_s``, else
-  ``DWELL_DAMPING_CYCLES / gamma_b``).
+  is set, else ``nbar``, else 0), ``RampSettings.dwell`` (``dwell_s``, else
+  ``DWELL_DAMPING_CYCLES / gamma_b``) and ``ScanSettings.modes`` (the mode at
+  each value of the derive scan's ``grid``; none when a value is a sphere).
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
 error comes before the ``NoConfinementError`` of a spherical particle.  A mode
 beyond float range is a config error that names the particle when its moment
-of inertia is beyond float range, else the trap.
+of inertia is beyond float range, else the trap (``derive`` for a scan value).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from libration.model import (
     rotational_inertia,
     thermal_occupancy,
 )
+from libration.steadystate import _linspace
 
 __all__ = [
     "ConfigError",
@@ -187,9 +189,8 @@ class SqueezeSettings:
 @dataclass(frozen=True)
 class ScanSettings:
     axis: str  # "r_a_m" | "eccentricity"
-    lo: float
-    hi: float
-    points: int
+    grid: tuple[float, ...]  # _linspace(min, max, points)
+    modes: tuple[ModeParameters, ...] = ()  # one per grid value; none if one is a sphere
 
 
 @dataclass(frozen=True)
@@ -381,7 +382,8 @@ def _parse_scan(section: dict) -> ScanSettings:
         _fail(path, f"max must exceed min, got [{lo}, {hi}]")
     if axis == "eccentricity" and hi >= 1.0:
         _fail(f"{path}.max", f"eccentricity scan must stay below 1, got {hi}")
-    return ScanSettings(axis, lo, hi, _integer(section, path, "points", minimum=2))
+    points = _integer(section, path, "points", minimum=2)
+    return ScanSettings(axis, tuple(_linspace(lo, hi, points)))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -436,6 +438,20 @@ def load_config(path: str | Path) -> RunConfig:
         if inertia_ok:
             _fail("trap", "the particle's librational mode in this trap is beyond float range")
         _fail("particle", "its moment of inertia is beyond float range")
+    if scan is not None:
+        modes, by_r_a = [], scan.axis == "r_a_m"
+        for value in scan.grid:
+            r_a, ecc = (value, particle.eccentricity) if by_r_a else (particle.r_a, value)
+            try:
+                modes.append(mode_parameters(NanoparticleSpec.from_eccentricity(
+                    r_a, ecc, particle.density, particle.eps_r), trap))
+            except NoConfinementError:  # eccentricity 0 is a sphere: derive reports it
+                modes = []
+                break
+            except (ArithmeticError, ValueError):  # as above, or r_b underflowing to 0
+                _fail("derive", f"the librational mode at {scan.axis} = {value!r} "
+                      "is beyond float range")
+        scan = replace(scan, modes=tuple(modes))
     if squeeze is not None and root["squeeze"].get("thermal", False):
         squeeze = replace(squeeze, nbar=thermal_occupancy(temperature, mode.omega_t))
     return RunConfig(

@@ -8,16 +8,15 @@ inspection of sweep and trace outputs.
 
 Both writers are plain Python, taking arrays through ``tolist()`` and numpy
 scalars through ``item()``, so ``derive`` and ``bistability`` write without
-loading numpy; only :func:`read_csv`, which returns arrays, imports it.
+loading numpy.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
-__all__ = ["write_csv", "read_csv", "svg_line_chart"]
+__all__ = ["write_csv", "svg_line_chart"]
 
 # Colorblind-safe cycle (Okabe-Ito, minus the yellow that washes out on white).
 _PALETTE = (
@@ -66,29 +65,6 @@ def write_csv(path: str | Path, columns: dict[str, object]) -> None:
     for row in zip(*cols):
         lines.append(",".join(_format_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path: str | Path) -> dict[str, object]:
-    """Read a CSV written by :func:`write_csv`.
-
-    Columns where every entry parses as a float come back as float arrays;
-    anything else stays a list of strings.
-    """
-    import numpy as np
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty CSV file: {path}")
-    names = rows[0]
-    data: dict[str, object] = {}
-    for j, name in enumerate(names):
-        raw = [row[j] for row in rows[1:]]
-        try:
-            data[name] = np.array([float(v) for v in raw])
-        except ValueError:
-            data[name] = raw
-    return data
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

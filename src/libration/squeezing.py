@@ -29,13 +29,15 @@ omega_ml2 = omega_t - 12 eta r^2:
     degenerate   (|lam_p^2| <= DEGENERATE_BAND * xi^2): the crossover, where
                  g1 ~ 2 t^2 and g2 ~ 2 t grow polynomially.
 
-The closed forms are cross-checked against :func:`moment_oracle`, the ground
-truth for the test suite: the exact propagator expm(A t) of the linear
-second-moment equations (optionally damped), computed without scipy.
+With gas damping the variances come from :func:`moment_oracle`, the exact
+closed-form solution of the uniformly damped second-moment equations, built
+on the same g1 and g2.  The tests hold both to independent references in
+``tests/oracles.py``: a Pade matrix exponential, DOP853 integration and mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,13 +89,14 @@ class SqueezeParams:
 
     @property
     def lambda_p_sq(self) -> float:
-        """lam_p^2 = xi^2 - lam^2 (signed; negative in the oscillatory regime)."""
-        return self.xi**2 - self.lam**2
+        """lam_p^2 = xi^2 - lam^2 (signed; negative in the oscillatory regime),
+        factored so that it keeps its relative accuracy near the degenerate band."""
+        return (self.xi - self.lam) * (self.xi + self.lam)
 
     @property
     def lambda_p(self) -> complex:
         """Principal square root of lam_p^2 (imaginary when oscillatory)."""
-        return complex(np.sqrt(complex(self.lambda_p_sq)))
+        return cmath.sqrt(self.lambda_p_sq)
 
     @property
     def regime(self) -> str:
@@ -141,29 +144,76 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return np.where(z == 0.0, 1.0, np.sinh(nonzero) / nonzero)
 
 
-def _variances(t, params: SqueezeParams) -> tuple[np.ndarray, np.ndarray]:
-    tt = np.asarray(t, dtype=float)
-    z = params.lambda_p * tt
-    g1 = 2.0 * tt * tt * _sinhc(z).real ** 2
-    g2 = 2.0 * tt * _sinhc(2.0 * z).real
+def _quadratures(params: SqueezeParams, k0, k1, k2) -> tuple:
+    """(S_theta, S_J) per unit (2 nbar + 1)/4 of the moments (k0 + k1 B + k2 B^2)
+    applied to the m axis: g1 = 4 k2 and g2 = 2 k1 in the closed forms."""
+    c2, s2 = math.cos(2.0 * params.phi), math.sin(2.0 * params.phi)
+    xi, lam, g1, g2 = params.xi, params.lam, 4.0 * k2, 2.0 * k1
+    return (k0 + xi * (xi - lam * c2) * g1 - xi * s2 * g2,
+            k0 + xi * (xi + lam * c2) * g1 + xi * s2 * g2)
+
+
+def _damped(t, gamma: float, params: SqueezeParams, e1, e2) -> tuple:
+    """(h0, h1, h2) of e^{(B - gamma) t} = h0 + h1 B + h2 B^2 and (a0, a1, a2) of
+    int_0^t e^{(B - gamma) s} ds, for gamma > 0, given e1 and e2.
+
+    h1, h2 = e^{-gamma t} (e1, e2), or where |mu t| > 1 (mu = 2 lam_p) the same
+    from e^{(+-mu - gamma) t}, finite while e^{|mu| t} may not be.  a2 =
+    int_0^t e^{-gamma s} (cosh(mu s) - 1)/mu^2 ds takes the exact form that does
+    not cancel: its Taylor series in t where |mu t| < 1/2 and gamma t < 1; where
+    gamma t >= 1 away from threshold, the B part of (B - gamma) int = e^{(B -
+    gamma) t} - 1; else the phi_1 divided difference.  The B^2 part gives
+    a1 = h2 + gamma a2, a sum of non-negative terms."""
+    x = gamma * t
+    mu, mu2 = 2.0 * params.lambda_p, 4.0 * params.lambda_p_sq
+    h0, a0 = np.exp(-x), -np.expm1(-x) / gamma
+    z = np.array([(mu - gamma) * t, -(mu + gamma) * t])
+    ez, far = np.exp(z), np.abs(mu * t) > 1.0
+    h1 = np.where(far, ((ez[0] - ez[1]) / (2.0 * mu)).real, h0 * e1)
+    h2 = np.where(far, (0.5 * (ez[0] + ez[1]).real - h0) / mu2, h0 * e2)
+    # (u, v, w)_n t^n: the s^n/n! coefficients of the 1, B and B^2 parts of
+    # e^{(B - gamma) s}, so that a2 = t^3 sum_n w_n / (n + 1)!
+    u, v, w, series = np.ones_like(t), 0.0 * t, 0.0 * t, 0.0 * t
+    m2 = mu2 * t * t
+    for n in range(2, 26):
+        u, v, w = m2 * v - x * u, u - x * v, v - x * w
+        series += w / math.factorial(n)
+    phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / np.where(z == 0.0, 1.0, z)).real
+    by_series = (np.abs(m2) < 0.25) & (x < 1.0)
+    by_relation = (x >= 1.0) & (abs(gamma * gamma - mu2) >= 0.5 * gamma * gamma)
+    a2 = np.where(by_series, t ** 3 * series, np.where(
+        by_relation, (a0 - h1 - gamma * h2) / (gamma * gamma - mu2),
+        (0.5 * t * (phi1[0] + phi1[1]) - a0) / mu2))
+    return (h0, h1, h2), (a0, h2 + gamma * a2, a2)
+
+
+def _variances(t, params: SqueezeParams, gamma: float = 0.0,
+               nbar_bath: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(S_theta, S_J) a time t after the thermal start, damped at rate gamma.
+
+    k = (1, e1, e2) of e^{B t} = 1 + e1 B + e2 B^2, with e1 = t sinhc(2 lam_p t)
+    and e2 = (t^2/2) sinhc(lam_p t)^2 since B^3 = 4 lam_p^2 B.
+    """
     pref = (2.0 * params.nbar + 1.0) / 4.0
-    c2 = math.cos(2.0 * params.phi)
-    s2 = math.sin(2.0 * params.phi)
-    xi, lam = params.xi, params.lam
-    s_theta = pref * (1.0 + xi * (xi - lam * c2) * g1 - xi * s2 * g2)
-    s_j = pref * (1.0 + xi * (xi + lam * c2) * g1 + xi * s2 * g2)
-    return s_theta, s_j
+    z = params.lambda_p * t
+    k = (1.0, t * _sinhc(2.0 * z).real, 0.5 * t * t * _sinhc(z).real ** 2)
+    if gamma > 0.0:  # y0 decays, and the bath feeds in (a0 + a1 B + a2 B^2) f
+        h, a = _damped(t, gamma, params, k[1], k[2])
+        bath = gamma * (2.0 * nbar_bath + 1.0) / (4.0 * pref)
+        k = tuple(hi + bath * ai for hi, ai in zip(h, a))
+    s_theta, s_j = _quadratures(params, *k)
+    return pref * s_theta, pref * s_j
 
 
 def variance_theta_closed(t, params: SqueezeParams):
     """Angle variance S_theta(t) (in units of theta0^2), closed form."""
-    out = _variances(t, params)[0]
+    out = _variances(np.asarray(t, dtype=float), params)[0]
     return float(out) if np.isscalar(t) else out
 
 
 def variance_J_closed(t, params: SqueezeParams):
     """Angular-momentum variance S_J(t) (in units of J0^2), closed form."""
-    out = _variances(t, params)[1]
+    out = _variances(np.asarray(t, dtype=float), params)[1]
     return float(out) if np.isscalar(t) else out
 
 
@@ -178,62 +228,34 @@ class VarianceTrace:
     nbar: float
 
 
-#: [13/13] Pade coefficients b_0 .. b_13 of exp, and the 1-norm up to which
-#: that approximant is accurate to double precision (Higham 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix in the stack ``a`` by Pade-13 scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), with one scaling
-    2^-s that brings the largest 1-norm in the stack below theta_13."""
-    s = max(0, math.frexp(float(np.abs(a).sum(axis=-2).max()) / _THETA13)[1])
-    a = a / 2.0**s
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
 def moment_oracle(
     params: SqueezeParams,
     t_grid: np.ndarray,
     gamma_b: float = 0.0,
     nbar_bath: float | None = None,
 ) -> VarianceTrace:
-    """Ground-truth variances from the exact propagator of the moment equations.
+    """Variances from the exact closed-form solution of the moment equations.
 
     The second moments z = <b^2> and m = <b'b> of the quadratic model obey
 
         dz/dt = (2 i lam - gamma_b) z + i xi e^{2 i phi} (2 m + 1)
         dm/dt = 2 xi Im(e^{-2 i phi} z) - gamma_b (m - nbar_bath)
 
-    with thermal initial conditions z = 0, m = nbar at t_grid[0].  Appending a
-    constant 1 to y = (Re z, Im z, m) makes this y' = A y with a 4x4 A (Van
-    Loan, IEEE Trans. Autom. Control 23, 395 (1978)), so each sample is
-    expm(A (t - t_grid[0])) y(t_grid[0]), exact and without stepping.  No
-    eigendecomposition is used: A is defective in the degenerate band.
+    with thermal initial conditions z = 0, m = nbar at t_grid[0].  On
+    y = (Re z, Im z, m + 1/2) they read y' = (B - gamma_b) y + f, with f =
+    gamma_b (nbar_bath + 1/2) along m, so at tau = t - t_grid[0]
 
-    The variances are S_theta = (2 Re z + 2 m + 1)/4 and
-    S_J = (-2 Re z + 2 m + 1)/4.  With gamma_b = 0 this is an independent
-    check of the closed forms; with damping it is the reference the closed
-    (undamped) forms are compared against.  A negative or non-finite gamma_b
-    or nbar_bath, or a t_grid that is not finite and increasing, raises
-    ``ValueError``; moments that overflow raise ``RuntimeError``.
+        y = e^{-gamma_b tau} (1 + e1 B + e2 B^2) y0 + (a0 + a1 B + a2 B^2) f,
+
+    where e1 and e2 are the coefficients of the undamped closed forms, to which
+    this reduces bit for bit at gamma_b = 0.  No eigendecomposition is used,
+    so the degenerate band (where B is defective) and the threshold
+    2 lam_p = gamma_b need no special case.  S_theta = (Re z + m + 1/2)/2 and
+    S_J = (m + 1/2 - Re z)/2.
+
+    A negative or non-finite gamma_b or nbar_bath, or a t_grid that is not
+    finite and increasing, raises ``ValueError``; moments that overflow raise
+    ``RuntimeError``.
     """
     if nbar_bath is None:
         nbar_bath = params.nbar
@@ -245,27 +267,12 @@ def moment_oracle(
         raise ValueError("t_grid must be a 1-d array with at least 2 samples")
     if not np.isfinite(t_grid).all() or (np.diff(t_grid) <= 0.0).any():
         raise ValueError("t_grid must be finite and increasing")
-    lam, xi, g = params.lam, params.xi, gamma_b
-    c2, s2 = math.cos(2.0 * params.phi), math.sin(2.0 * params.phi)
-    a = np.array([
-        [-g, -2.0 * lam, -2.0 * xi * s2, -xi * s2],
-        [2.0 * lam, -g, 2.0 * xi * c2, xi * c2],
-        [-2.0 * xi * s2, 2.0 * xi * c2, -g, g * nbar_bath],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        prop = _expm(a * (t_grid - t_grid[0])[:, None, None])
-        y = prop[:, :, 2] * params.nbar + prop[:, :, 3]
-    if not np.isfinite(y).all():
+    with np.errstate(all="ignore"):  # overflow is reported just below
+        s_theta, s_j = _variances(t_grid - t_grid[0], params, gamma_b, nbar_bath)
+    if not (np.isfinite(s_theta).all() and np.isfinite(s_j).all()):
         raise RuntimeError("moment propagation overflowed")
-    re_z, m = y[:, 0], y[:, 2]
-    return VarianceTrace(
-        t=t_grid,
-        S_theta=(2.0 * re_z + 2.0 * m + 1.0) / 4.0,
-        S_J=(-2.0 * re_z + 2.0 * m + 1.0) / 4.0,
-        regime=params.regime,
-        nbar=params.nbar,
-    )
+    return VarianceTrace(t=t_grid, S_theta=s_theta, S_J=s_j, regime=params.regime,
+                         nbar=params.nbar)
 
 
 def thermal_squeezing_check(

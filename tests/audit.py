@@ -3,10 +3,10 @@
 The closed forms shipped in :mod:`libration.squeezing` were re-derived from
 the Bogoliubov solution of the quadratic fluctuation model.  The analytic
 expressions they replace are transcribed verbatim below and audited against
-the moment-equation oracle (the ground truth of the package).  Some of the
-transcriptions carry defects — sign/function transpositions, a missing rate
-factor, an overall factor of two — and are kept here, with the tests, only so
-the defects stay documented and machine-checkable; ``findings.json`` at the
+``oracles.moment_expm``, the Pade propagator of the moment equations.  Some
+of the transcriptions carry defects — sign/function transpositions, a missing
+rate factor, an overall factor of two — and are kept here, with the tests,
+only so the defects stay documented and machine-checkable; ``findings.json`` at the
 repository root records the verdicts, and the test suite fails if a formula's
 live deviation disagrees with its recorded status.  Regenerate that file with
 
@@ -26,12 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from libration.squeezing import (
-    SqueezeParams,
-    moment_oracle,
-    variance_J_closed,
-    variance_theta_closed,
-)
+from libration.squeezing import SqueezeParams, variance_J_closed, variance_theta_closed
+from oracles import moment_expm
 
 __all__ = [
     "Finding",
@@ -284,46 +280,46 @@ def run_audit() -> list[Finding]:
 
     for p in _hyperbolic_cases():
         t = _time_grid(p)
-        truth = moment_oracle(p, t)
+        truth = moment_expm(p, t)
         worst["theta_hyperbolic_general"] = max(
             worst["theta_hyperbolic_general"],
-            _max_rel_dev(transcribed_theta_hyperbolic(t, p), truth.S_theta),
+            _max_rel_dev(transcribed_theta_hyperbolic(t, p), truth[0]),
         )
         if p.xi * math.cos(2.0 * p.phi) != p.lam:
             worst["J_hyperbolic_general"] = max(
                 worst["J_hyperbolic_general"],
-                _max_rel_dev(transcribed_J_hyperbolic(t, p), truth.S_J),
+                _max_rel_dev(transcribed_J_hyperbolic(t, p), truth[1]),
             )
         worst["theta_hyperbolic_angle_resolved"] = max(
             worst["theta_hyperbolic_angle_resolved"],
             _max_rel_dev(
                 transcribed_theta_angle_resolved(t, p),
-                truth.S_theta / (2.0 * p.nbar + 1.0),  # transcription is the vacuum form
+                truth[0] / (2.0 * p.nbar + 1.0),  # transcription is the vacuum form
             ),
         )
         worst["theta_closed_rederived"] = max(
             worst["theta_closed_rederived"],
-            _max_rel_dev(variance_theta_closed(t, p), truth.S_theta),
+            _max_rel_dev(variance_theta_closed(t, p), truth[0]),
         )
         worst["J_closed_rederived"] = max(
             worst["J_closed_rederived"],
-            _max_rel_dev(variance_J_closed(t, p), truth.S_J),
+            _max_rel_dev(variance_J_closed(t, p), truth[1]),
         )
 
     for p in _oscillatory_cases():
         t = _time_grid(p)
-        truth = moment_oracle(p, t)
+        truth = moment_expm(p, t)
         worst["theta_oscillatory_general"] = max(
             worst["theta_oscillatory_general"],
-            _max_rel_dev(transcribed_theta_oscillatory(t, p), truth.S_theta),
+            _max_rel_dev(transcribed_theta_oscillatory(t, p), truth[0]),
         )
         worst["theta_closed_rederived"] = max(
             worst["theta_closed_rederived"],
-            _max_rel_dev(variance_theta_closed(t, p), truth.S_theta),
+            _max_rel_dev(variance_theta_closed(t, p), truth[0]),
         )
         worst["J_closed_rederived"] = max(
             worst["J_closed_rederived"],
-            _max_rel_dev(variance_J_closed(t, p), truth.S_J),
+            _max_rel_dev(variance_J_closed(t, p), truth[1]),
         )
 
     # special oscillatory angles carry their own phi
@@ -340,12 +336,12 @@ def run_audit() -> list[Finding]:
             ):
                 p = SqueezeParams(lam=lam, xi=xi, phi=phi, r=r, nbar=0.0)
                 t = _time_grid(p)
-                truth = moment_oracle(p, t)
+                truth = moment_expm(p, t)
                 key = f"theta_oscillatory_case{case}"
                 worst[key] = max(
                     worst[key],
                     _max_rel_dev(
-                        transcribed_theta_special_oscillatory(t, p, case), truth.S_theta
+                        transcribed_theta_special_oscillatory(t, p, case), truth[0]
                     ),
                 )
 
@@ -366,7 +362,7 @@ def write_findings(path: str | Path) -> list[Finding]:
     findings = run_audit()
     payload = {
         "tolerance": DEVIATION_TOLERANCE,
-        "ground_truth": "squeezing.moment_oracle (exact second-moment propagator)",
+        "ground_truth": "tests/oracles.moment_expm (Pade propagator of the second moments)",
         "findings": [asdict(f) for f in findings],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

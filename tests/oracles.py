@@ -5,11 +5,12 @@ factors come from the defining ellipsoid integral, inertia from Monte-Carlo
 volume sampling, steady-state occupations from a dense scan with bisection
 refinement, fold coordinates from bounded scalar optimization of the drive
 curve, branch stability from the fluctuation matrix as a numpy array,
-variance traces from adaptive integration of the moment equations, and
-plateaus from the Dormand-Prince stepper in complex arithmetic.  The only
-shared ingredients are the fixed-point polynomial, the fluctuation matrix,
-the moment equations and the mean-field right-hand side themselves, which
-*are* the model.
+variance traces from adaptive integration of the moment equations and from
+the matrix exponential of their augmented matrix (Pade-13 in floats, mpmath
+at 60 digits), and plateaus from the Dormand-Prince stepper in complex
+arithmetic.  The only shared ingredients are the fixed-point polynomial, the
+fluctuation matrix, the moment equations and the mean-field right-hand side
+themselves, which *are* the model.
 
 The one exception is the calibration at the end: a least-squares fit of the
 package's closed-form folds to the measured jump coordinates of the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, least_squares, minimize_scalar
@@ -215,6 +217,11 @@ def classify_stability(matrix: np.ndarray) -> Stability:
     return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
 
 
+def _variances_of(re_z, m):
+    """(S_theta, S_J) of the moments Re z = Re <b^2> and m = <b'b>."""
+    return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
+
+
 def moment_dop853(
     params, t_grid, gamma_b: float = 0.0, nbar_bath: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +253,91 @@ def moment_dop853(
     )
     if sol.status != 0:
         raise RuntimeError(f"moment integration failed: {sol.message}")
-    re_z, m = sol.y[0], sol.y[2]
-    return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0
+    return _variances_of(sol.y[0], sol.y[2])
+
+
+def _moment_matrix(lam, xi, phi, g, nbar_bath, trig=math) -> list[list]:
+    """The moment equations as y' = A y on y = (Re z, Im z, m, 1): appending a
+    constant 1 makes them homogeneous (Van Loan, IEEE Trans. Autom. Control 23,
+    395 (1978)).  ``trig`` supplies cos and sin (math, or mpmath for mpf inputs)."""
+    c2, s2 = trig.cos(2 * phi), trig.sin(2 * phi)
+    return [
+        [-g, -2.0 * lam, -2.0 * xi * s2, -xi * s2],
+        [2.0 * lam, -g, 2.0 * xi * c2, xi * c2],
+        [-2.0 * xi * s2, 2.0 * xi * c2, -g, g * nbar_bath],
+        [0.0, 0.0, 0.0, 0.0],
+    ]
+
+
+#: [13/13] Pade coefficients b_0 .. b_13 of exp, and the 1-norm up to which
+#: that approximant is accurate to double precision (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in the stack ``a`` by Pade-13 scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), with one scaling
+    2^-s that brings the largest 1-norm in the stack below theta_13."""
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=-2).max()) / _THETA13)[1])
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def moment_expm(
+    params, t_grid, gamma_b: float = 0.0, nbar_bath: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S_theta, S_J) from the propagator expm(A (t - t_grid[0])) of the
+    augmented moment matrix, by batched Pade-13 scaling and squaring.
+
+    Accurate while A is near normal: for |lam_p| much below xi with damping
+    its scaling and squaring loses digits (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)); use :func:`moment_mpmath` there.
+    """
+    if nbar_bath is None:
+        nbar_bath = params.nbar
+    t_grid = np.asarray(t_grid, dtype=float)
+    a = np.array(_moment_matrix(params.lam, params.xi, params.phi, gamma_b, nbar_bath))
+    prop = _expm(a * (t_grid - t_grid[0])[:, None, None])
+    y = prop[:, :, 2] * params.nbar + prop[:, :, 3]
+    return _variances_of(y[:, 0], y[:, 2])
+
+
+def moment_mpmath(
+    params, t_grid, gamma_b: float = 0.0, nbar_bath: float | None = None, dps: int = 60,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S_theta, S_J) from ``mpmath.expm`` of the augmented moment matrix in
+    ``dps``-digit arithmetic, on the same float inputs."""
+    if nbar_bath is None:
+        nbar_bath = params.nbar
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(_moment_matrix(
+            *(mpmath.mpf(v) for v in (params.lam, params.xi, params.phi, gamma_b, nbar_bath)),
+            trig=mpmath,
+        ))
+        y0 = mpmath.matrix([0, 0, mpmath.mpf(params.nbar), 1])
+        t0 = mpmath.mpf(float(t_grid[0]))
+        out = []
+        for tk in t_grid:
+            y = mpmath.expm(a * (mpmath.mpf(float(tk)) - t0)) * y0
+            out.append([float(s) for s in _variances_of(y[0], y[2])])
+    return np.array(out)[:, 0], np.array(out)[:, 1]
 
 
 def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import csv
 import hashlib
 import importlib
 import json
@@ -20,10 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 import libration
 from libration.cli import _linspace, main
 from libration.config import ConfigError, load_config
-from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES, mode_parameters,
-                             thermal_occupancy)
-from libration.output import read_csv, svg_line_chart, write_csv
+from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES,
+                             NanoparticleSpec, mode_parameters, thermal_occupancy)
+from libration.output import svg_line_chart, write_csv
+from libration.squeezing import squeeze_params
 from libration.steadystate import turning_points
+from oracles import moment_mpmath
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,6 +49,23 @@ def write_cfg(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def read_csv(path):
+    """A CSV written by ``write_csv``: columns where every entry parses as a
+    float come back as float arrays, anything else as a list of strings."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"empty CSV file: {path}")
+    data = {}
+    for j, name in enumerate(rows[0]):
+        raw = [row[j] for row in rows[1:]]
+        try:
+            data[name] = np.array([float(v) for v in raw])
+        except ValueError:
+            data[name] = raw
+    return data
 
 
 def with_sections(base, **sections):
@@ -252,7 +272,39 @@ def test_cli_derive_scan_rejects_zero_radius(tmp_path, capsys):
     ecc_from_zero = with_sections(
         BASE, derive={"scan": "eccentricity", "min": 0, "max": 0.5, "points": 3}
     )
-    assert load_config(write_cfg(tmp_path, ecc_from_zero)).scan.lo == 0.0
+    assert load_config(write_cfg(tmp_path, ecc_from_zero)).scan.grid[0] == 0.0
+
+
+@pytest.mark.parametrize("axis, lo, hi", [("r_a_m", 3e-8, 1e200), ("r_a_m", 1e-320, 1e-7)])
+def test_cli_derive_scan_beyond_float_range_is_a_config_error(tmp_path, capsys, axis, lo, hi):
+    # the scan's modes resolve at load, through the same range guard as the mode
+    cfg = write_cfg(tmp_path, with_sections(
+        BASE, derive={"scan": axis, "min": lo, "max": hi, "points": 4}
+    ))
+    assert run_cli(["derive", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at derive: the librational mode at {axis} = ")
+    assert "beyond float range" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "derive.csv").exists()
+
+
+def test_derive_scan_modes_resolve_at_load(tmp_path, capsys):
+    cfg = load_config(write_cfg(tmp_path, with_sections(
+        BASE, derive={"scan": "eccentricity", "min": 0.5, "max": 0.9, "points": 3}
+    )))
+    assert cfg.scan.grid == (0.5, 0.7, 0.9)
+    assert cfg.scan.modes[1] == mode_parameters(
+        NanoparticleSpec.from_eccentricity(cfg.particle.r_a, 0.7, cfg.particle.density,
+                                           cfg.particle.eps_r), cfg.trap)
+    # a scan from eccentricity 0 starts at a sphere: it loads without modes, and
+    # derive reports the missing confinement after writing derive.csv
+    sphere = write_cfg(tmp_path, with_sections(
+        BASE, derive={"scan": "eccentricity", "min": 0, "max": 0.5, "points": 3}
+    ), name="sphere.json")
+    assert load_config(sphere).scan.modes == ()
+    assert run_cli(["derive", "--config", sphere, "--out", tmp_path / "out"]) == 2
+    assert "numerical failure: the derive scan reaches a sphere" in capsys.readouterr().err
+    assert (tmp_path / "out" / "derive.csv").exists()
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -614,6 +666,28 @@ def test_cli_hysteresis_reports_an_unstartable_plateau(tmp_path, capsys):
     assert "up-sweep integration failed" in capsys.readouterr().err
 
 
+def test_cli_hysteresis_short_dwell_warns_without_a_path(tmp_path):
+    # a dwell far below the damping time: one path-free warning line per sweep
+    cfg = write_cfg(tmp_path, with_sections(
+        WINDOW,
+        ramp={"amplitude_start_rad_s": 2.35e6, "amplitude_stop_rad_s": 1.08e7,
+              "steps": 6, "dwell_s": 1e-4},
+    ))
+    root = Path(libration.__file__).resolve().parents[2]
+    argv = ["hysteresis", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = f"import sys; from libration.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert out.returncode == 0
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("warning: dwell*gamma_b = ") for line in lines)
+    assert "not quasi-static" in lines[0]
+    assert ".py" not in out.stderr and str(root) not in out.stderr
+
+
 def test_cli_hysteresis_blue_detuned_has_no_jumps(tmp_path):
     cfg = write_cfg(tmp_path, with_sections(
         WINDOW,
@@ -658,6 +732,50 @@ def test_cli_squeeze_run(tmp_path):
     assert not np.any(closed1["squeezed_theta"] == 1.0)
     assert np.any(closed1["squeezed_J"] == 1.0)
     ET.parse(out / "squeeze.svg")
+
+
+def test_cli_squeeze_warns_on_an_aliased_grid(tmp_path, capsys):
+    # samples 1.7e3 s apart cannot follow a ~2 ms breathing period
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / "squeeze.json").read_text())
+    cfg["squeeze"]["t_max_s"] = 1e6
+    assert run_cli(["squeeze", "--config", write_cfg(tmp_path, cfg),
+                    "--out", tmp_path / "out"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: the grid step 1669.449082 s exceeds a quarter")
+    assert err[0].endswith("s: aliased traces")
+    # a hyperbolic trace has no breathing period to alias, however coarse the grid
+    cfg["drive"] = {"detuning_rad_s": -157.0}
+    cfg["squeeze"].update({"t_max_s": 1.0, "points": 3})
+    assert run_cli(["squeeze", "--config", write_cfg(tmp_path, cfg),
+                    "--out", tmp_path / "out2"]) == 0
+    captured = capsys.readouterr()
+    assert "regime hyperbolic" in captured.out and captured.err == ""
+
+
+def test_cli_squeeze_damped_below_threshold_matches_mpmath(tmp_path):
+    # a strongly non-normal moment matrix (entries ~2 xi = 2e3 rad/s, eigenvalues
+    # within gamma_b = 1 rad/s) below threshold, 2 lam_p = 0.7 gamma_b
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / "squeeze.json").read_text())
+    cfg["environment"]["gamma_b_rad_s"] = 1
+    cfg["drive"] = {"detuning_rad_s": -3000}
+    cfg["squeeze"].update({"r": 135.0539118978372, "phi_rad": [0.7], "t_max_s": 10,
+                           "points": 50, "include_damping": True})
+    path = write_cfg(tmp_path, cfg)
+    assert run_cli(["squeeze", "--config", path, "--out", tmp_path / "out"]) == 0
+    table = read_csv(tmp_path / "out" / "squeeze_oracle.csv")
+    s_theta, s_j = table["S_theta"], table["S_J"]
+    assert len(s_theta) == 50
+    assert np.all(s_theta > 0.0) and np.all(s_j > 0.0)
+    assert np.all(s_theta * s_j >= 1.0 / 16.0)
+    loaded = load_config(path)
+    p = squeeze_params(loaded.drive.delta_ml, loaded.mode.eta, 135.0539118978372, 0.7)
+    assert 2.0 * p.lambda_p.real == pytest.approx(0.7, rel=1e-6)
+    ref_theta, ref_j = moment_mpmath(p, table["t"], gamma_b=1.0, nbar_bath=0.0)
+    np.testing.assert_allclose(s_theta, ref_theta, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(s_j, ref_j, rtol=1e-8, atol=0)
 
 
 def test_cli_squeeze_from_drive(tmp_path, capsys):
@@ -939,21 +1057,8 @@ def test_cli_import_footprint(tmp_path, command):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert out.stderr.strip() == "0 []"
-
-
-def test_cli_squeeze_run_loads_no_scipy(tmp_path):
-    # a whole squeeze run, moment oracle included, stays free of scipy too
-    root = Path(libration.__file__).resolve().parents[2]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = ["squeeze", "--config", str(root / "configs" / "squeeze.json"),
-            "--out", str(tmp_path), "--format", "csv+svg"]
-    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
-            "print(code, 'scipy' in sys.modules, file=sys.stderr)")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-    )
-    assert out.stderr.strip() == "0 False"
-    assert (tmp_path / "squeeze_oracle_2.csv").exists()
+    if command == "squeeze":  # the moment oracle ran too, for each of the three phases
+        assert (tmp_path / "squeeze_oracle_2.csv").exists()
 
 
 PACKAGE_MODULES = ["libration"] + [
@@ -975,8 +1080,7 @@ def _loaded_by_import(module: str, names: tuple[str, ...]) -> list[str]:
 
 @pytest.mark.parametrize("module", [m for m in PACKAGE_MODULES if m != "libration.squeezing"])
 def test_package_imports_no_numpy(module):
-    # only squeezing computes on arrays; every other module loads numpy, if
-    # at all, inside the function that needs it (output.read_csv)
+    # only squeezing computes on arrays; no other module loads numpy
     assert _loaded_by_import(module, ("numpy",)) == []
 
 

@@ -1,4 +1,4 @@
-"""Variance dynamics: closed forms vs the moment-equation propagator."""
+"""Variance dynamics: closed forms and moment_oracle vs independent references."""
 
 import dataclasses
 import math
@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from libration.squeezing import (
     SqueezeParams,
@@ -17,7 +18,7 @@ from libration.squeezing import (
     variance_J_closed,
     variance_theta_closed,
 )
-from oracles import moment_dop853
+from oracles import moment_dop853, moment_expm, moment_mpmath
 
 # benchmark particle (50 x 40 nm diamond in the standard trap)
 ETA = 0.004568823977128449
@@ -150,15 +151,17 @@ def grid_for(p, n=400):
     ],
 )
 def test_closed_forms_match_moment_oracle(lam_over_xi, phi):
+    # both against the Pade propagator of the augmented moment matrix
     xi = 87.72142036086622
     p = SqueezeParams(lam=lam_over_xi * xi, xi=xi, phi=phi, r=40.0, nbar=0.0)
     t = grid_for(p)
+    ref_theta, ref_j = moment_expm(p, t)
     tr = moment_oracle(p, t)
-    s_theta = variance_theta_closed(t, p)
-    s_j = variance_J_closed(t, p)
-    scale = max(float(np.max(s_theta)), float(np.max(s_j)))
-    np.testing.assert_allclose(tr.S_theta, s_theta, rtol=0, atol=1e-8 * scale)
-    np.testing.assert_allclose(tr.S_J, s_j, rtol=0, atol=1e-8 * scale)
+    scale = max(float(np.max(ref_theta)), float(np.max(ref_j)))
+    for s_theta, s_j in ((variance_theta_closed(t, p), variance_J_closed(t, p)),
+                         (tr.S_theta, tr.S_J)):
+        np.testing.assert_allclose(s_theta, ref_theta, rtol=0, atol=1e-8 * scale)
+        np.testing.assert_allclose(s_j, ref_j, rtol=0, atol=1e-8 * scale)
     assert tr.regime == p.regime
 
 
@@ -171,12 +174,12 @@ def test_closed_forms_match_oracle_random_draws():
         nbar = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
         p = SqueezeParams(lam=lam, xi=xi, phi=phi, r=1.0, nbar=nbar)
         t = grid_for(p, n=160)
-        tr = moment_oracle(p, t)
+        ref_theta, ref_j = moment_expm(p, t)
         s_theta = variance_theta_closed(t, p)
         s_j = variance_J_closed(t, p)
         scale = max(float(np.max(s_theta)), float(np.max(s_j)))
-        np.testing.assert_allclose(tr.S_theta, s_theta, rtol=0, atol=2e-8 * scale)
-        np.testing.assert_allclose(tr.S_J, s_j, rtol=0, atol=2e-8 * scale)
+        np.testing.assert_allclose(ref_theta, s_theta, rtol=0, atol=2e-8 * scale)
+        np.testing.assert_allclose(ref_j, s_j, rtol=0, atol=2e-8 * scale)
 
 
 def test_uncertainty_product_never_below_initial_purity():
@@ -226,11 +229,9 @@ def test_degenerate_series_branch():
     assert p0.lambda_p_sq == 0.0
     assert p0.regime == "degenerate"
     t = np.linspace(0.0, 2.0 / xi, 300)
-    tr = moment_oracle(p0, t)
-    np.testing.assert_allclose(
-        variance_theta_closed(t, p0), tr.S_theta, rtol=0, atol=1e-9
-    )
-    np.testing.assert_allclose(variance_J_closed(t, p0), tr.S_J, rtol=0, atol=1e-9)
+    ref_theta, ref_j = moment_expm(p0, t)
+    np.testing.assert_allclose(variance_theta_closed(t, p0), ref_theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(variance_J_closed(t, p0), ref_j, rtol=0, atol=1e-9)
     # continuity across the band edge: a nearby exact-branch parameter set
     # produces nearly the same curves
     p1 = SqueezeParams(lam=xi * (1.0 + 3e-5), xi=xi, phi=0.9, r=40.0, nbar=0.0)
@@ -361,6 +362,71 @@ def test_oracle_matches_dop853_integration(lam_over_xi, phi, gamma_b, nbar, nbar
     np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=0, atol=1e-9 * scale)
     np.testing.assert_allclose(tr.S_J, ref_j, rtol=0, atol=1e-9 * scale)
     assert tr.regime == p.regime
+
+
+DAMPED_REGIMES = ["oscillatory", "below", "above", "degenerate", "threshold", "undamped",
+                  "gamma_dominated", "fast_lambda", "nonnormal"]
+
+
+@st.composite
+def damped_cases(draw, regime):
+    """(params, gamma_b, nbar_bath, t_grid) in ``regime``, with xi between 1 and
+    1e4 rad/s and a grid that may start after 0."""
+    xi = 10.0 ** draw(st.floats(0.0, 4.0))
+    if regime in ("oscillatory", "fast_lambda"):
+        lam = draw(st.sampled_from([-1.0, 1.0])) * xi * 10.0 ** draw(st.floats(0.01, 3.0))
+    elif regime == "degenerate":  # |lam_p^2| <= 1e-9 xi^2
+        lam = xi * (1.0 + draw(st.floats(-5e-10, 5e-10)))
+    elif regime == "nonnormal":  # hyperbolic with |lam_p| down to 2.5e-4 xi
+        lam = draw(st.sampled_from([-1.0, 1.0])) * xi * (1.0 - 10.0 ** -draw(st.floats(4.0, 7.5)))
+    else:
+        lam = xi * draw(st.floats(-0.999, 0.999))
+    p = SqueezeParams(lam=lam, xi=xi, phi=draw(st.floats(0.0, 2.0 * math.pi)), r=1.0,
+                      nbar=draw(st.sampled_from([0.0, 2.5])))
+    rate = 2.0 * math.sqrt(abs(p.lambda_p_sq))  # 2 |lam_p|
+    gamma_b = {
+        "oscillatory": xi * 10.0 ** draw(st.floats(-2.0, 1.0)),
+        "below": rate * 10.0 ** draw(st.floats(0.05, 2.0)),
+        "nonnormal": rate * 10.0 ** draw(st.floats(0.05, 1.0)),
+        "above": rate * 10.0 ** draw(st.floats(-3.0, -0.05)),
+        "degenerate": xi * 10.0 ** draw(st.floats(-2.0, 1.0)),
+        "threshold": rate * (1.0 + draw(st.floats(-1e-8, 1e-8))),
+        "undamped": 0.0,
+        "gamma_dominated": max(rate, xi * 1e-3) * 10.0 ** draw(st.floats(2.0, 5.0)),
+        "fast_lambda": abs(lam) * 10.0 ** -draw(st.floats(0.0, 6.0)),
+    }[regime]
+    # spans from far below to far above 1 / xi and 1 / gamma_b; above threshold
+    # the growth e^{(2 lam_p - gamma_b) t} stays below e^6
+    horizon = 10.0 ** draw(st.floats(-3.0, 1.5)) / (min(xi, gamma_b) if gamma_b > 0.0 else xi)
+    if p.lambda_p_sq > 0.0 and rate > gamma_b:
+        horizon = min(horizon, 6.0 / (rate - gamma_b))
+    t0 = draw(st.sampled_from([0.0, 0.37 * horizon]))
+    return p, gamma_b, draw(st.sampled_from([0.0, 1.5])), t0 + horizon * np.array(
+        [0.0, 0.013, 0.21, 1.0])
+
+
+@pytest.mark.parametrize("regime", DAMPED_REGIMES)
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_damped_oracle_matches_mpmath(regime, data):
+    p, gamma_b, nbar_bath, t = data.draw(damped_cases(regime))
+    tr = moment_oracle(p, t, gamma_b=gamma_b, nbar_bath=nbar_bath)
+    ref_theta, ref_j = moment_mpmath(p, t, gamma_b, nbar_bath)
+    np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(tr.S_J, ref_j, rtol=1e-8, atol=0)
+    assert float(np.min(tr.S_theta * tr.S_J)) >= (1.0 - 1e-9) / 16.0
+
+
+@pytest.mark.parametrize("gamma_b,t_max", [(799.0, 1.0), (1000.0, 5.0)])
+def test_damped_oracle_where_the_undamped_growth_overflows(gamma_b, t_max):
+    # 2 lam_p = 800 rad/s: e^{2 lam_p t} leaves float range at t ~ 0.89 s, while
+    # the damped moments grow as e^{(2 lam_p - gamma_b) t} at most
+    p = SqueezeParams(lam=0.0, xi=400.0, phi=0.3, r=1.0)
+    t = np.linspace(0.0, t_max, 6)
+    tr = moment_oracle(p, t, gamma_b=gamma_b, nbar_bath=0.5)
+    ref_theta, ref_j = moment_mpmath(p, t, gamma_b, 0.5)
+    np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(tr.S_J, ref_j, rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("lam_over_xi,phi", [(16.326, math.pi), (0.3, 1.0)])

@@ -1061,6 +1061,21 @@ def test_cli_import_footprint(tmp_path, command):
         assert (tmp_path / "squeeze_oracle_2.csv").exists()
 
 
+def test_cli_squeeze_run_loads_no_scipy(tmp_path):
+    # a CSV-only squeeze run, moment oracle included, stays free of scipy too
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["squeeze", "--config", str(root / "configs" / "squeeze.json"),
+            "--out", str(tmp_path), "--format", "csv"]
+    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
+            "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stderr.strip() == "0 False"
+    assert (tmp_path / "squeeze_oracle_2.csv").exists()
+
+
 PACKAGE_MODULES = ["libration"] + [
     f"libration.{m.name}" for m in pkgutil.iter_modules(libration.__path__)
 ]

@@ -8,10 +8,10 @@ error, 2 numerical failure.  All outputs are deterministic for a fixed
 config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
 summary value is reported.
 
-``hysteresis`` imports ``dynamics``, and ``squeeze`` numpy and ``squeezing``,
-inside the command.  Only ``squeeze`` builds arrays: ``derive``,
-``bistability`` and ``hysteresis`` run without loading numpy, whose import is
-about half of the first two's cold start and a quarter of ``hysteresis``'s.
+``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
+the command; ``squeeze`` loads numpy only through ``squeezing``.  ``derive``,
+``bistability`` and ``hysteresis`` run without numpy, whose import is about
+half of the first two's cold start and a quarter of ``hysteresis``'s.
 """
 
 from __future__ import annotations
@@ -290,10 +290,8 @@ def _squeeze_reference(cfg: RunConfig):
 
 
 def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
-    import numpy as np
-
     from libration.squeezing import (exponential_angle, moment_oracle, squeeze_params,
-                                     variance_J_closed, variance_theta_closed)
+                                     thermal_squeezing_check)
 
     _need_sections(cfg, "squeeze", "squeeze")
     sq, nbar = cfg.squeeze, cfg.squeeze.nbar
@@ -302,46 +300,47 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
         phis = sq.phi_rad if sq.phi_rad else (phi_default,)
     else:
         r, phis = sq.r, sq.phi_rad
-    t = _grid(np.linspace(0.0, sq.t_max_s, sq.points), "squeeze", "t_max_s and points")
+    t = _grid(_linspace(0.0, sq.t_max_s, sq.points), "squeeze", "t_max_s and points")
     oracle_gamma = cfg.gamma_b if sq.include_damping else 0.0
-    floor = (2.0 * nbar + 1.0) / 4.0
 
-    def write_trace(name: str, t, s_th, s_j, regime: str) -> None:
-        write_csv(out / name, {
-            "t": t,
-            "S_theta": s_th,
-            "S_J": s_j,
-            "squeezed_theta": (s_th < floor).astype(int),
-            "squeezed_J": (s_j < floor).astype(int),
-            "regime": [regime] * len(t),
-        })
+    # per phase (params, undamped trace, oracle trace), the last two the same
+    # trace unless damped, all checked for overflow before any file is written
+    runs = []
+    try:
+        for phi in phis:
+            params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
+            closed = moment_oracle(params, t)
+            oracle = (moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)
+                      if sq.include_damping else closed)
+            runs.append((params, closed, oracle))
+    except RuntimeError as exc:
+        raise NumericalError(str(exc)) from exc
+    first = runs[0][0]  # lam_p, and so the breathing period, is the same for all phi
+    quarter = math.pi / (4.0 * abs(first.lambda_p)) if first.regime == "oscillatory" else 0.0
+    if t[1] > quarter > 0.0:
+        print(f"warning: the grid step {_fmt(t[1])} s exceeds a quarter breathing "
+              f"period, pi/(4 |lam_p|) = {_fmt(quarter)} s: aliased traces", file=sys.stderr)
 
     svg_series = []
-    for idx, phi in enumerate(phis):
-        params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
-        suffix = "" if len(phis) == 1 else f"_{idx}"
-        quarter = math.pi / (4.0 * abs(params.lambda_p)) if params.regime == "oscillatory" else 0.0
-        if idx == 0 and t[1] > quarter > 0.0:  # lam_p, and so the period, is the same for all phi
-            print(f"warning: the grid step {_fmt(float(t[1]))} s exceeds a quarter breathing "
-                  f"period, pi/(4 |lam_p|) = {_fmt(quarter)} s: aliased traces", file=sys.stderr)
-        s_th, s_j = variance_theta_closed(t, params), variance_J_closed(t, params)
-        write_trace(f"squeeze_closed{suffix}.csv", t, s_th, s_j, params.regime)
-        try:
-            trace = moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)
-        except RuntimeError as exc:
-            raise NumericalError(str(exc)) from exc
-        write_trace(f"squeeze_oracle{suffix}.csv", trace.t, trace.S_theta, trace.S_J, trace.regime)
-        k = int(np.argmin(s_th))
-        line = (f"phi = {_fmt(phi)}: regime {params.regime}, "
-                f"min S_theta = {_fmt(float(s_th[k]))} at t = {_fmt(float(t[k]))} s")
+    for idx, (params, closed, oracle) in enumerate(runs):
+        suffix = "" if len(runs) == 1 else f"_{idx}"
+        for name, trace in (("closed", closed), ("oracle", oracle)):
+            below = thermal_squeezing_check(trace)
+            write_csv(out / f"squeeze_{name}{suffix}.csv", dict(
+                t=trace.t, S_theta=trace.S_theta, S_J=trace.S_J, squeezed_theta=below[0],
+                squeezed_J=below[1], regime=[trace.regime] * len(t)))
+        s_th = closed.S_theta
+        k = min(range(len(t)), key=s_th.__getitem__)
+        line = (f"phi = {_fmt(params.phi)}: regime {params.regime}, "
+                f"min S_theta = {_fmt(s_th[k])} at t = {_fmt(t[k])} s")
         if params.regime == "hyperbolic":
             line += f", pure-decay angle = {_fmt(exponential_angle(params))} rad"
         print(line)
-        svg_series.append((f"phi={phi:.4g}", t, s_th))
+        svg_series.append((f"phi={params.phi:.4g}", t, s_th))
     print(f"r = {_fmt(r)}, nbar = {_fmt(nbar)}, "
           f"oracle damping = {_fmt(oracle_gamma)} rad/s")
     if fmt == "csv+svg":
-        svg_series.append(("thermal floor", t, np.full_like(t, floor)))
+        svg_series.append(("thermal floor", t, [(2.0 * nbar + 1.0) / 4.0] * len(t)))
         svg_line_chart(
             out / "squeeze.svg",
             svg_series,

@@ -26,7 +26,8 @@ Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
 error comes before the ``NoConfinementError`` of a spherical particle.  A mode
 beyond float range is a config error that names the particle when its moment
-of inertia is beyond float range, else the trap (``derive`` for a scan value).
+of inertia is beyond float range, else the trap (``derive`` for a scan value);
+so is a ``squeeze.r`` whose fluctuation detuning is beyond float range.
 """
 
 from __future__ import annotations
@@ -452,10 +453,14 @@ def load_config(path: str | Path) -> RunConfig:
                 _fail("derive", f"the librational mode at {scan.axis} = {value!r} "
                       "is beyond float range")
         scan = replace(scan, modes=tuple(modes))
+    if drive is not None:
+        drive = _resolve_drive(*drive, particle, trap, mode)
     if squeeze is not None and root["squeeze"].get("thermal", False):
         squeeze = replace(squeeze, nbar=thermal_occupancy(temperature, mode.omega_t))
-    return RunConfig(
-        particle, trap, mode, gamma_b, temperature,
-        drive=None if drive is None else _resolve_drive(*drive, particle, trap, mode),
-        sweep=sweep, ramp=ramp, squeeze=squeeze, scan=scan,
-    )
+    if squeeze is not None and squeeze.r is not None and drive is not None:
+        lam = drive.delta_ml + 24.0 * mode.eta * squeeze.r * squeeze.r  # as squeeze_params
+        if not math.isfinite(lam):
+            _fail("squeeze", f"r = {squeeze.r!r} puts the fluctuation detuning "
+                  "lam = delta_ml + 24 eta r^2 beyond float range")
+    return RunConfig(particle, trap, mode, gamma_b, temperature, drive=drive, sweep=sweep,
+                     ramp=ramp, squeeze=squeeze, scan=scan)

@@ -47,7 +47,6 @@ __all__ = [
     "SqueezeParams",
     "VarianceTrace",
     "squeeze_params",
-    "characteristic_frequencies",
     "exponential_angle",
     "variance_theta_closed",
     "variance_J_closed",
@@ -119,11 +118,6 @@ def squeeze_params(
         r=r,
         nbar=nbar,
     )
-
-
-def characteristic_frequencies(omega_t: float, eta: float, r: float) -> tuple[float, float]:
-    """Regime boundaries (omega_ml1, omega_ml2) = omega_t - (36, 12) eta r^2."""
-    return omega_t - 36.0 * eta * r * r, omega_t - 12.0 * eta * r * r
 
 
 def exponential_angle(params: SqueezeParams) -> float:
@@ -280,7 +274,8 @@ def thermal_squeezing_check(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks where S_theta / S_J beat the thermal floor (2 nbar + 1)/4.
 
-    For a vacuum initial state this reduces to the usual 1/4 criterion.
+    For a vacuum initial state this reduces to the usual 1/4 criterion.  The
+    ``squeeze`` command writes them as the 0/1 ``squeezed_*`` columns.
     """
     if nbar is None:
         nbar = trace.nbar

@@ -53,7 +53,6 @@ __all__ = [
     "effective_detuning",
     "bistability_condition",
     "turning_points",
-    "minimum_drive",
     "sweep_diagram",
 ]
 
@@ -426,34 +425,6 @@ def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
         n_high=x_high / (12.0 * eta),
         physical=physical,
     )
-
-
-def minimum_drive(delta_eff: float, eta: float, gamma_b: float) -> tuple[float, float]:
-    """Smallest drive amplitude that reaches a target effective detuning.
-
-    Minimizing the required Omega over the drive detuning at fixed
-    delta_eff = delta_ml + 24 eta n gives, to leading order in
-    gamma_b / (delta_eff + 12 eta),
-
-        Omega_min = gamma_b * sqrt((delta_eff + 12 eta) / (12 eta))
-
-    attained at delta_0 = sqrt(3) gamma_b / 2 - 12 eta - delta_eff (measured,
-    like ``delta`` in :func:`turning_points`, from the bistability edge).
-    Requires delta_eff > -12 eta; below that the target is reached at
-    vanishing drive in the detuning limit and no interior minimum exists.
-    """
-    k = delta_eff + 12.0 * eta
-    if not k > 0.0:
-        raise ValueError(
-            f"target delta_eff must exceed -12*eta = {-12.0 * eta!r}, got {delta_eff!r}"
-        )
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
-    if gamma_b < 0.0:
-        raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
-    omega_min = gamma_b * math.sqrt(k / (12.0 * eta))
-    delta0 = math.sqrt(3.0) * gamma_b / 2.0 - k
-    return omega_min, delta0
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

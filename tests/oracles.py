@@ -12,7 +12,10 @@ arithmetic.  The only shared ingredients are the fixed-point polynomial, the
 fluctuation matrix, the moment equations and the mean-field right-hand side
 themselves, which *are* the model.
 
-The one exception is the calibration at the end: a least-squares fit of the
+Two paper formulas that no command uses are kept here too, with the tests
+that check them: the regime window (omega_ml1, omega_ml2) of the fluctuation
+dynamics and the minimum drive to a target effective detuning.  The one
+exception is the calibration at the end: a least-squares fit of the
 package's closed-form folds to the measured jump coordinates of the
 reference particle, which reproduces the frozen working point
 ``libration.model.REFERENCE_DELTA_ML`` / ``REFERENCE_GAMMA_B``.
@@ -417,6 +420,42 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
         ys.append(y_new)
         t, y, k1 = t_new, y_new, k7
     return np.array(ts, dtype=float), np.array(ys, dtype=complex)
+
+
+# Paper formulas that no command uses, kept as evidence.
+
+
+def characteristic_frequencies(omega_t: float, eta: float, r: float) -> tuple[float, float]:
+    """Regime boundaries (omega_ml1, omega_ml2) = omega_t - (36, 12) eta r^2."""
+    return omega_t - 36.0 * eta * r * r, omega_t - 12.0 * eta * r * r
+
+
+def minimum_drive(delta_eff: float, eta: float, gamma_b: float) -> tuple[float, float]:
+    """Smallest drive amplitude that reaches a target effective detuning.
+
+    Minimizing the required Omega over the drive detuning at fixed
+    delta_eff = delta_ml + 24 eta n gives, to leading order in
+    gamma_b / (delta_eff + 12 eta),
+
+        Omega_min = gamma_b * sqrt((delta_eff + 12 eta) / (12 eta))
+
+    attained at delta_0 = sqrt(3) gamma_b / 2 - 12 eta - delta_eff (measured,
+    like ``delta`` in :func:`libration.steadystate.turning_points`, from the bistability edge).
+    Requires delta_eff > -12 eta; below that the target is reached at
+    vanishing drive in the detuning limit and no interior minimum exists.
+    """
+    k = delta_eff + 12.0 * eta
+    if not k > 0.0:
+        raise ValueError(
+            f"target delta_eff must exceed -12*eta = {-12.0 * eta!r}, got {delta_eff!r}"
+        )
+    if not eta > 0.0:
+        raise ValueError(f"eta must be > 0, got {eta!r}")
+    if gamma_b < 0.0:
+        raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
+    omega_min = gamma_b * math.sqrt(k / (12.0 * eta))
+    delta0 = math.sqrt(3.0) * gamma_b / 2.0 - k
+    return omega_min, delta0
 
 
 @dataclass(frozen=True)

@@ -827,6 +827,65 @@ def test_cli_squeeze_from_a_zero_drive_power(tmp_path, capsys):
         assert power.read_bytes() == amplitude.read_bytes()
 
 
+def shipped_squeeze():
+    root = Path(libration.__file__).resolve().parents[2]
+    return json.loads((root / "configs" / "squeeze.json").read_text())
+
+
+def test_cli_squeeze_r_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # an r whose lam = delta_ml + 24 eta r^2 overflows is rejected at load
+    cfg = shipped_squeeze()
+    cfg["squeeze"]["r"] = 1e160
+    out = tmp_path / "out"
+    assert run_cli(["squeeze", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at squeeze: r = 1e+160 ")
+    assert "beyond float range" in err and "Traceback" not in err
+    assert list(out.glob("squeeze_*")) == []
+
+
+@pytest.mark.parametrize("damped", [False, True], ids=["undamped", "damped"])
+def test_cli_squeeze_overflow_fails_before_any_write(tmp_path, damped):
+    # lam = 0 puts lam_p = xi ~ 87.7 rad/s: the undamped trace overflows within
+    # t_max_s, damped or not, so the run fails with one line and no squeeze_* file
+    cfg = shipped_squeeze()
+    cfg["drive"] = {"detuning_rad_s": -175.44284072173244}
+    cfg["squeeze"]["t_max_s"] = 10
+    if damped:
+        cfg["environment"]["gamma_b_rad_s"] = 200
+        cfg["squeeze"].update({"include_damping": True, "phi_rad": [0.3]})
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "out"
+    argv = ["squeeze", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-c", f"import sys; from libration.cli import main; "
+                               f"sys.exit(main({argv!r}))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "numerical failure: moment propagation overflowed\n"
+    assert list(out.glob("squeeze_*")) == []
+
+
+@pytest.mark.parametrize("include_damping, calls", [(False, 3), (True, 6)])
+def test_cli_squeeze_evaluates_each_trace_once(tmp_path, monkeypatch, include_damping, calls):
+    # one variance evaluation per phase behind both CSVs, and one more per
+    # phase for the damped oracle
+    evaluate, seen = libration.squeezing._variances, []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(libration.squeezing, "_variances", counted)
+    cfg = shipped_squeeze()
+    cfg["squeeze"]["include_damping"] = include_damping
+    assert run_cli(["squeeze", "--config", write_cfg(tmp_path, cfg),
+                    "--out", tmp_path / "out", "--format", "csv+svg"]) == 0
+    assert len(seen) == calls
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["derive", "--config", tmp_path / "missing.json"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -1136,6 +1195,24 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= set(getattr(mod, "__all__", ()))
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_only_squeezing_imports_numpy():
+    # numpy is imported, at any depth of a file, by squeezing alone: the other
+    # modules, the commands' own imports included, reach arrays through it
+    importers = set()
+    for module in PACKAGE_MODULES:
+        path = Path(importlib.import_module(module).__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(f"{path.parent.name}/{path.name}")
+    assert importers == {"libration/squeezing.py"}
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

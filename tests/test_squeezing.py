@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from libration.squeezing import (
     SqueezeParams,
-    characteristic_frequencies,
     exponential_angle,
     moment_oracle,
     squeeze_params,
@@ -18,7 +17,7 @@ from libration.squeezing import (
     variance_J_closed,
     variance_theta_closed,
 )
-from oracles import moment_dop853, moment_expm, moment_mpmath
+from oracles import characteristic_frequencies, moment_dop853, moment_expm, moment_mpmath
 
 # benchmark particle (50 x 40 nm diamond in the standard trap)
 ETA = 0.004568823977128449

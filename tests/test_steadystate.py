@@ -13,7 +13,6 @@ from libration.steadystate import (
     beta_from_n,
     bistability_condition,
     effective_detuning,
-    minimum_drive,
     solve_branches,
     steady_occupations,
     sweep_diagram,
@@ -24,6 +23,7 @@ from oracles import (
     draw_mean_field,
     drive_curve_folds,
     fold_extrema_scan,
+    minimum_drive,
     scan_roots,
     stability_matrix,
 )

@@ -11,7 +11,9 @@ config      JSON run configuration: validated SI values, the working point resol
 output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
 
-The package needs numpy only, and only ``squeezing`` loads it.  The
+The package needs numpy only for the array API of ``squeezing``
+(``variance_theta_closed``, ``variance_J_closed``), which imports it when
+called; no module loads it on import, and no command loads it.  The
 reproduction evidence is kept with the tests, which also need scipy: the
 least-squares fit behind the reference working point ``model.REFERENCE_*``
 (``tests/oracles.py``) and the audit of the transcribed variance formulas

@@ -9,9 +9,10 @@ config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
 summary value is reported.
 
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
-the command; ``squeeze`` loads numpy only through ``squeezing``.  ``derive``,
-``bistability`` and ``hysteresis`` run without numpy, whose import is about
-half of the first two's cold start and a quarter of ``hysteresis``'s.
+the command.  No command loads numpy, whose import would be about half of a
+cold ``squeeze``, ``derive`` or ``bistability`` run: ``squeeze`` evaluates its
+traces through ``moment_oracle``, which is plain Python, and never calls
+``squeezing``'s array API.
 """
 
 from __future__ import annotations

@@ -298,7 +298,7 @@ def test_criterion_09_squeezing_ground_truth():
         rate = math.sqrt(abs(p.lambda_p_sq)) or xi
         horizon = 2.2 / rate if p.regime == "hyperbolic" else 2.0 * math.pi / rate
         tr = moment_oracle(p, np.linspace(0.0, horizon, 400))
-        min_product = min(min_product, float(np.min(tr.S_theta * tr.S_J)))
+        min_product = min(min_product, float(np.min(np.asarray(tr.S_theta) * tr.S_J)))
     heisenberg_ok = min_product >= (1.0 / 16.0) * (1.0 - 1e-8)
 
     # pure exponential decay at the special angle, hyperbolic regime
@@ -312,7 +312,7 @@ def test_criterion_09_squeezing_ground_truth():
         t = np.linspace(0.0, 2.5 / lam_p, 300)
         tr = moment_oracle(p_star, t)
         ref = 0.25 * np.exp(-2.0 * lam_p * t)
-        decay_dev = max(decay_dev, float(np.max(np.abs(tr.S_theta - ref) / ref)))
+        decay_dev = max(decay_dev, float(np.max(np.abs(np.asarray(tr.S_theta) - ref) / ref)))
 
     report(
         9, "squeezing ground truth",
@@ -351,7 +351,7 @@ def test_criterion_10_oscillatory_regime():
         expected = math.pi / lam_pp
         t = np.linspace(0.0, 4.5 * expected, 3000)
         tr = moment_oracle(p, t)
-        period = _measured_period(t, tr.S_theta)
+        period = _measured_period(t, np.asarray(tr.S_theta))
         period_dev = max(period_dev, abs(period - expected) / expected)
         if float(np.max(tr.S_theta)) > 0.25 * (1.0 + 1e-9):
             ceiling_ok = False

@@ -1097,7 +1097,7 @@ NOT_LOADED_BY = {
     "derive": ("numpy", "libration.dynamics", "libration.squeezing"),
     "bistability": ("numpy", "libration.dynamics", "libration.squeezing"),
     "hysteresis": ("numpy", "libration.squeezing"),
-    "squeeze": ("libration.dynamics",),
+    "squeeze": ("numpy", "libration.dynamics"),
 }
 
 
@@ -1152,9 +1152,9 @@ def _loaded_by_import(module: str, names: tuple[str, ...]) -> list[str]:
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("module", [m for m in PACKAGE_MODULES if m != "libration.squeezing"])
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
 def test_package_imports_no_numpy(module):
-    # only squeezing computes on arrays; no other module loads numpy
+    # no module loads numpy on import: squeezing's array API loads it when called
     assert _loaded_by_import(module, ("numpy",)) == []
 
 
@@ -1199,11 +1199,16 @@ def test_no_unused_imports(module):
 
 def test_only_squeezing_imports_numpy():
     # numpy is imported, at any depth of a file, by squeezing alone: the other
-    # modules, the commands' own imports included, reach arrays through it
-    importers = set()
+    # modules, the commands' own imports included, reach arrays through it;
+    # and every such import sits in a function body, none at module level
+    importers, outside_functions = set(), []
     for module in PACKAGE_MODULES:
         path = Path(importlib.import_module(module).__file__)
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        in_functions = {id(inner) for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -1212,7 +1217,10 @@ def test_only_squeezing_imports_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(f"{path.parent.name}/{path.name}")
+                if id(node) not in in_functions:
+                    outside_functions.append(f"{path.name}:{node.lineno}")
     assert importers == {"libration/squeezing.py"}
+    assert outside_functions == []
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

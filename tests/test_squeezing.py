@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from libration.model import REFERENCE_DELTA_ML
 from libration.squeezing import (
+    DEGENERATE_BAND,
     SqueezeParams,
     exponential_angle,
     moment_oracle,
@@ -76,6 +78,21 @@ def test_oracle_rejects_bad_time_grid(t_grid):
         moment_oracle(bench_params(10.0, 0.0), np.array(t_grid))
 
 
+@pytest.mark.parametrize("t_grid", [np.zeros((2, 2)), np.zeros((3, 1)),
+                                    [[0.0, 1e-4], [2e-4, 3e-4]], 1e-3])
+def test_oracle_rejects_a_time_grid_that_is_not_1d(t_grid):
+    with pytest.raises(ValueError, match="t_grid must be a 1-d array"):
+        moment_oracle(bench_params(10.0, 0.0), t_grid)
+
+
+def test_oracle_takes_a_list_and_returns_lists():
+    p = bench_params(40.0, math.pi)
+    tr = moment_oracle(p, [0, 1e-4, 2e-4])
+    assert tr.t == [0.0, 1e-4, 2e-4] and [type(t) for t in tr.t] == [float] * 3
+    assert type(tr.S_theta) is list and type(tr.S_J) is list
+    assert moment_oracle(p, np.array([0.0, 1e-4, 2e-4])) == tr
+
+
 @pytest.mark.parametrize("gamma_b,nbar_bath", [(math.nan, None), (math.inf, None),
                                                (300.0, -1.0), (300.0, math.nan)])
 def test_oracle_rejects_bad_bath(gamma_b, nbar_bath):
@@ -98,6 +115,28 @@ def test_parameters_reject_non_finite(field, value):
     fields = {"lam": 1432.0, "xi": 87.7, "phi": 1.0, "r": 40.0, "nbar": 0.5}
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         SqueezeParams(**{**fields, field: value})
+
+
+def test_regime_of_a_huge_amplitude_does_not_overflow():
+    # xi = 6e155: xi^2 and lam_p^2 leave float range, xi and lam do not
+    p = squeeze_params(REFERENCE_DELTA_ML, 0.05, 1e78, 0.0)
+    assert p.lambda_p_sq == -math.inf
+    assert p.regime == "oscillatory"
+
+
+def test_regime_labels_follow_the_band_test():
+    # |lam_p^2| <= DEGENERATE_BAND * max(xi^2, 1e-300) wherever xi^2 is finite,
+    # around and between the band edges and the 1e-300 floor
+    ratios = (0.0, 0.5, -0.99, 1.0, 1.0 + 1e-11, 1.0 - 1e-11, -1.0 + 1e-11,
+              1.0 + 1e-8, 1.0 - 1e-8, -1.0 - 1e-8, 3.0, -20.0)
+    cases = [(0.0, lam) for lam in (0.0, 1e-160, -1e-155, 1e-150, 1.0)]
+    cases += [(xi, ratio * xi) for xi in (1e-160, 1e-149, 3e-7, 87.7, 1e150)
+              for ratio in ratios]
+    for xi, lam in cases:
+        lps = (xi - lam) * (xi + lam)
+        want = ("degenerate" if abs(lps) <= DEGENERATE_BAND * max(xi * xi, 1e-300)
+                else "hyperbolic" if lps > 0.0 else "oscillatory")
+        assert SqueezeParams(lam=lam, xi=xi, phi=0.0, r=1.0).regime == want, (xi, lam)
 
 
 @pytest.mark.parametrize("nbar", [0.0, 3.2])
@@ -309,17 +348,17 @@ def test_thermal_floor_masks_by_phase():
     t = np.linspace(0.0, 5e-3, 1200)
     tr = moment_oracle(p, t)
     below_theta, below_j = thermal_squeezing_check(tr)
-    assert below_theta.any() and not below_j.any()
+    assert any(below_theta) and not any(below_j)
     # a quarter turn of the steady phase swaps which quadrature squeezes
     tr_quarter = moment_oracle(bench_params(40.0, math.pi / 2.0), t)
     q_theta, q_j = thermal_squeezing_check(tr_quarter)
-    assert q_j.any()
+    assert any(q_j)
     assert float(np.min(tr_quarter.S_theta)) >= 0.25 * (1.0 - 1e-12)
     # a thermal initial state raises the floor accordingly
     nbar = 4.0
     tr_hot = moment_oracle(bench_params(40.0, math.pi, nbar), t)
     hot_theta, _ = thermal_squeezing_check(tr_hot)
-    assert hot_theta.any()
+    assert any(hot_theta)
     assert float(np.min(tr_hot.S_theta)) >= (2.0 * nbar + 1.0) * 0.25 * (
         1.0 - 1e-12
     ) * (p.lam - p.xi) / (p.lam + p.xi)
@@ -413,7 +452,7 @@ def test_damped_oracle_matches_mpmath(regime, data):
     ref_theta, ref_j = moment_mpmath(p, t, gamma_b, nbar_bath)
     np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=1e-8, atol=0)
     np.testing.assert_allclose(tr.S_J, ref_j, rtol=1e-8, atol=0)
-    assert float(np.min(tr.S_theta * tr.S_J)) >= (1.0 - 1e-9) / 16.0
+    assert float(np.min(np.asarray(tr.S_theta) * tr.S_J)) >= (1.0 - 1e-9) / 16.0
 
 
 @pytest.mark.parametrize("gamma_b,t_max", [(799.0, 1.0), (1000.0, 5.0)])

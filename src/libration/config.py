@@ -27,15 +27,17 @@ offending key.  The mode is derived after every section is valid, so a config
 error comes before the ``NoConfinementError`` of a spherical particle.  A mode
 beyond float range is a config error that names the particle when its moment
 of inertia is beyond float range, else the trap (``derive`` for a scan value);
-so is a ``squeeze.r`` whose fluctuation detuning is beyond float range.
+so is a ``squeeze.r`` whose fluctuation detuning is beyond float range, and a
+temperature whose thermal occupancy at omega_t is.  The settings and the
+resolved config are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from libration.model import (
     DEFAULT_DAMPING_PER_PASCAL,
@@ -150,8 +152,7 @@ def _frequency(section: dict, path: str, base: str, *, required: bool = True,
     return value
 
 
-@dataclass(frozen=True)
-class DriveSettings:
+class DriveSettings(NamedTuple):
     """The resolved drive, in rad/s; ``amplitude`` is None when no strength is given."""
 
     omega_ml: float
@@ -159,15 +160,13 @@ class DriveSettings:
     amplitude: float | None
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(NamedTuple):
     amplitude_min: float
     amplitude_max: float
     points: int
 
 
-@dataclass(frozen=True)
-class RampSettings:
+class RampSettings(NamedTuple):
     amplitude_start: float
     amplitude_stop: float
     steps: int
@@ -175,8 +174,7 @@ class RampSettings:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class SqueezeSettings:
+class SqueezeSettings(NamedTuple):
     from_drive: bool
     r: float | None
     phi_rad: tuple[float, ...]
@@ -187,15 +185,13 @@ class SqueezeSettings:
     branch: str
 
 
-@dataclass(frozen=True)
-class ScanSettings:
+class ScanSettings(NamedTuple):
     axis: str  # "r_a_m" | "eccentricity"
     grid: tuple[float, ...]  # _linspace(min, max, points)
     modes: tuple[ModeParameters, ...] = ()  # one per grid value; none if one is a sphere
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     particle: NanoparticleSpec
     trap: TrapConfig
     mode: ModeParameters
@@ -452,11 +448,15 @@ def load_config(path: str | Path) -> RunConfig:
             except (ArithmeticError, ValueError):  # as above, or r_b underflowing to 0
                 _fail("derive", f"the librational mode at {scan.axis} = {value!r} "
                       "is beyond float range")
-        scan = replace(scan, modes=tuple(modes))
+        scan = scan._replace(modes=tuple(modes))
+    try:
+        nbar_thermal = thermal_occupancy(temperature, mode.omega_t)
+    except ValueError as exc:
+        _fail("environment.temperature_k", str(exc))
     if drive is not None:
         drive = _resolve_drive(*drive, particle, trap, mode)
     if squeeze is not None and root["squeeze"].get("thermal", False):
-        squeeze = replace(squeeze, nbar=thermal_occupancy(temperature, mode.omega_t))
+        squeeze = squeeze._replace(nbar=nbar_thermal)
     if squeeze is not None and squeeze.r is not None and drive is not None:
         lam = drive.delta_ml + 24.0 * mode.eta * squeeze.r * squeeze.r  # as squeeze_params
         if not math.isfinite(lam):

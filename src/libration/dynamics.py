@@ -32,9 +32,9 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from libration.model import DWELL_DAMPING_CYCLES
+from libration.model import DWELL_DAMPING_CYCLES, _Validated
 from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, turning_points
 
 __all__ = [
@@ -56,8 +56,7 @@ def mean_field_rhs(beta: complex, params: MeanFieldParams) -> complex:
     return coef * beta - 0.5j * params.Omega
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Integrated rotating-frame trajectory.
 
     ``omega_applied`` holds the drive amplitude in force at each sample, so a
@@ -262,8 +261,14 @@ def integrate(
     )
 
 
-@dataclass(frozen=True)
-class RampProtocol:
+class _RampFields(NamedTuple):
+    omega_start: float
+    omega_end: float
+    n_steps: int
+    dwell: float
+
+
+class RampProtocol(_Validated, _RampFields):
     """Stepped quasi-static ramp of the drive amplitude.
 
     The drive moves linearly from ``omega_start`` to ``omega_end`` in
@@ -272,18 +277,15 @@ class RampProtocol:
     integral type; it is stored as an int.
     """
 
-    omega_start: float
-    omega_end: float
-    n_steps: int
-    dwell: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, omega_start: float, omega_end: float, n_steps: int, dwell: float):
         # The count first: math.isfinite overflows on an integer beyond float range.
-        if not hasattr(self.n_steps, "__index__") or not 3 <= self.n_steps <= sys.float_info.max:
-            raise ValueError(
-                f"need a finite integer of at least 3 ramp steps, got {self.n_steps!r}"
-            )
-        object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        if not hasattr(n_steps, "__index__") or not 3 <= n_steps <= sys.float_info.max:
+            raise ValueError(f"need a finite integer of at least 3 ramp steps, got {n_steps!r}")
+        return super().__new__(cls, omega_start, omega_end, operator.index(n_steps), dwell)
+
+    def _check(self) -> None:
         fields = (self.omega_start, self.omega_end, self.dwell)
         if not all(math.isfinite(v) for v in fields):
             raise ValueError(f"ramp fields must be finite, got {fields!r}")
@@ -306,8 +308,7 @@ class RampProtocol:
         return RampProtocol(self.omega_end, self.omega_start, self.n_steps, self.dwell)
 
 
-@dataclass(frozen=True)
-class JumpEvent:
+class JumpEvent(NamedTuple):
     """Fold crossing: the first plateau whose end state left its branch.
 
     ``drive`` is the midpoint of the two plateau amplitudes bracketing the
@@ -323,8 +324,7 @@ class JumpEvent:
     delta_eff_before: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """One quasi-static ramp: per-plateau end states plus its fold crossing.
 
     ``trajectory`` holds one sample per plateau: its drive, end state and
@@ -407,8 +407,7 @@ def quasi_static_sweep(
     )
 
 
-@dataclass(frozen=True)
-class HysteresisResult:
+class HysteresisResult(NamedTuple):
     """Up/down sweep pair (each with its own ``jump``) and enclosed loop area.
 
     ``loop_area`` is the integral of (n_down - n_up) over the drive range:

@@ -27,7 +27,7 @@ rad/s unless a name says otherwise.  Conversions to Hz live in the CLI layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 C_LIGHT = 299792458.0  # m/s, exact (SI 2019)
 HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s, exact h over 2 pi
@@ -73,8 +73,26 @@ DEFAULT_DAMPING_PER_PASCAL = REFERENCE_GAMMA_B / REFERENCE_PRESSURE  # rad/s per
 DWELL_DAMPING_CYCLES = 20.0
 
 
-@dataclass(frozen=True)
-class Material:
+class _Validated:
+    """Base of a validated ``NamedTuple`` record, listed before its fields.
+
+    Every new record runs the class's ``_check``.  ``_replace`` builds through
+    ``_make``, which would skip ``__new__``, so ``_make`` calls the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Material(NamedTuple):
     """Bulk optical material: mass density (kg/m^3) and relative permittivity."""
 
     density: float
@@ -96,8 +114,14 @@ class NoConfinementError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class NanoparticleSpec:
+class _NanoparticleFields(NamedTuple):
+    r_a: float
+    r_b: float
+    density: float
+    eps_r: float
+
+
+class NanoparticleSpec(_Validated, _NanoparticleFields):
     """Prolate spheroidal nanoparticle.
 
     Parameters
@@ -112,12 +136,9 @@ class NanoparticleSpec:
         Relative permittivity at the trapping wavelength.
     """
 
-    r_a: float
-    r_b: float
-    density: float
-    eps_r: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.r_b > 0.0 and self.r_a >= self.r_b):
             raise ValueError(
                 f"need r_a >= r_b > 0, got r_a={self.r_a!r}, r_b={self.r_b!r}"
@@ -155,25 +176,37 @@ class NanoparticleSpec:
         return self.density * self.volume
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class _TrapFields(NamedTuple):
+    power: float
+    waist: float
+
+
+class TrapConfig(_Validated, _TrapFields):
     """Trapping beam: optical power P0 (W) and beam waist w0 (m).
 
     The polarization axis defines x; the long particle axis librates about it.
     """
 
-    power: float
-    waist: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.power > 0.0:
             raise ValueError(f"trap power must be positive, got {self.power!r}")
         if not self.waist > 0.0:
             raise ValueError(f"beam waist must be positive, got {self.waist!r}")
 
 
-@dataclass(frozen=True)
-class ModeParameters:
+class _ModeFields(NamedTuple):
+    inertia: float
+    kappa_x: float
+    kappa_y: float
+    omega_t: float
+    eta: float
+    theta0: float
+    J0: float
+
+
+class ModeParameters(_Validated, _ModeFields):
     """Derived librational-mode numbers for one particle/trap combination.
 
     Attributes
@@ -192,15 +225,9 @@ class ModeParameters:
         Zero-point angular-momentum scale sqrt(2 I hbar omega_t)  (J s).
     """
 
-    inertia: float
-    kappa_x: float
-    kappa_y: float
-    omega_t: float
-    eta: float
-    theta0: float
-    J0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.kappa_x > self.kappa_y > 0.0):
             raise ValueError(
                 "need kappa_x > kappa_y > 0, got "
@@ -352,7 +379,9 @@ def thermal_occupancy(temperature: float, omega: float) -> float:
     Implemented with expm1 so the high-temperature limit kB T / (hbar omega)
     stays accurate (for the librational mode at room temperature n_bar ~ 1e6).
     Where hbar omega / kB T is too large for expm1 (above ~709, or kB T
-    underflows), the mode is in its ground state and n_bar = 0.0.
+    underflows), the mode is in its ground state and n_bar = 0.0.  Where it
+    is so small (subnormal, or zero) that n_bar is beyond float range, a
+    ``ValueError`` is raised.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
@@ -360,6 +389,12 @@ def thermal_occupancy(temperature: float, omega: float) -> float:
         raise ValueError(f"temperature must be positive, got {temperature!r}")
     kt = K_B * temperature
     try:
-        return 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)
+        nbar = 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)
     except OverflowError:
         return 0.0
+    except ZeroDivisionError:  # hbar omega / kB T underflowed to zero
+        nbar = math.inf
+    if nbar == math.inf:
+        raise ValueError(f"the thermal occupancy at temperature {temperature!r} K and "
+                         f"omega {omega!r} rad/s is beyond float range")
+    return nbar

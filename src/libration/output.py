@@ -50,7 +50,13 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path: str | Path, columns: dict[str, object]) -> None:
-    """Write named columns (equal-length sequences) as a CSV file."""
+    """Write named columns (equal-length sequences) as a CSV file.
+
+    Formatting goes column by column: a column of Python floats through one
+    ``map(float.__repr__, ...)``, any other column cell by cell through
+    ``_format_cell``, which writes each cell as that ``repr`` of the float it
+    holds, or as the int, bool (0/1) or string.  The rows are joined once.
+    """
     names = list(columns)
     if not names:
         raise ValueError("write_csv needs at least one column")
@@ -61,10 +67,9 @@ def write_csv(path: str | Path, columns: dict[str, object]) -> None:
             raise ValueError(
                 f"column {name!r} has length {len(col)}, expected {length}"
             )
-    lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(_format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cells = [map(float.__repr__, col) if set(map(type, col)) == {float}
+             else map(_format_cell, col) for col in cols]
+    Path(path).write_text("\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -182,8 +187,10 @@ def svg_line_chart(
                         f'<circle cx="{sx(xv):.2f}" cy="{sy(yv):.2f}" '
                         f'r="2.2" fill="{color}"/>'
                     )
-            if len(run) > 1:
-                pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in run)
+            if len(run) > 1:  # sx and sy written out: the runs hold most points
+                pts = " ".join(f"{margin_l + (xv - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+                               f"{margin_t + (y_hi - yv) / (y_hi - y_lo) * plot_h:.2f}"
+                               for xv, yv in run)
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
                     'stroke-width="1.6"/>'

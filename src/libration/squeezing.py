@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from libration.model import _Validated
 
 __all__ = [
     "SqueezeParams",
@@ -61,8 +63,15 @@ __all__ = [
 DEGENERATE_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
+class _SqueezeFields(NamedTuple):
+    lam: float
+    xi: float
+    phi: float
+    r: float
+    nbar: float = 0.0
+
+
+class SqueezeParams(_Validated, _SqueezeFields):
     """Linearized-fluctuation parameters (all rad/s except the dimensionless nbar).
 
     lam  : effective detuning of the fluctuation mode, delta_ml + 24 eta r^2.
@@ -72,13 +81,9 @@ class SqueezeParams:
     nbar : initial thermal occupation of the fluctuation mode.
     """
 
-    lam: float
-    xi: float
-    phi: float
-    r: float
-    nbar: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("lam", "xi", "phi", "r", "nbar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -275,8 +280,7 @@ def variance_J_closed(t, params: SqueezeParams):
     return _closed(t, params)[1]
 
 
-@dataclass(frozen=True)
-class VarianceTrace:
+class VarianceTrace(NamedTuple):
     """Sampled variance evolution, with the regime the parameters fall in.
 
     ``t``, ``S_theta`` and ``S_J`` are lists of floats of equal length.

@@ -37,8 +37,9 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from libration.model import _Validated
 
 __all__ = [
     "MeanFieldParams",
@@ -60,8 +61,14 @@ __all__ = [
 RESIDUAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MeanFieldParams:
+class _MeanFieldFields(NamedTuple):
+    delta_ml: float
+    Omega: float
+    gamma_b: float
+    eta: float
+
+
+class MeanFieldParams(_Validated, _MeanFieldFields):
     """Rotating-frame parameters of the driven mode (all rad/s).
 
     delta_ml : drive detuning omega_ml - omega_t (signed).
@@ -70,12 +77,9 @@ class MeanFieldParams:
     eta      : nonlinear shift per phonon, > 0.
     """
 
-    delta_ml: float
-    Omega: float
-    gamma_b: float
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("delta_ml", "Omega", "gamma_b", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -121,8 +125,7 @@ class Stability(enum.Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class SteadyBranch:
+class SteadyBranch(NamedTuple):
     """One steady-state solution of the driven mode.
 
     eigenvalues are those of the linearized fluctuation dynamics
@@ -141,8 +144,7 @@ class SteadyBranch:
         return self.verdict is Stability.STABLE
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(NamedTuple):
     """Saddle-node (fold) points of the steady-state S-curve.
 
     delta_eff_low/high are the effective detunings delta_ml + 24*eta*n at the
@@ -163,8 +165,7 @@ class TurningPoints:
     physical: bool
 
 
-@dataclass(frozen=True)
-class BistabilityDiagram:
+class BistabilityDiagram(NamedTuple):
     """Steady branches sampled over a drive-amplitude grid at fixed detuning."""
 
     branches: tuple[tuple[float, SteadyBranch], ...]

@@ -501,6 +501,25 @@ def test_cli_derive_cold_mode_is_in_its_ground_state(tmp_path):
     assert dict(zip(table["quantity"], table["value"]))["thermal_occupancy"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["derive", "bistability", "hysteresis", "squeeze"])
+def test_cli_occupancy_beyond_float_range_is_a_config_error(tmp_path, capsys, command):
+    # at 1e308 K hbar omega_t / kB T is subnormal and n_bar = 1/expm1 of it
+    # overflows: a config error at load, not inf in derive.csv or, with
+    # thermal: true, a traceback from the squeeze parameters
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg["environment"]["temperature_k"] = 1e308
+    if command == "squeeze":
+        del cfg["squeeze"]["nbar"]
+        cfg["squeeze"]["thermal"] = True
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at environment.temperature_k: ")
+    assert "beyond float range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["derive", "bistability"])
 def test_cli_rejects_a_detuning_below_minus_omega_t(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, with_sections(
@@ -1090,9 +1109,11 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
         load_config(write_cfg(tmp_path, bad))
 
 
-# modules each command must not load (beyond these, none loads scipy or the
-# modules xml.sax.saxutils pulls in: the SVG writer escapes text itself)
-NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request")
+# modules each command must not load (beyond these, none loads scipy, the
+# modules xml.sax.saxutils pulls in, as the SVG writer escapes text itself, or
+# dataclasses and the inspect it imports: the records are NamedTuples)
+NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request", "dataclasses",
+                "inspect")
 NOT_LOADED_BY = {
     "derive": ("numpy", "libration.dynamics", "libration.squeezing"),
     "bistability": ("numpy", "libration.dynamics", "libration.squeezing"),
@@ -1221,6 +1242,24 @@ def test_only_squeezing_imports_numpy():
                     outside_functions.append(f"{path.name}:{node.lineno}")
     assert importers == {"libration/squeezing.py"}
     assert outside_functions == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: dataclasses, with the inspect, ast and
+    # tokenize it imports, would be a third of a cold import of the package
+    importers = []
+    for module in PACKAGE_MODULES:
+        path = Path(importlib.import_module(module).__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

@@ -191,6 +191,10 @@ def test_thermal_occupancy():
     assert thermal_occupancy(hbar * omega / (k_B * 700.0), omega) > 0.0
     with pytest.raises(ValueError):
         thermal_occupancy(0.0, omega)
+    # hbar omega / kB T subnormal (n_bar = 1/expm1 overflows) or zero: beyond float range
+    for temperature, w in ((1e308, omega), (1e308, 1e-150), (math.inf, omega)):
+        with pytest.raises(ValueError, match="beyond float range"):
+            thermal_occupancy(temperature, w)
 
 
 def test_spec_validation():

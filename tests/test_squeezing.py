@@ -1,6 +1,5 @@
 """Variance dynamics: closed forms and moment_oracle vs independent references."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -244,12 +243,12 @@ def test_exponential_angle_gives_pure_decay():
         lam_p = math.sqrt(p.lambda_p_sq)
         phi_star = exponential_angle(p)
         t = np.linspace(0.0, 2.5 / lam_p, 300)
-        decay = variance_theta_closed(t, dataclasses.replace(p, phi=phi_star))
+        decay = variance_theta_closed(t, p._replace(phi=phi_star))
         # cosh - sinh cancellation leaves ~eps * e^{2 lam_p t} absolute noise
         np.testing.assert_allclose(
             decay, 0.25 * np.exp(-2.0 * lam_p * t), rtol=0, atol=1e-11
         )
-        growth = variance_theta_closed(t, dataclasses.replace(p, phi=-phi_star))
+        growth = variance_theta_closed(t, p._replace(phi=-phi_star))
         np.testing.assert_allclose(
             growth, 0.25 * np.exp(+2.0 * lam_p * t), rtol=1e-12
         )

@@ -53,7 +53,7 @@ from libration.model import (
     rotational_inertia,
     thermal_occupancy,
 )
-from libration.steadystate import _linspace
+from libration.steadystate import _linspace, _range_fault
 
 __all__ = [
     "ConfigError",
@@ -281,6 +281,26 @@ def _resolve_drive(freq, det, power, amplitude, particle: NanoparticleSpec, trap
     return DriveSettings(omega_ml, delta_ml, amplitude)
 
 
+def _check_cubic_range(root: dict, drive: DriveSettings, gamma_b: float, eta: float,
+                       sweep: SweepSettings | None) -> None:
+    """Reject a working point whose steady-state cubic is beyond float range.
+
+    It is checked at the larger top amplitude of the drive section, which
+    ``squeeze`` solves at, and of the sweep; the error names the key at fault.
+    """
+    amplitude, section, prefixes = max(
+        (drive.amplitude or 0.0, "drive", ("amplitude", "power")),
+        (sweep.amplitude_max if sweep else 0.0, "sweep", ("amplitude_max",)))
+    fault = _range_fault("delta_ml", drive.delta_ml + 12.0 * eta, gamma_b, eta, amplitude)
+    if fault is not None:
+        section, prefixes = {"delta_ml": ("drive", ("frequency", "detuning")),
+                             "gamma_b": ("environment", ("gamma_b", "pressure")),
+                             "eta": ("particle", ())}.get(fault, (section, prefixes))
+        keys = [k for pre in prefixes for k in root[section] if k.startswith(pre)]
+        _fail(".".join([section] + keys[:1]), "the steady-state cubic at this value is "
+              f"beyond float range (eta = {eta!r} rad/s)")
+
+
 def _parse_sweep(section: dict) -> SweepSettings:
     path = "sweep"
     _check_known(section, path, {
@@ -455,6 +475,7 @@ def load_config(path: str | Path) -> RunConfig:
         _fail("environment.temperature_k", str(exc))
     if drive is not None:
         drive = _resolve_drive(*drive, particle, trap, mode)
+        _check_cubic_range(root, drive, gamma_b, mode.eta, sweep)
     if squeeze is not None and root["squeeze"].get("thermal", False):
         squeeze = squeeze._replace(nbar=nbar_thermal)
     if squeeze is not None and squeeze.r is not None and drive is not None:

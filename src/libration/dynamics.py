@@ -35,7 +35,7 @@ import warnings
 from typing import NamedTuple
 
 from libration.model import DWELL_DAMPING_CYCLES, _Validated
-from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, turning_points
+from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, _physical_folds
 
 __all__ = [
     "RampProtocol",
@@ -397,8 +397,7 @@ def quasi_static_sweep(
         t=[(k + 1) * protocol.dwell for k in range(len(beta))], beta=beta,
         omega_applied=drives, complete=traj.complete, n_rhs=n_rhs, n_rejected=n_rejected,
     )
-    tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
-    turning = tp if tp.physical else None
+    turning = _physical_folds(delta_ml, eta, gamma_b)
     return SweepResult(
         trajectory=trajectory,
         jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),

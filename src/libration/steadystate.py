@@ -12,23 +12,23 @@ the modulus square gives a cubic in the occupation n = |beta_0|^2,
     n * [ gamma_b^2/4 + (u + 12*eta*n)^2 ] = Omega^2 / 4,     u = delta_ml + 12*eta,
 
 whose one or three positive roots are the steady branches.  Linearizing about a
-root gives a 2x2 fluctuation matrix whose Routh-Hurwitz conditions (trace and
-determinant positive) decide stability; the determinant equals d(Omega^2/4)/dn,
-so the middle branch of an S-curve is always the unstable one.
+root gives a 2x2 fluctuation matrix with trace gamma_b and determinant equal to
+the S-curve slope d(Omega^2/4)/dn = gamma_b^2/4 + (u + x)(u + 3x), x = 12*eta*n,
+so its Routh-Hurwitz conditions (both positive) make the middle branch of an
+S-curve, between the folds where the slope vanishes, always the unstable one.
 
-In the scaled variable x = 12*eta*n (rad/s) the cubic reads
-F(x) = x (gamma_b^2/4 + (u + x)^2) = 3*eta*Omega^2.  Its closed-form extrema
-x_low < x_high (the folds) give three roots exactly when x_low > 0 and
-F(x_high) <= 3*eta*Omega^2 <= F(x_low), bracketed by [0, x_low],
+In x the cubic reads F(x) = x (gamma_b^2/4 + (u + x)^2) = 3*eta*Omega^2.  Its
+closed-form extrema x_low < x_high (the folds) give three roots exactly when
+x_low > 0 and F(x_high) <= 3*eta*Omega^2 <= F(x_low), bracketed by [0, x_low],
 [x_low, x_high] and [x_high, top]; otherwise one root lies in [0, top],
-top = max(-u, 0) + (3*eta*Omega^2)^(1/3).  Newton's method from the bracket
-end where the residual and its curvature share a sign (Fourier's condition)
-converges monotonically; bisection takes over any step that would leave the
-bracket (Kahan, "To Solve a Real Cubic Equation", 1986).  All frequencies
-are angular (rad/s).
+top = max(-u, 0) + (3*eta*Omega^2)^(1/3).  Newton's method on the same slope,
+from the bracket end where the residual and its curvature share a sign
+(Fourier's condition), converges monotonically; bisection takes over any step
+that would leave the bracket (Kahan, "To Solve a Real Cubic Equation", 1986).
+All frequencies are angular (rad/s).
 
-Branches are solved in Python complex scalars: this module imports no numpy,
-so ``bistability`` runs without loading it.
+Branches are solved in Python scalars: this module imports no numpy, so
+``bistability`` runs without loading it.
 """
 
 from __future__ import annotations
@@ -193,9 +193,33 @@ def _fold_x(u: float, gamma_b: float) -> tuple[tuple[float, float], tuple[float,
     s = math.sqrt(s_sq)
     g2 = gamma_b**2 / 4.0
     off_low = (u - s) / 3.0
-    off_high = (u + s) / 3.0 if u >= 0.0 else g2 / (3.0 * off_low)
+    off_high = (u + s) / 3.0 if u >= 0.0 or off_low == 0.0 else g2 / (3.0 * off_low)
     x_low, x_high = off_low - u, off_high - u
     return (x_low, x_low * (g2 + off_low**2)), (x_high, x_high * (g2 + off_high**2))
+
+
+def _curve_slope(u: float, gamma_b: float, x: float) -> float:
+    """The S-curve slope d(Omega^2/4)/dn = gamma_b^2/4 + (u + x)(u + 3x), x = 12 eta n."""
+    return gamma_b**2 / 4.0 + (u + x) * (u + 3.0 * x)
+
+
+def _range_fault(detuning: str, u: float, gamma_b: float, eta: float,
+                 Omega: float = 0.0) -> str | None:
+    """The field that puts the steady-state cubic beyond float range, or None.
+
+    The cubic's terms in n and its folds are O(max(S, S^3) / min(12 eta, 1))
+    with S = |u| + 12 eta + gamma_b + (3 eta Omega^2)^(1/3).  Past 1e300,
+    eight decades short of float range, the larger factor is at fault: the
+    largest term of S (``detuning`` for u), or a small eta in n = x / (12 eta).
+    """
+    sizes = {detuning: abs(u), "eta": 12.0 * eta, "gamma_b": gamma_b,
+             "Omega": (3.0 * eta * Omega * Omega) ** (1.0 / 3.0)}
+    scale = sum(sizes.values())
+    cube = scale * scale * scale  # inf, not OverflowError, out of range
+    rates, small = max(scale, cube), min(12.0 * eta, 1.0)
+    if rates / small <= 1e300:
+        return None
+    return max(sizes, key=sizes.__getitem__) if rates * small >= 1.0 else "eta"
 
 
 def _cubic_n(params: MeanFieldParams, n: float) -> float:
@@ -217,12 +241,16 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     points at u + 12*eta*n = 0 collapses to the same reported state.
 
     Raises :class:`ResonanceError` when a root misses |cubic(n)| <=
-    RESIDUAL_RTOL * Omega^2/4.
+    RESIDUAL_RTOL * Omega^2/4, and ValueError naming the field when the
+    cubic is beyond float range (:func:`_range_fault`).
     """
+    fault = _range_fault("delta_ml", params.u, params.gamma_b, params.eta, params.Omega)
+    if fault is not None:
+        raise ValueError(f"{fault}={getattr(params, fault)!r} puts the steady-state cubic "
+                         "beyond float range")
     if params.Omega == 0.0:
         return [0.0]
     u = params.u
-    g2 = params.gamma_b**2 / 4.0
     k = 12.0 * params.eta
     target = params.Omega**2 / 4.0
     tol = 1e-13 * target
@@ -250,8 +278,7 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
                 lo = n
             else:
                 hi = n
-            x = k * n
-            slope = g2 + (u + x) * (u + 3.0 * x)
+            slope = _curve_slope(u, params.gamma_b, k * n)
             n = n - f / slope if slope else lo
             if not lo < n < hi:
                 n = 0.5 * (lo + hi)
@@ -271,7 +298,9 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     roots = [solve(*b) for b in brackets]
     for (lo, hi, _), n in zip(brackets, roots):
         residual = _cubic_n(params, n)
-        if not abs(residual) <= RESIDUAL_RTOL * target:
+        # beta_0 is unbounded on an undamped resonance, passed when Omega^2 underflows
+        resonant = u + k * n == 0.0 and params.gamma_b / 2.0 == 0.0
+        if resonant or not abs(residual) <= RESIDUAL_RTOL * target:
             raise ResonanceError(params, (lo, hi), n, residual)
     return roots
 
@@ -296,54 +325,30 @@ def beta_from_n(params: MeanFieldParams, n: float) -> complex:
     return (1j * params.Omega / 2.0) / denom
 
 
-def _verdict(tr: float, det: float) -> Stability:
-    """Routh-Hurwitz verdict from the trace and determinant of the fluctuation matrix.
-
-    Stable needs trace > 0 and determinant > 0 (both eigenvalues of -A in the
-    left half-plane).  An undamped mode (trace == 0) with positive determinant
-    only precesses: marginal.  A vanishing determinant (fold point) is
-    marginal as well.
-    """
-    if det < 0.0:
-        return Stability.UNSTABLE
-    if det == 0.0 or tr == 0.0:
-        return Stability.MARGINAL
-    return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
-
-
 def effective_detuning(params: MeanFieldParams, n: float) -> float:
     """Occupation-shifted detuning delta_eff = delta_ml + 24 eta n."""
     return params.delta_ml + 24.0 * params.eta * n
 
 
 def _branch_from_n(params: MeanFieldParams, n: float, tangent: bool) -> SteadyBranch:
-    """The branch at occupation n, classified by its fluctuation matrix A.
+    """The branch at occupation n, classified by the S-curve slope.
 
-    d(dbeta)/dt = -A dbeta about the steady state, with
-
-        A = [[kappa + 2 chi n,        chi beta_0^2       ],
-             [conj(chi beta_0^2),     conj(kappa + 2 chi n)]],
-
-    kappa = gamma_b/2 - i u and chi = -12i eta.  Its trace is exactly gamma_b
-    and its determinant equals d(Omega^2/4)/dn on the S-curve.
+    About the steady state d(dbeta)/dt = -A dbeta, where A has trace gamma_b
+    and determinant d(Omega^2/4)/dn (:func:`_curve_slope`), so the eigenvalues
+    of -A are -(tr -+ sqrt(tr^2 - 4 det))/2.  Stable needs both positive
+    (Routh-Hurwitz); a fold (det == 0) is marginal, as is an undamped mode
+    (tr == 0) that only precesses (det > 0).
     """
-    beta0 = beta_from_n(params, n)
-    kappa = params.gamma_b / 2.0 - 1j * params.u
-    chi = -12j * params.eta
-    a00, a01 = kappa + 2.0 * chi * n, chi * beta0 * beta0
-    tr = a00 + a00.conjugate()
-    det = a00 * a00.conjugate() - a01 * a01.conjugate()
-    # eigenvalues of -A, closed form for a 2x2
-    s = cmath.sqrt(tr * tr - 4.0 * det)
-    lam1, lam2 = sorted(
-        (-(tr + s) / 2.0, -(tr - s) / 2.0), key=lambda z: (z.real, z.imag)
-    )
+    tr = params.gamma_b
+    det = _curve_slope(params.u, params.gamma_b, 12.0 * params.eta * n)
+    s = cmath.sqrt(tr * tr - 4.0 * det)  # real >= 0 or positive imaginary
     return SteadyBranch(
         n=n,
-        beta0=beta0,
+        beta0=beta_from_n(params, n),
         delta_eff=effective_detuning(params, n),
-        eigenvalues=(lam1, lam2),
-        verdict=_verdict(tr.real, det.real),
+        eigenvalues=(-(tr + s) / 2.0, -(tr - s) / 2.0),  # in (real, imag) order
+        verdict=(Stability.UNSTABLE if det < 0.0 else
+                 Stability.MARGINAL if det == 0.0 or tr == 0.0 else Stability.STABLE),
         tangent=tangent,
     )
 
@@ -393,6 +398,10 @@ def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
     if gamma_b < 0.0:
         raise ValueError(f"gamma_b must be >= 0, got {gamma_b!r}")
     u = delta - math.sqrt(3.0) * gamma_b / 2.0
+    fault = _range_fault("delta", u, gamma_b, eta)
+    if fault is not None:
+        value = {"delta": delta, "gamma_b": gamma_b, "eta": eta}[fault]
+        raise ValueError(f"{fault}={value!r} puts the fold coordinates beyond float range")
     folds = _fold_x(u, gamma_b)
     if folds is None:
         return TurningPoints(
@@ -428,6 +437,14 @@ def turning_points(delta: float, eta: float, gamma_b: float) -> TurningPoints:
     )
 
 
+def _physical_folds(delta_ml: float, eta: float, gamma_b: float) -> TurningPoints | None:
+    """The folds at detuning delta_ml, or None when the S-curve does not fold.
+
+    Offset omega_ml - omega_c = delta_ml + 12 eta + sqrt(3) gamma_b/2, not via omega_t."""
+    tp = turning_points(delta_ml + 12.0 * eta + math.sqrt(3.0) * gamma_b / 2.0, eta, gamma_b)
+    return tp if tp.physical else None
+
+
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """``np.linspace(lo, hi, n).tolist()`` for an int n >= 2, bit for bit."""
     step = (hi - lo) / (n - 1)
@@ -445,10 +462,11 @@ def sweep_diagram(
 ) -> BistabilityDiagram:
     """Solve the steady branches over a monotone drive-amplitude grid.
 
-    The diagram regime is decided by delta = omega_ml - omega_c: "bistable"
-    below the edge, "monostable" above, and "platform" on the edge itself
-    (within floating-point resolution of the input frequencies), where the
-    S-curve degenerates to a monotone curve with an inflection.
+    The diagram regime is decided by omega_ml - omega_c: "bistable" below the
+    edge, "monostable" above, and "platform" on the edge itself (within
+    floating-point resolution of the input frequencies), where the S-curve
+    degenerates to a monotone curve with an inflection.  The fold pair is that
+    of :func:`_physical_folds` at delta_ml, the same as the branches'.
     """
     grid = [float(w) for w in drive_amplitudes]
     if not grid:
@@ -461,19 +479,16 @@ def sweep_diagram(
     edge_tol = 32.0 * sys.float_info.epsilon * max(abs(omega_t), abs(omega_ml), 1.0)
     if abs(delta) <= edge_tol:
         regime = "platform"
-        delta = 0.0
     elif delta < 0.0:
         regime = "bistable"
     else:
         regime = "monostable"
-    turning = turning_points(delta, eta, gamma_b)
-    if not turning.physical:
-        turning = None
     rows: list[tuple[float, SteadyBranch]] = []
     for w in grid:
         p = MeanFieldParams(delta_ml=delta_ml, Omega=w, gamma_b=gamma_b, eta=eta)
         for branch in solve_branches(p):
             rows.append((w, branch))
+    turning = _physical_folds(delta_ml, eta, gamma_b)
     return BistabilityDiagram(
         branches=tuple(rows),
         omega_ml=omega_ml,

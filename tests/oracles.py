@@ -220,6 +220,37 @@ def classify_stability(matrix: np.ndarray) -> Stability:
     return Stability.STABLE if tr > 0.0 else Stability.UNSTABLE
 
 
+def branch_mpmath(params, n: float, dps: int = 60):
+    """(n, (lam1, lam2), det) of the steady branch at occupation ~n in ``dps`` digits.
+
+    The float inputs of ``params`` (a MeanFieldParams) are taken exactly, n is
+    refined by Newton's method on the steady-state cubic, and at the refined
+    root the fluctuation matrix A of :func:`stability_matrix` gives the
+    eigenvalues of -A, sorted by (real, imag), and det(A).  Raises
+    ArithmeticError when Newton does not converge (no exact root near n).
+    """
+    with mpmath.workdps(dps):
+        delta_ml, omega, g, eta = (mpmath.mpf(v) for v in params)
+        u, k = delta_ml + 12 * eta, 12 * eta
+        m = mpmath.mpf(n)
+        for _ in range(400):
+            f = m * (g * g / 4 + (u + k * m) ** 2) - omega * omega / 4
+            step = f / (g * g / 4 + (u + k * m) * (u + 3 * k * m))
+            m -= step
+            if abs(step) <= mpmath.mpf(10) ** (5 - dps) * abs(m):
+                break
+        else:
+            raise ArithmeticError(f"no root of the exact cubic near n={n!r} for {params}")
+        beta0 = (1j * omega / 2) / (1j * (u + k * m) - g / 2)
+        a00 = g / 2 - 1j * u - 24j * eta * m  # kappa + 2 chi n
+        a01 = -12j * eta * beta0 * beta0  # chi beta_0^2
+        tr = 2 * a00.real
+        det = (a00 * mpmath.conj(a00) - a01 * mpmath.conj(a01)).real
+        s = mpmath.sqrt(mpmath.mpc(tr * tr - 4 * det))
+        lams = sorted((-(tr + s) / 2, -(tr - s) / 2), key=lambda z: (z.real, z.imag))
+        return m, tuple(lams), det
+
+
 def _variances_of(re_z, m):
     """(S_theta, S_J) of the moments Re z = Re <b^2> and m = <b'b>."""
     return (2.0 * re_z + 2.0 * m + 1.0) / 4.0, (-2.0 * re_z + 2.0 * m + 1.0) / 4.0

@@ -520,6 +520,63 @@ def test_cli_occupancy_beyond_float_range_is_a_config_error(tmp_path, capsys, co
     assert not out.exists()
 
 
+def _from_drive(cfg):
+    del cfg["squeeze"]["r"]
+    cfg["squeeze"]["from_drive"] = True
+    cfg["drive"]["amplitude_rad_s"] = 1e300
+
+
+def _set(section, key, value):
+    def edit(cfg):
+        cfg[section][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("bistability", _set("sweep", "amplitude_max_rad_s", 1e300), "sweep.amplitude_max_rad_s"),
+    ("bistability", _set("environment", "gamma_b_rad_s", 1e300), "environment.gamma_b_rad_s"),
+    ("bistability", _set("drive", "detuning_rad_s", 1e300), "drive.detuning_rad_s"),
+    ("derive", lambda cfg: cfg.update(drive={"detuning_rad_s": 1e300}), "drive.detuning_rad_s"),
+    ("squeeze", _from_drive, "drive.amplitude_rad_s"),
+], ids=["sweep-amplitude", "gamma_b", "bistability-detuning", "derive-detuning",
+        "squeeze-from-drive"])
+def test_cli_steady_state_beyond_float_range_is_a_config_error(
+    tmp_path, capsys, command, edit, key
+):
+    # squares of these rates overflowed in the steady-state solve (an
+    # OverflowError traceback), or derive reported them with exit 0: now one
+    # config error line at load that names the key
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    edit(cfg)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error at {key}: ")
+    assert "beyond float range" in err[0]
+    assert not out.exists()
+
+
+def test_cli_low_damping_root_counts_match_the_fold_window(tmp_path):
+    # a narrow window just past the edge at gamma_b = 1e-3 rad/s: the drives
+    # with three roots are exactly those strictly inside the reported folds
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / "bistability.json").read_text())
+    cfg["environment"]["gamma_b_rad_s"] = 0.001
+    cfg["drive"] = {"detuning_rad_s": -0.2553786715868009}
+    cfg["sweep"] = {"amplitude_min_rad_s": 5.5008e-05, "amplitude_max_rad_s": 5.5009e-05,
+                    "points": 201}
+    out = tmp_path / "out"
+    assert run_cli(["bistability", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    summary = read_csv(out / "bistability_summary.csv")
+    lo, hi = summary["drive_down_fold_rad_s"][0], summary["drive_up_fold_rad_s"][0]
+    table = read_csv(out / "bistability.csv")
+    drives, counts = np.unique(table["omega_drive"], return_counts=True)
+    inside = (lo < drives) & (drives < hi)
+    assert 0 < inside.sum() < len(drives)
+    assert list(counts) == [3 if k else 1 for k in inside]
+
+
 @pytest.mark.parametrize("command", ["derive", "bistability"])
 def test_cli_rejects_a_detuning_below_minus_omega_t(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, with_sections(

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from libration.dynamics import mean_field_rhs
+from libration.config import load_config
+from libration.dynamics import RampProtocol, mean_field_rhs, quasi_static_sweep
 from libration.steadystate import (
     RESIDUAL_RTOL,
     MeanFieldParams,
@@ -19,6 +21,7 @@ from libration.steadystate import (
     turning_points,
 )
 from oracles import (
+    branch_mpmath,
     classify_stability,
     draw_mean_field,
     drive_curve_folds,
@@ -165,23 +168,101 @@ def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega)
     Omega=log_uniform(-3.0, 10.0),
 )
 def test_scalar_branch_matches_matrix_path(eta, gamma_b, abs_delta, sign, Omega):
-    # solve_branches works on Python complex scalars; its eigenvalues and
-    # verdict equal, bit for bit (signed zeros included), the ones computed
-    # from the stability_matrix array with numpy's complex sqrt
+    # solve_branches takes each branch's eigenvalues and verdict from the
+    # trace gamma_b and the S-curve slope; at the root refined in 60 digits
+    # the fluctuation matrix gives the same eigenvalues to within 1e-8 of
+    # the rate scale |u| + 12 eta n + gamma_b, and the same Routh-Hurwitz
+    # sign rule on its exact determinant gives the same verdict
     p = MeanFieldParams(delta_ml=sign * abs_delta, Omega=Omega, gamma_b=gamma_b, eta=eta)
     try:
         branches = solve_branches(p)
     except ResonanceError:
         return
     for b in branches:
-        a = stability_matrix(p, b.n, b.beta0)
-        tr = complex(a[0, 0] + a[1, 1])
-        det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        s = np.sqrt(tr * tr - 4.0 * det)
-        expected = sorted((-(tr + s) / 2.0, -(tr - s) / 2.0), key=lambda z: (z.real, z.imag))
-        got = [(z.real.hex(), z.imag.hex()) for z in b.eigenvalues]
-        assert got == [(float(z.real).hex(), float(z.imag).hex()) for z in expected]
-        assert b.verdict is classify_stability(a)
+        _, exact, det = branch_mpmath(p, b.n)
+        scale = abs(p.u) + 12.0 * eta * b.n + gamma_b
+        for got, want in zip(b.eigenvalues, exact):
+            assert abs(got - complex(want)) <= 1e-8 * scale
+        rule = (Stability.UNSTABLE if det < 0 else
+                Stability.MARGINAL if det == 0 or gamma_b == 0.0 else Stability.STABLE)
+        assert b.verdict is rule
+
+
+def test_near_fold_example_is_stable_unstable_stable():
+    # a drive just inside the window of a narrow-damping, strongly nonlinear
+    # mode: the S-curve slope at the outer roots is positive though tiny
+    # next to the terms of the fluctuation-matrix determinant
+    p = MeanFieldParams(delta_ml=-1144.094940059948, Omega=2.509182087995138e-06,
+                        gamma_b=1.9497235547034162e-06, eta=35.89356688142274)
+    branches = solve_branches(p)
+    assert [b.verdict for b in branches] == [
+        Stability.STABLE, Stability.UNSTABLE, Stability.STABLE]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    eta=log_uniform(-8.0, 2.0),
+    gamma_b=log_uniform(-6.0, 4.0),
+    depth=log_uniform(-3.0, 10.0),
+    fold=st.sampled_from(["drive_low", "drive_high"]),
+    offset=st.floats(-1e-8, 1e-8),
+)
+def test_near_fold_stability_pattern(eta, gamma_b, depth, fold, offset):
+    # drives within 1e-8 of a fold, past the edge by depth * gamma_b: every
+    # three-root point off a tangency is (stable, unstable, stable)
+    delta = -depth * gamma_b
+    tp = turning_points(delta, eta, gamma_b)
+    p = MeanFieldParams(delta_ml=delta - 12.0 * eta - SQRT3 * gamma_b / 2.0,
+                        Omega=getattr(tp, fold) * (1.0 + offset), gamma_b=gamma_b, eta=eta)
+    try:
+        branches = solve_branches(p)
+    except ResonanceError:
+        return
+    if len(branches) == 3 and not any(b.tangent for b in branches):
+        assert [b.verdict for b in branches] == [
+            Stability.STABLE, Stability.UNSTABLE, Stability.STABLE]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta_ml", 1e300), ("delta_ml", -1e300), ("Omega", 1e300), ("Omega", 1e155),
+    ("gamma_b", 1e300), ("gamma_b", 1e155), ("eta", 1e-300),
+])
+def test_cubic_beyond_float_range_names_the_field(field, value):
+    # a ValueError naming the field, not an OverflowError from a square or
+    # an inf occupation
+    fields = {"delta_ml": -3.0e4, "Omega": 6.0e6, "gamma_b": 8.0e3, "eta": 0.02, field: value}
+    p = MeanFieldParams(**fields)
+    for solve in (steady_occupations, solve_branches):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            solve(p)
+    with pytest.raises(ValueError, match=f"^{field}="):
+        sweep_diagram([1.0e6, p.Omega], p.delta_ml, p.gamma_b, p.eta, 1.8e7)
+
+
+@pytest.mark.parametrize("field, delta, gamma_b, eta", [
+    ("delta", 1e300, 8.0e3, 0.02), ("delta", -1e155, 8.0e3, 0.02),
+    ("gamma_b", -3.0e4, 1e300, 0.02), ("eta", -3.0e4, 8.0e3, 1e-300),
+    ("eta", 0.0, 1e-8, 5e-324), ("eta", 0.0, 0.0, 1.5e307),
+])
+def test_folds_beyond_float_range_name_the_field(field, delta, gamma_b, eta):
+    # an OverflowError, or inf fold occupations and detunings, at the parent
+    with pytest.raises(ValueError, match=f"^{field}="):
+        turning_points(delta, eta, gamma_b)
+
+
+def test_folds_of_a_subnormal_damping_rate():
+    # the near-fold offset underflowed to 0 and divided the far one by zero
+    tp = turning_points(0.0, 1.0, 5e-324)
+    assert tp.physical and tp.width == 0.0 and tp.drive_low == tp.drive_high
+
+
+def test_undamped_resonance_below_float_resolution_is_a_resonance_error():
+    # Omega^2 underflows to 0, so a root on the undamped resonance, where
+    # beta_0 is unbounded, passed the residual check and divided by zero
+    p = MeanFieldParams(delta_ml=-1.0892692048377128e31, Omega=5e-324, gamma_b=0.0,
+                        eta=10.0**8.5)
+    with pytest.raises(ResonanceError):
+        solve_branches(p)
 
 
 def test_resonance_error_carries_the_failing_root():
@@ -404,6 +485,24 @@ def test_sweep_diagram_regimes():
         sweep_diagram([2.0e6, 1.0e6], REF_DELTA_ML, REF_GAMMA_B, REF_ETA, omega_t)
     with pytest.raises(ValueError):
         sweep_diagram([], REF_DELTA_ML, REF_GAMMA_B, REF_ETA, omega_t)
+
+
+def test_shipped_diagram_folds_equal_the_sweep_folds():
+    # the bistability diagram and the hysteresis sweep of the shipped working
+    # point report the same fold pair, bit for bit
+    root = Path(__file__).resolve().parents[1] / "configs"
+    cfg, ramp = load_config(root / "bistability.json"), load_config(root / "hysteresis.json")
+    assert (cfg.drive.delta_ml, cfg.gamma_b, cfg.mode) == (ramp.drive.delta_ml, ramp.gamma_b,
+                                                           ramp.mode)
+    grid = [cfg.sweep.amplitude_min, cfg.sweep.amplitude_max]
+    diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
+                            cfg.mode.omega_t)
+    protocol = RampProtocol(ramp.ramp.amplitude_start, ramp.ramp.amplitude_stop, 3,
+                            ramp.ramp.dwell)
+    sweep = quasi_static_sweep(ramp.drive.delta_ml, ramp.gamma_b, ramp.mode.eta, protocol)
+    assert diagram.turning is not None
+    assert [x.hex() for x in diagram.turning[:-1]] == [x.hex() for x in sweep.turning[:-1]]
+    assert diagram.turning.physical and sweep.turning.physical
 
 
 def test_solve_at_exact_fold_drive():

@@ -6,7 +6,9 @@ Subcommands: ``derive`` (mode numbers from a particle/trap config),
 next to the moment-equation reference).  Exit codes: 0 success, 1 config
 error, 2 numerical failure.  All outputs are deterministic for a fixed
 config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
-summary value is reported.
+summary value is reported.  Grids and preconditions are checked in
+``load_config``; a command's own config error is a missing section.  A run
+warning is one ``warning:`` line on stderr, printed once.
 
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
 the command.  No command loads numpy, whose import would be about half of a
@@ -20,16 +22,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from pathlib import Path
 
 from libration import __version__
 from libration.config import ConfigError, RunConfig, load_config
-from libration.model import NoConfinementError, thermal_occupancy
+from libration.model import DWELL_DAMPING_CYCLES, NoConfinementError, thermal_occupancy
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
-    _linspace,
     bistability_condition,
     solve_branches,
     sweep_diagram,
@@ -48,14 +48,6 @@ def _need_sections(cfg: RunConfig, command: str, section: str) -> None:
     for name in ("drive", section):
         if getattr(cfg, name) is None:
             raise ConfigError(f"config error: the '{command}' command needs a '{name}' section")
-
-
-def _grid(values, section: str, keys: str):
-    """``values``, or a config error naming ``keys`` when neighbouring points collide."""
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"config error at {section}: {keys} give a grid whose points "
-                          "collide; widen the span or use fewer points")
-    return values
 
 
 def _fmt(value: float) -> str:
@@ -165,9 +157,7 @@ def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
 
 def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     _need_sections(cfg, "bistability", "sweep")
-    grid = _grid(_linspace(cfg.sweep.amplitude_min, cfg.sweep.amplitude_max, cfg.sweep.points),
-                 "sweep", "amplitude_min_*, amplitude_max_* and points")
-    diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
+    diagram = sweep_diagram(cfg.sweep.grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
 
     _write_rows(out / "bistability.csv", [{
@@ -218,12 +208,11 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     _need_sections(cfg, "hysteresis", "ramp")
     ramp = cfg.ramp
     protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    with warnings.catch_warnings(record=True) as caught:  # a short dwell, once per sweep
-        warnings.simplefilter("always")
-        result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol,
-                                  tol=ramp.tolerance)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    if cfg.gamma_b > 0.0 and ramp.dwell * cfg.gamma_b < 0.5 * DWELL_DAMPING_CYCLES:
+        print(f"warning: dwell*gamma_b = {ramp.dwell * cfg.gamma_b:.2f} < "
+              f"{0.5 * DWELL_DAMPING_CYCLES}: sweep is not quasi-static", file=sys.stderr)
+    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol,
+                              tol=ramp.tolerance)
     for sweep in (result.up, result.down):
         if not sweep.trajectory.complete:
             raise NumericalError(f"{sweep.direction}-sweep integration failed")
@@ -275,11 +264,6 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
 def _squeeze_reference(cfg: RunConfig):
     """(r, default_phi) from the chosen steady branch of the driven mode."""
     drive = cfg.drive
-    if drive.amplitude is None:
-        raise ConfigError(
-            "config error: squeeze.from_drive needs a drive amplitude "
-            "('power_w' or 'amplitude_*') in the drive section"
-        )
     branches = solve_branches(MeanFieldParams(delta_ml=drive.delta_ml, Omega=drive.amplitude,
                                               gamma_b=cfg.gamma_b, eta=cfg.mode.eta))
     stable = [b for b in branches if b.stable]
@@ -295,13 +279,12 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
                                      thermal_squeezing_check)
 
     _need_sections(cfg, "squeeze", "squeeze")
-    sq, nbar = cfg.squeeze, cfg.squeeze.nbar
+    sq, nbar, t = cfg.squeeze, cfg.squeeze.nbar, cfg.squeeze.t
     if sq.from_drive:
         r, phi_default = _squeeze_reference(cfg)
         phis = sq.phi_rad if sq.phi_rad else (phi_default,)
     else:
         r, phis = sq.r, sq.phi_rad
-    t = _grid(_linspace(0.0, sq.t_max_s, sq.points), "squeeze", "t_max_s and points")
     oracle_gamma = cfg.gamma_b if sq.include_damping else 0.0
 
     # per phase (params, undamped trace, oracle trace), the last two the same

@@ -19,8 +19,9 @@ enforced here so they hold everywhere downstream:
   ``amplitude_*`` or ``drive_amplitude(..., power_w, mode)``, else None) and
   ``SqueezeSettings.nbar`` (the thermal occupancy at omega_t when ``thermal``
   is set, else ``nbar``, else 0), ``RampSettings.dwell`` (``dwell_s``, else
-  ``DWELL_DAMPING_CYCLES / gamma_b``) and ``ScanSettings.modes`` (the mode at
-  each value of the derive scan's ``grid``; none when a value is a sphere).
+  ``DWELL_DAMPING_CYCLES / gamma_b``), ``ScanSettings.modes`` (the mode at
+  each value of the derive scan's ``grid``; none when a value is a sphere),
+  and the checked grids ``SweepSettings.grid`` and ``SqueezeSettings.t``.
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
@@ -28,7 +29,8 @@ error comes before the ``NoConfinementError`` of a spherical particle.  A mode
 beyond float range is a config error that names the particle when its moment
 of inertia is beyond float range, else the trap (``derive`` for a scan value);
 so is a ``squeeze.r`` whose fluctuation detuning is beyond float range, and a
-temperature whose thermal occupancy at omega_t is.  The settings and the
+temperature whose thermal occupancy at omega_t is, and a
+``squeeze.from_drive`` whose drive gives no amplitude.  The settings and the
 resolved config are ``NamedTuple`` records.
 """
 
@@ -161,9 +163,7 @@ class DriveSettings(NamedTuple):
 
 
 class SweepSettings(NamedTuple):
-    amplitude_min: float
-    amplitude_max: float
-    points: int
+    grid: tuple[float, ...]  # drive amplitudes, rad/s: _linspace(min, max, points)
 
 
 class RampSettings(NamedTuple):
@@ -179,8 +179,7 @@ class SqueezeSettings(NamedTuple):
     r: float | None
     phi_rad: tuple[float, ...]
     nbar: float  # initial (and oracle bath) occupation
-    t_max_s: float
-    points: int
+    t: tuple[float, ...]  # sample times, s: _linspace(0, t_max_s, points)
     include_damping: bool
     branch: str
 
@@ -290,7 +289,7 @@ def _check_cubic_range(root: dict, drive: DriveSettings, gamma_b: float, eta: fl
     """
     amplitude, section, prefixes = max(
         (drive.amplitude or 0.0, "drive", ("amplitude", "power")),
-        (sweep.amplitude_max if sweep else 0.0, "sweep", ("amplitude_max",)))
+        (sweep.grid[-1] if sweep else 0.0, "sweep", ("amplitude_max",)))
     fault = _range_fault("delta_ml", drive.delta_ml + 12.0 * eta, gamma_b, eta, amplitude)
     if fault is not None:
         section, prefixes = {"delta_ml": ("drive", ("frequency", "detuning")),
@@ -299,6 +298,14 @@ def _check_cubic_range(root: dict, drive: DriveSettings, gamma_b: float, eta: fl
         keys = [k for pre in prefixes for k in root[section] if k.startswith(pre)]
         _fail(".".join([section] + keys[:1]), "the steady-state cubic at this value is "
               f"beyond float range (eta = {eta!r} rad/s)")
+
+
+def _checked_linspace(lo: float, hi: float, n: int, path: str, keys: str) -> tuple[float, ...]:
+    """``_linspace(lo, hi, n)``; a config error names ``keys`` if points collide."""
+    grid = _linspace(lo, hi, n)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        _fail(path, f"{keys} give a grid whose points collide; widen the span or use fewer points")
+    return tuple(grid)
 
 
 def _parse_sweep(section: dict) -> SweepSettings:
@@ -311,7 +318,9 @@ def _parse_sweep(section: dict) -> SweepSettings:
     hi = _frequency(section, path, "amplitude_max", minimum=0.0)
     if not hi > lo:
         _fail(path, f"amplitude_max must exceed amplitude_min, got [{lo}, {hi}] rad/s")
-    return SweepSettings(lo, hi, _integer(section, path, "points", minimum=2))
+    points = _integer(section, path, "points", minimum=2)
+    return SweepSettings(_checked_linspace(lo, hi, points, path,
+                                           "amplitude_min_*, amplitude_max_* and points"))
 
 
 def _parse_ramp(section: dict, gamma_b: float) -> RampSettings:
@@ -380,8 +389,9 @@ def _parse_squeeze(section: dict) -> SqueezeSettings:
         r=r,
         phi_rad=phis,
         nbar=0.0 if nbar is None else nbar,
-        t_max_s=_number(section, path, "t_max_s", minimum=0.0, strict=True),
-        points=_integer(section, path, "points", required=False, minimum=2) or 400,
+        t=_checked_linspace(0.0, _number(section, path, "t_max_s", minimum=0.0, strict=True),
+                            _integer(section, path, "points", required=False, minimum=2) or 400,
+                            path, "t_max_s and points"),
         include_damping=include_damping,
         branch=branch,
     )
@@ -476,6 +486,9 @@ def load_config(path: str | Path) -> RunConfig:
     if drive is not None:
         drive = _resolve_drive(*drive, particle, trap, mode)
         _check_cubic_range(root, drive, gamma_b, mode.eta, sweep)
+        if drive.amplitude is None and squeeze is not None and squeeze.from_drive:
+            raise ConfigError("config error: squeeze.from_drive needs a drive amplitude "
+                              "('power_w' or 'amplitude_*') in the drive section")
     if squeeze is not None and root["squeeze"].get("thermal", False):
         squeeze = squeeze._replace(nbar=nbar_thermal)
     if squeeze is not None and squeeze.r is not None and drive is not None:

@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import warnings
 from typing import NamedTuple
 
-from libration.model import DWELL_DAMPING_CYCLES, _Validated
+from libration.model import _Validated
 from libration.steadystate import MeanFieldParams, TurningPoints, _linspace, _physical_folds
 
 __all__ = [
@@ -79,34 +78,6 @@ class Trajectory(NamedTuple):
         return [b.real * b.real + b.imag * b.imag for b in self.beta]
 
 
-def _rhs_constants(params: MeanFieldParams) -> tuple[float, float, float, float]:
-    """(delta_ml, 12 eta, -gamma_b/2, Omega/2): the floats the pair RHS is built from."""
-    return params.delta_ml, 12.0 * params.eta, -(params.gamma_b / 2.0), 0.5 * params.Omega
-
-
-def _pair_rhs(params: MeanFieldParams):
-    """:func:`mean_field_rhs` as ``f(br, bi) -> (dr, di)`` on (Re beta, Im beta).
-
-    The parameters are read once, and each part is the complex form's own
-    sequence of float operations, so the values are equal to it (a zero may
-    differ in sign).
-    """
-    delta, k, g, w = _rhs_constants(params)
-
-    def f(br: float, bi: float) -> tuple[float, float]:
-        ci = delta + k * (br * br + bi * bi + 1.0)
-        return g * br - ci * bi, g * bi + ci * br - w
-
-    return f
-
-
-def _rms(re: float, im: float, scale_re: float, scale_im: float) -> float:
-    """RMS norm of (re, im), each part divided by its own scale."""
-    a = re / scale_re
-    b = im / scale_im
-    return math.sqrt(a * a + b * b) / 2.0 ** 0.5
-
-
 def integrate(
     params: MeanFieldParams,
     beta_init: complex = 0.0 + 0.0j,
@@ -118,9 +89,9 @@ def integrate(
     The stepper (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) works
     on the real pair (Re beta, Im beta) in Python floats, in the operation
     order of complex arithmetic, so it takes the same steps to the same bits
-    as it would on the complex amplitude.  The step loop evaluates the
-    right-hand side and the error norm inline, in the operations of
-    ``_pair_rhs`` and ``_rms``.  It uses the step controller of scipy's
+    as it would on the complex amplitude.  The initial step and the step loop
+    evaluate the right-hand side and the error norm inline, with no function
+    calls per stage.  It uses the step controller of scipy's
     RK45: RMS error norm over the real and imaginary parts, safety 0.9, step
     factor in [0.2, 10] with no growth right after a rejection, and the
     Hairer-Norsett-Wanner initial step.
@@ -148,27 +119,35 @@ def integrate(
     # error under 10*tol against closed-form linear solutions.
     rtol = max(tol / 10.0, 1e-13)
     atol = rtol * max(1.0, abs(y))
-    f = _pair_rhs(params)
     yr, yi = y.real, y.imag
+    # mean_field_rhs on (re, im), in complex arithmetic's operation order, is
+    # (g re - c im, g im + c re - w), c = delta + k (re*re + im*im + 1)
+    delta, k = params.delta_ml, 12.0 * params.eta
+    g, w = -(params.gamma_b / 2.0), 0.5 * params.Omega
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
 
     ts = [t]
     yrs, yis = [yr], [yi]
     complete = True
     n_rhs = n_rejected = 0
     if t < t_end:
-        k1r, k1i = f(yr, yi)
-        # Hairer-Norsett-Wanner initial step (Solving ODEs I, Sec. II.4)
+        c = delta + k * (yr * yr + yi * yi + 1.0)
+        k1r, k1i = g * yr - c * yi, g * yi + c * yr - w
+        # Hairer-Norsett-Wanner initial step (Solving ODEs I, Sec. II.4): RMS
+        # norms, each part over its scale, of y, f(y) and f's change over h0
         s_re = atol + abs(yr) * rtol
         s_im = atol + abs(yi) * rtol
-        d0 = _rms(yr, yi, s_re, s_im)
-        d1 = _rms(k1r, k1i, s_re, s_im)
+        d0, d1 = (sqrt((a / s_re) * (a / s_re) + (b / s_im) * (b / s_im)) / 2.0 ** 0.5
+                  for a, b in ((yr, yi), (k1r, k1i)))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         # a zero step (the derivative overflowed) becomes NaN, as a NaN
         # derivative makes it: h_abs is then NaN, which fails the loop's size
         # test and ends the run with complete=False
         h0 = min(h0, t_end - t) or math.nan
-        dr, di = f(yr + h0 * k1r, yi + h0 * k1i)
-        d2 = _rms(dr - k1r, di - k1i, s_re, s_im) / h0
+        xr, xi = yr + h0 * k1r, yi + h0 * k1i
+        c = delta + k * (xr * xr + xi * xi + 1.0)
+        a, b = (g * xr - c * xi - k1r) / s_re, (g * xi + c * xr - w - k1i) / s_im
+        d2 = sqrt(a * a + b * b) / 2.0 ** 0.5 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -177,12 +156,10 @@ def integrate(
         n_rhs = 2
 
     # The loop runs ~10^5 times per sweep, so it is straight-line float code:
-    # each stage is _pair_rhs and the error norm is _rms written out in their
-    # own operation order (tests hold these copies to them bit for bit), and
-    # abs/min/max are comparisons that pick the operand the call would; a
-    # zero of the other sign only ever feeds atol + x * rtol.
-    delta, k, g, w = _rhs_constants(params)
-    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+    # each stage is the right-hand side above written out, the error norm is
+    # the RMS norm of the initial step, and abs/min/max are comparisons that
+    # pick the operand the call would; a zero of the other sign only ever
+    # feeds atol + x * rtol.
     while t < t_end:
         min_step = 10.0 * (nextafter(t, inf) - t)
         if h_abs < min_step:
@@ -371,14 +348,8 @@ def quasi_static_sweep(
 
     Each plateau is integrated for ``protocol.dwell`` seconds from the end
     state of the previous one.  A dwell much shorter than the damping time
-    cannot settle; that case is allowed but warned about.
+    cannot settle; that case is run as given (the CLI prints a warning).
     """
-    if gamma_b > 0.0 and protocol.dwell * gamma_b < 0.5 * DWELL_DAMPING_CYCLES:
-        warnings.warn(
-            f"dwell*gamma_b = {protocol.dwell * gamma_b:.2f} < "
-            f"{0.5 * DWELL_DAMPING_CYCLES}: sweep is not quasi-static",
-            stacklevel=2,
-        )
     drives = protocol.amplitudes()
     beta = []
     current = complex(beta_init)

@@ -318,8 +318,11 @@ def beta_from_n(params: MeanFieldParams, n: float) -> complex:
         if n != 0.0:
             raise ValueError("undriven mode has only the vacuum steady state")
         return 0.0 + 0.0j
-    target = params.Omega**2 / 4.0
-    if abs(_cubic_n(params, n)) > 1e-6 * target:
+    try:
+        residual = abs(_cubic_n(params, n))
+    except OverflowError:  # (u + 12 eta n)**2 beyond float range: far off the S-curve
+        residual = math.inf
+    if residual > 1e-6 * (params.Omega**2 / 4.0):
         raise ValueError(f"n={n!r} is not a steady-state occupation for {params}")
     denom = 1j * (params.u + 12.0 * params.eta * n) - params.gamma_b / 2.0
     return (1j * params.Omega / 2.0) / denom

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import libration
-from libration.cli import _linspace, main
+from libration.cli import main
 from libration.config import ConfigError, load_config
 from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES,
                              NanoparticleSpec, mode_parameters, thermal_occupancy)
 from libration.output import svg_line_chart, write_csv
 from libration.squeezing import squeeze_params
-from libration.steadystate import turning_points
+from libration.steadystate import _linspace, turning_points
 from oracles import moment_mpmath
 
 TWO_PI = 2.0 * math.pi
@@ -232,7 +232,7 @@ def test_squeeze_validation(tmp_path):
         write_cfg(tmp_path, squeeze_cfg(r=40.0, phi_rad=[3.14, 1.57], t_max_s=1e-3))
     )
     assert ok.squeeze.phi_rad == (3.14, 1.57)
-    assert ok.squeeze.points == 400  # default
+    assert len(ok.squeeze.t) == 400  # default points
     scalar = load_config(
         write_cfg(tmp_path, squeeze_cfg(r=40.0, phi_rad=0.5, t_max_s=1e-3), "s.json")
     )
@@ -743,7 +743,7 @@ def test_cli_hysteresis_reports_an_unstartable_plateau(tmp_path, capsys):
 
 
 def test_cli_hysteresis_short_dwell_warns_without_a_path(tmp_path):
-    # a dwell far below the damping time: one path-free warning line per sweep
+    # a dwell far below the damping time: one path-free warning line per run
     cfg = write_cfg(tmp_path, with_sections(
         WINDOW,
         ramp={"amplitude_start_rad_s": 2.35e6, "amplitude_stop_rad_s": 1.08e7,
@@ -758,8 +758,8 @@ def test_cli_hysteresis_short_dwell_warns_without_a_path(tmp_path):
     )
     assert out.returncode == 0
     lines = out.stderr.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("warning: dwell*gamma_b = ") for line in lines)
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: dwell*gamma_b = ")
     assert "not quasi-static" in lines[0]
     assert ".py" not in out.stderr and str(root) not in out.stderr
 
@@ -1122,21 +1122,51 @@ def test_cli_undamped_ramp_without_dwell_fails_at_load(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, section, grid, keys", [
-    ("bistability", "sweep",
-     {"amplitude_min_rad_s": 1.0, "amplitude_max_rad_s": 1.0000000000000002, "points": 5},
-     "amplitude_min_*, amplitude_max_* and points"),
-    ("squeeze", "squeeze", {"t_max_s": 5e-324, "points": 10}, "t_max_s and points"),
-], ids=["bistability", "squeeze"])
-def test_cli_rejects_colliding_grid_points(tmp_path, capsys, command, section, grid, keys):
-    # a span too narrow for the point count rounds neighbouring points together
+SWEEP_COLLISION = ("sweep", "bistability",
+                   {"amplitude_min_rad_s": 1.0, "amplitude_max_rad_s": 1.0000000000000002,
+                    "points": 5},
+                   "amplitude_min_*, amplitude_max_* and points")
+SQUEEZE_COLLISION = ("squeeze", "squeeze", {"t_max_s": 5e-324, "points": 10},
+                     "t_max_s and points")
+
+
+@pytest.mark.parametrize("command, section, config, grid, keys", [
+    ("bistability", *SWEEP_COLLISION),
+    ("squeeze", *SQUEEZE_COLLISION),
+    ("derive", *SWEEP_COLLISION),
+    ("derive", *SQUEEZE_COLLISION),
+], ids=["bistability", "squeeze", "derive-sweep", "derive-squeeze"])
+def test_cli_rejects_colliding_grid_points(tmp_path, capsys, command, section, config, grid,
+                                           keys):
+    # a span too narrow for the point count rounds neighbouring points
+    # together; the grids are built at load, so a command that samples
+    # neither, as derive does, rejects them too, before it creates --out
     root = Path(libration.__file__).resolve().parents[2]
-    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    cfg = json.loads((root / "configs" / f"{config}.json").read_text())
     cfg[section].update(grid)
-    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error at {section}: {keys} give a grid whose points collide")
-    assert "Traceback" not in err
+    assert err == (f"config error at {section}: {keys} give a grid whose points collide; "
+                   "widen the span or use fewer points\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["derive", "squeeze"])
+def test_cli_from_drive_without_an_amplitude_fails_at_load(tmp_path, capsys, command):
+    # squeeze.from_drive solves the steady state at the drive amplitude, so a
+    # drive without one is a config error of every command, before --out
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / "squeeze.json").read_text())
+    del cfg["squeeze"]["r"]
+    cfg["squeeze"]["from_drive"] = True
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "config error: squeeze.from_drive needs a drive amplitude "
+        "('power_w' or 'amplitude_*') in the drive section\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, values", [
@@ -1301,9 +1331,9 @@ def test_only_squeezing_imports_numpy():
     assert outside_functions == []
 
 
-def test_no_module_imports_dataclasses():
-    # the records are NamedTuples: dataclasses, with the inspect, ast and
-    # tokenize it imports, would be a third of a cold import of the package
+def _imports_of(top: str) -> list[str]:
+    """``file:line`` of each import of the module ``top``, at any depth of a
+    file, across the package."""
     importers = []
     for module in PACKAGE_MODULES:
         path = Path(importlib.import_module(module).__file__)
@@ -1314,9 +1344,21 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 importers.append(f"{path.name}:{node.lineno}")
-    assert importers == []
+    return importers
+
+
+def test_no_module_imports_warnings():
+    # a run's warnings are printed by the CLI, each once, as one "warning:"
+    # line on stderr: no module raises them through the warnings machinery
+    assert _imports_of("warnings") == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: dataclasses, with the inspect, ast and
+    # tokenize it imports, would be a third of a cold import of the package
+    assert _imports_of("dataclasses") == []
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)

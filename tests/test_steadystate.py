@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,14 @@ def test_beta_from_n_rejects_non_roots():
         beta_from_n(p, 1.7 * ns[-1] + 1.0)
 
 
+def test_beta_from_n_rejects_an_occupation_whose_residual_overflows():
+    # (u + 12 eta n)**2 is beyond float range here: a ValueError, as for any
+    # other non-root, not the OverflowError of the square
+    for n in (1e200, 1e300, sys.float_info.max):
+        with pytest.raises(ValueError, match="not a steady-state occupation"):
+            beta_from_n(MeanFieldParams(-3e4, 6e6, 8e3, 0.02), n)
+
+
 def test_trace_equals_damping_exactly():
     rng = np.random.default_rng(17)
     for _ in range(40):
@@ -494,7 +503,7 @@ def test_shipped_diagram_folds_equal_the_sweep_folds():
     cfg, ramp = load_config(root / "bistability.json"), load_config(root / "hysteresis.json")
     assert (cfg.drive.delta_ml, cfg.gamma_b, cfg.mode) == (ramp.drive.delta_ml, ramp.gamma_b,
                                                            ramp.mode)
-    grid = [cfg.sweep.amplitude_min, cfg.sweep.amplitude_max]
+    grid = [cfg.sweep.grid[0], cfg.sweep.grid[-1]]
     diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
     protocol = RampProtocol(ramp.ramp.amplitude_start, ramp.ramp.amplitude_stop, 3,

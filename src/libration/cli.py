@@ -10,6 +10,11 @@ summary value is reported.  Grids and preconditions are checked in
 ``load_config``; a command's own config error is a missing section.  A run
 warning is one ``warning:`` line on stderr, printed once.
 
+``main`` reads a plain ``<command> (--config|--out|--format) <value>...``
+line itself, with argparse's defaults and its choice of the last repeated
+value; argparse, imported inside ``build_parser``, runs only for help,
+``--version`` and any other line, and so writes every usage message.
+
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
 the command.  No command loads numpy, whose import would be about half of a
 cold ``squeeze``, ``derive`` or ``bistability`` run: ``squeeze`` evaluates its
@@ -19,7 +24,6 @@ traces through ``moment_oracle``, which is plain Python, and never calls
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -305,14 +309,22 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
         print(f"warning: the grid step {_fmt(t[1])} s exceeds a quarter breathing "
               f"period, pi/(4 |lam_p|) = {_fmt(quarter)} s: aliased traces", file=sys.stderr)
 
+    def write_trace(path: Path, trace) -> None:
+        below = thermal_squeezing_check(trace)
+        write_csv(path, dict(t=trace.t, S_theta=trace.S_theta, S_J=trace.S_J,
+                             squeezed_theta=below[0], squeezed_J=below[1],
+                             regime=[trace.regime] * len(t)))
+
     svg_series = []
     for idx, (params, closed, oracle) in enumerate(runs):
         suffix = "" if len(runs) == 1 else f"_{idx}"
-        for name, trace in (("closed", closed), ("oracle", oracle)):
-            below = thermal_squeezing_check(trace)
-            write_csv(out / f"squeeze_{name}{suffix}.csv", dict(
-                t=trace.t, S_theta=trace.S_theta, S_J=trace.S_J, squeezed_theta=below[0],
-                squeezed_J=below[1], regime=[trace.regime] * len(t)))
+        closed_csv, oracle_csv = (out / f"squeeze_{name}{suffix}.csv"
+                                  for name in ("closed", "oracle"))
+        write_trace(closed_csv, closed)
+        if oracle is closed:  # undamped: the same trace, so the same bytes
+            oracle_csv.write_bytes(closed_csv.read_bytes())
+        else:
+            write_trace(oracle_csv, oracle)
         s_th = closed.S_theta
         k = min(range(len(t)), key=s_th.__getitem__)
         line = (f"phi = {_fmt(params.phi)}: regime {params.regime}, "
@@ -340,9 +352,36 @@ _COMMANDS = {
     "hysteresis": cmd_hysteresis,
     "squeeze": cmd_squeeze,
 }
+# every command's options, each with its default (None: required)
+_OPTIONS = {"--config": None, "--out": ".", "--format": "csv"}
+_FORMATS = ("csv", "csv+svg")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _plain_args(argv: list[str]) -> tuple[str, str, str, str] | None:
+    """(command, config, out, format) of a plain command line, else None.
+
+    Plain is ``<command>`` followed by ``<option> <value>`` pairs, with the
+    required ``--config`` given, no value starting with ``-``, and every
+    ``--format`` value one of ``_FORMATS`` (argparse checks each, not only
+    the last); the last of a repeated option counts.  On these lines argparse
+    gives the same four values without a message; any other line is left to it.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    values = dict(_OPTIONS)
+    for option, value in zip(argv[1::2], argv[2::2]):
+        if (option not in _OPTIONS or value.startswith("-")
+                or option == "--format" and value not in _FORMATS):
+            return None
+        values[option] = value
+    if values["--config"] is None:
+        return None
+    return argv[0], values["--config"], values["--out"], values["--format"]
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="libration",
         description="Nonlinear torsional-mode toolkit for levitated anisotropic nanoparticles.",
@@ -357,24 +396,31 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--format", choices=("csv", "csv+svg"), default="csv",
+        p.add_argument("--out", default=_OPTIONS["--out"],
+                       help="output directory (created if missing)")
+        p.add_argument("--format", choices=_FORMATS, default=_OPTIONS["--format"],
                        help="artifact set to write")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if not exc.code:  # --help, --version
+                raise
+            return 1  # a usage error is a config error; argparse would exit 2
+        args = ns.command, ns.config, ns.out, ns.format
+    command, config, out_dir, fmt = args
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if not exc.code:  # --help, --version
-            raise
-        return 1  # a usage error is a config error; argparse would exit 2
-    try:
-        cfg = load_config(args.config)
-        out = Path(args.out)
+        cfg = load_config(config)
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out, args.format)
+        _COMMANDS[command](cfg, out, fmt)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -8,7 +8,8 @@ inspection of sweep and trace outputs.
 
 Both writers are plain Python, taking arrays through ``tolist()`` and numpy
 scalars through ``item()``, so ``derive`` and ``bistability`` write without
-loading numpy.
+loading numpy.  A CSV column of one cell type (float, int, bool or str) is
+formatted in one pass; mixed columns go cell by cell.
 """
 
 from __future__ import annotations
@@ -49,13 +50,20 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+# the cell of a column whose cells are all of one of these types, as
+# ``_format_cell`` writes it
+_BULK = {float: float.__repr__, int: int.__repr__, bool: ("0", "1").__getitem__}
+
+
 def write_csv(path: str | Path, columns: dict[str, object]) -> None:
     """Write named columns (equal-length sequences) as a CSV file.
 
-    Formatting goes column by column: a column of Python floats through one
-    ``map(float.__repr__, ...)``, any other column cell by cell through
-    ``_format_cell``, which writes each cell as that ``repr`` of the float it
-    holds, or as the int, bool (0/1) or string.  The rows are joined once.
+    Formatting goes column by column.  ``_format_cell`` writes a cell as
+    the ``repr`` of the float it holds, or as the int, bool (0/1) or string.
+    A column of Python floats, ints or bools alone takes that text in one
+    ``map``, and one of strings alone is written as it is once each distinct
+    string has passed the separator check; any other column goes cell by
+    cell.  The rows are joined once.
     """
     names = list(columns)
     if not names:
@@ -67,8 +75,16 @@ def write_csv(path: str | Path, columns: dict[str, object]) -> None:
             raise ValueError(
                 f"column {name!r} has length {len(col)}, expected {length}"
             )
-    cells = [map(float.__repr__, col) if set(map(type, col)) == {float}
-             else map(_format_cell, col) for col in cols]
+    cells = []
+    for col in cols:
+        kinds = set(map(type, col))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is str:
+            for text in dict.fromkeys(col):  # the separator check, once per string
+                _format_cell(text)
+            cells.append(col)
+        else:
+            cells.append(map(_BULK.get(kind, _format_cell), col))
     Path(path).write_text("\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
 
 

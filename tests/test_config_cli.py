@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import libration
+from libration import cli
 from libration.cli import main
 from libration.config import ConfigError, load_config
 from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES,
@@ -369,15 +370,17 @@ def test_write_csv_bytes_are_pinned(tmp_path):
         "py_scalars": [True, 3, 1.5, "label"],
         "non_finite": [math.nan, math.inf, -math.inf, np.float64(-math.inf)],
         "array_non_finite": np.array([math.nan, math.inf, -math.inf, 0.0]),
+        "str_list": ["hyperbolic", "oscillatory", "", "hyperbolic"],
+        "bool_list": [True, False, False, True],
     })
     assert path.read_text() == (
         "np_scalars,bool_array,int_array,float_array,float32_array,less,py_scalars,"
-        "non_finite,array_non_finite\n"
-        "1,1,0,1e-300,0.10000000149011612,1,1,nan,nan\n"
-        "-7,0,-3,-2.5e+17,0.3333333432674408,0,3,inf,inf\n"
+        "non_finite,array_non_finite,str_list,bool_list\n"
+        "1,1,0,1e-300,0.10000000149011612,1,1,nan,nan,hyperbolic,1\n"
+        "-7,0,-3,-2.5e+17,0.3333333432674408,0,3,inf,inf,oscillatory,0\n"
         "0.10000000149011612,1,1099511627776,0.30000000000000004,1.0000000150474662e+30,"
-        "0,1.5,-inf,-inf\n"
-        "3.141592653589793,0,7,-0.0,-0.0,0,label,-inf,0.0\n"
+        "0,1.5,-inf,-inf,,0\n"
+        "3.141592653589793,0,7,-0.0,-0.0,0,label,-inf,0.0,hyperbolic,1\n"
     )
 
 
@@ -946,20 +949,31 @@ def test_cli_squeeze_overflow_fails_before_any_write(tmp_path, damped):
 
 @pytest.mark.parametrize("include_damping, calls", [(False, 3), (True, 6)])
 def test_cli_squeeze_evaluates_each_trace_once(tmp_path, monkeypatch, include_damping, calls):
-    # one variance evaluation per phase behind both CSVs, and one more per
-    # phase for the damped oracle
-    evaluate, seen = libration.squeezing._variances, []
+    # one variance evaluation and one formatted table per phase behind both
+    # CSVs, and one more of each per phase for the damped oracle
+    def counting(module, name):
+        original, seen = getattr(module, name), []
 
-    def counted(*args, **kwargs):
-        seen.append(args)
-        return evaluate(*args, **kwargs)
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(libration.squeezing, "_variances", counted)
+        monkeypatch.setattr(module, name, counted)
+        return seen
+
+    evaluated = counting(libration.squeezing, "_variances")
+    written = counting(cli, "write_csv")
     cfg = shipped_squeeze()
     cfg["squeeze"]["include_damping"] = include_damping
+    out = tmp_path / "out"
     assert run_cli(["squeeze", "--config", write_cfg(tmp_path, cfg),
-                    "--out", tmp_path / "out", "--format", "csv+svg"]) == 0
-    assert len(seen) == calls
+                    "--out", out, "--format", "csv+svg"]) == 0
+    assert len(evaluated) == calls
+    assert len(written) == calls
+    if not include_damping:  # each oracle file is a copy of its closed file
+        for idx in range(3):
+            closed = (out / f"squeeze_closed_{idx}.csv").read_bytes()
+            assert (out / f"squeeze_oracle_{idx}.csv").read_bytes() == closed
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -1020,6 +1034,36 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
             run_cli(args)
         assert exc.value.code == 0
     assert libration.__version__ in capsys.readouterr().out
+
+
+# tokens of command lines: the commands, the options, and what argparse reads
+# otherwise (an inline value, an abbreviation, help, the end of options, an
+# empty value, values starting with "-", and format values)
+ARGV_TOKENS = ["derive", "bistability", "hysteresis", "squeeze", "--config", "--out", "--format",
+               "--config=x", "--conf", "-h", "--", "", "-", "-1", "pdf", "csv+svg", "csv", "x"]
+# any run of tokens, or a command and option-value pairs, the lines main may
+# read itself, now and then with one token more
+COMMAND_LINES = st.lists(st.sampled_from(ARGV_TOKENS), max_size=8) | st.builds(
+    lambda command, pairs, tail: [command, *(token for pair in pairs for token in pair), *tail],
+    st.sampled_from(["derive", "bistability", "hysteresis", "squeeze"]),
+    st.lists(st.tuples(st.sampled_from(["--config", "--out", "--format"]),
+                       st.sampled_from(["x", "", "csv", "csv+svg"]) | st.sampled_from(ARGV_TOKENS)),
+             min_size=1, max_size=4),
+    st.just([]) | st.lists(st.sampled_from(ARGV_TOKENS), max_size=1),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=COMMAND_LINES)
+@example(argv=["squeeze", "--config", "c.json", "--out", "o", "--format", "csv+svg"])
+@example(argv=["derive", "--config", "a", "--format", "csv+svg", "--config", "", "--format", "csv"])
+@example(argv=["derive", "--config", "x", "--format", "x", "--format", "csv"])
+def test_cli_plain_command_lines_parse_as_argparse(argv):
+    # wherever main reads a line itself, argparse reads the same values from it
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        args = cli.build_parser().parse_args(argv)
+        assert plain == (args.command, args.config, args.out, args.format)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -1197,10 +1241,11 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
 
 
 # modules each command must not load (beyond these, none loads scipy, the
-# modules xml.sax.saxutils pulls in, as the SVG writer escapes text itself, or
-# dataclasses and the inspect it imports: the records are NamedTuples)
+# modules xml.sax.saxutils pulls in, as the SVG writer escapes text itself,
+# dataclasses and the inspect it imports: the records are NamedTuples, or
+# argparse and its gettext and locale: main reads a plain command line itself)
 NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request", "dataclasses",
-                "inspect")
+                "inspect", "argparse", "gettext", "locale")
 NOT_LOADED_BY = {
     "derive": ("numpy", "libration.dynamics", "libration.squeezing"),
     "bistability": ("numpy", "libration.dynamics", "libration.squeezing"),

@@ -1,6 +1,20 @@
+import os
+
 import pytest
 
 from libration.model import NanoparticleSpec, TrapConfig
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (reaped pid {pid})" if pid
+                else "the test left a child process running")
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 Configs are plain JSON objects with ``particle``, ``trap`` and ``environment``
 sections plus optional ``drive``, ``sweep``, ``ramp``, ``squeeze`` and
-``derive`` sections, depending on the subcommand.  Three conventions are
-enforced here so they hold everywhere downstream:
+``derive`` sections, depending on the subcommand.  ``_SECTIONS`` is the one
+list of each section's keys, with the kind and lower bound of each, and
+``_section`` reads every section against it.  Three conventions are enforced
+here so they hold everywhere downstream:
 
 * every frequency-valued key carries an explicit unit suffix, ``_hz`` or
   ``_rad_s`` (the loader multiplies ``_hz`` values by 2 pi, and the rest of
@@ -57,16 +59,8 @@ from libration.model import (
 )
 from libration.steadystate import _linspace, _range_fault
 
-__all__ = [
-    "ConfigError",
-    "DriveSettings",
-    "SweepSettings",
-    "RampSettings",
-    "SqueezeSettings",
-    "ScanSettings",
-    "RunConfig",
-    "load_config",
-]
+__all__ = ["ConfigError", "DriveSettings", "SweepSettings", "RampSettings", "SqueezeSettings",
+           "ScanSettings", "RunConfig", "load_config"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,21 +73,18 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"config error at {path}: {message}")
 
 
-def _require_mapping(obj, path: str) -> dict:
+def _mapping(obj, path: str, known) -> dict:
+    """``obj``, a JSON object with no key outside ``known``."""
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(known)
+    if unknown:
+        _fail(path, f"unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}")
     return obj
 
 
-def _check_known(section: dict, path: str, known: set[str]) -> None:
-    unknown = set(section) - known
-    if unknown:
-        _fail(path, f"unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}")
-
-
 def _is_finite_number(value) -> bool:
-    """A JSON number that is a finite float: not a bool, NaN, Infinity or an
-    integer beyond float range."""
+    """A finite JSON number: not a bool, NaN, Infinity or an integer beyond float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -102,56 +93,112 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _number(section: dict, path: str, key: str, *, required: bool = True,
-            minimum: float | None = None, strict: bool = False) -> float | None:
-    if key not in section:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return None
-    value = section[key]
-    if not _is_finite_number(value):
-        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    value = float(value)
-    if minimum is not None and not (value > minimum if strict else value >= minimum):
-        _fail(f"{path}.{key}", f"must be {'>' if strict else '>='} {minimum}, got {value}")
-    return value
+# Every key of every section, as (kind, minimum, strict): a value below the
+# minimum, or at it when strict, is an error.  A kind is "number", "integer",
+# "frequency" (given as <key>_hz or <key>_rad_s, read in rad/s), "flag"
+# (true/false), "angles" (a number or a non-empty list of them; null counts as
+# absent) or a tuple of the strings allowed.  Sections are read in this order.
+_SECTIONS = {
+    "environment": {
+        "pressure_pa": ("number", 0.0, False), "temperature_k": ("number", 0.0, True),
+        "gamma_b": ("frequency", 0.0, False), "damping_per_pascal_rad_s": ("number", 0.0, False),
+    },
+    "particle": {
+        "material": (tuple(sorted(MATERIALS)), None, False),
+        "density_kg_m3": ("number", 0.0, True), "eps_r": ("number", None, False),
+        "r_a_m": ("number", 0.0, True), "r_b_m": ("number", 0.0, True),
+        "eccentricity": ("number", 0.0, False),
+    },
+    "trap": {"power_w": ("number", 0.0, True), "waist_m": ("number", 0.0, True)},
+    "drive": {
+        "frequency": ("frequency", 0.0, True), "detuning": ("frequency", None, False),
+        "power_w": ("number", 0.0, False), "amplitude": ("frequency", 0.0, False),
+    },
+    "sweep": {
+        "amplitude_min": ("frequency", 0.0, False), "amplitude_max": ("frequency", 0.0, False),
+        "points": ("integer", 2, False),
+    },
+    "ramp": {
+        "amplitude_start": ("frequency", 0.0, False), "amplitude_stop": ("frequency", 0.0, False),
+        "steps": ("integer", 3, False), "dwell_s": ("number", 0.0, True),
+        "tolerance": ("number", 0.0, True),
+    },
+    "squeeze": {
+        "r": ("number", 0.0, False), "from_drive": ("flag", None, False),
+        "phi_rad": ("angles", None, False), "nbar": ("number", 0.0, False),
+        "thermal": ("flag", None, False), "t_max_s": ("number", 0.0, True),
+        "points": ("integer", 2, False), "include_damping": ("flag", None, False),
+        "branch": (("upper", "lower"), None, False),
+    },
+    "derive": {
+        "scan": (("r_a_m", "eccentricity"), None, False),
+        "min": ("number", None, False),  # >= 0, and > 0 in an r_a_m scan: see _parse_scan
+        "max": ("number", None, False), "points": ("integer", 2, False),
+    },
+}
 
 
-def _integer(section: dict, path: str, key: str, *, required: bool = True,
-             minimum: int = 1) -> int | None:
-    if key not in section:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return None
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if not _is_finite_number(value):
-        _fail(f"{path}.{key}", f"expected an integer within float range, got {value!r}")
-    if value < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return value
+def _section(root: dict, name: str) -> dict:
+    """The checked values of section ``name``, by ``_SECTIONS`` key; None where absent."""
+    section = _mapping(root[name], name, [
+        key + unit for key, (kind, _, _) in _SECTIONS[name].items()
+        for unit in (("_hz", "_rad_s") if kind == "frequency" else ("",))])
+    values = {}
+    for key, (kind, minimum, strict) in _SECTIONS[name].items():
+        hz, rad = f"{key}_hz", f"{key}_rad_s"
+        if kind == "frequency" and hz in section and rad in section:
+            _fail(name, f"give exactly one of '{hz}' or '{rad}', not both")
+        given = key if kind != "frequency" else hz if hz in section else rad
+        value = values[key] = section.get(given)
+        path = f"{name}.{given}"
+        if value is None and (given not in section or kind == "angles"):
+            continue
+        if isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
+            _fail(path, _choices(kind, value))
+        elif kind == "flag" and not isinstance(value, bool):
+            _fail(path, f"expected true/false, got {value!r}")
+        elif kind == "angles":
+            angles = value if isinstance(value, list) else [value]
+            if not angles or not all(_is_finite_number(v) for v in angles):
+                _fail(path, f"expected a finite number or non-empty list of them, got {value!r}")
+            values[key] = tuple(float(v) for v in angles)
+        elif kind == "integer" and (isinstance(value, bool) or not isinstance(value, int)):
+            _fail(path, f"expected an integer, got {value!r}")
+        elif kind in ("number", "frequency", "integer") and not _is_finite_number(value):
+            expected = "an integer within float range" if kind == "integer" else "a finite number"
+            _fail(path, f"expected {expected}, got {value!r}")
+        elif kind in ("number", "frequency"):
+            value = values[key] = float(value) * (TWO_PI if given.endswith("_hz") else 1.0)
+            if not math.isfinite(value):
+                _fail(path, f"{section[given]!r} Hz overflows float range in rad/s")
+        if minimum is not None and kind == "frequency":
+            _bound(name, f"'{key}' must be", value, minimum, strict, " rad/s")
+        elif minimum is not None:
+            _bound(path, "must be", value, minimum, strict)
+    return values
 
 
-def _frequency(section: dict, path: str, base: str, *, required: bool = True,
-               minimum: float | None = None, strict: bool = False) -> float | None:
-    """Fetch a frequency given as either <base>_hz or <base>_rad_s, in rad/s."""
-    key_hz, key_rad = f"{base}_hz", f"{base}_rad_s"
-    if key_hz in section and key_rad in section:
-        _fail(path, f"give exactly one of '{key_hz}' or '{key_rad}', not both")
-    if key_hz in section:
-        value = _number(section, path, key_hz) * TWO_PI
-        if not math.isfinite(value):
-            _fail(f"{path}.{key_hz}", f"{section[key_hz]!r} Hz overflows float range in rad/s")
-    elif key_rad in section:
-        value = _number(section, path, key_rad)
-    else:
-        if required:
-            _fail(path, f"missing frequency key '{key_hz}' or '{key_rad}'")
-        return None
-    if minimum is not None and not (value > minimum if strict else value >= minimum):
-        _fail(path, f"'{base}' must be {'>' if strict else '>='} {minimum} rad/s, got {value}")
-    return value
+def _bound(path: str, what: str, value, minimum, strict: bool, unit: str = "") -> None:
+    """Fail unless ``value`` exceeds ``minimum``, or equals it when not ``strict``."""
+    if not (value > minimum if strict else value >= minimum):
+        _fail(path, f"{what} {'>' if strict else '>='} {minimum}{unit}, got {value}")
+
+
+def _choices(kind: tuple, value) -> str:
+    return f"expected one of {list(kind)}, got {value!r}"
+
+
+def _need(values: dict, name: str, *keys: str) -> list:
+    """The values of ``keys`` of section ``name``, each of which must be given."""
+    for key in keys:
+        if values[key] is None:
+            kind = _SECTIONS[name][key][0]
+            if kind == "frequency":
+                _fail(name, f"missing frequency key '{key}_hz' or '{key}_rad_s'")
+            if isinstance(kind, tuple):  # as a choice not among them
+                _fail(f"{name}.{key}", _choices(kind, None))
+            _fail(name, f"missing required key '{key}'")
+    return [values[key] for key in keys]
 
 
 class DriveSettings(NamedTuple):
@@ -203,68 +250,37 @@ class RunConfig(NamedTuple):
     scan: ScanSettings | None = None
 
 
-def _parse_particle(section: dict) -> NanoparticleSpec:
-    path = "particle"
-    _check_known(
-        section, path,
-        {"material", "density_kg_m3", "eps_r", "r_a_m", "r_b_m", "eccentricity"},
-    )
-    density = eps_r = None
-    if "material" in section:
-        name = section["material"]
-        if name not in MATERIALS:
-            _fail(f"{path}.material", f"unknown material {name!r}; presets: {sorted(MATERIALS)}")
-        density = MATERIALS[name].density
-        eps_r = MATERIALS[name].eps_r
-    explicit_density = _number(section, path, "density_kg_m3", required=density is None,
-                               minimum=0.0, strict=True)
-    if explicit_density is not None:
-        density = explicit_density
-    explicit_eps = _number(section, path, "eps_r", required=eps_r is None)
-    if explicit_eps is not None:
-        eps_r = explicit_eps
-    r_a = _number(section, path, "r_a_m", minimum=0.0, strict=True)
-    if ("r_b_m" in section) == ("eccentricity" in section):
-        _fail(path, "give exactly one of 'r_b_m' or 'eccentricity'")
+def _parse_particle(v: dict) -> NanoparticleSpec:
+    preset = MATERIALS.get(v["material"])
+    if preset is None:
+        density, eps_r = _need(v, "particle", "density_kg_m3", "eps_r")
+    else:
+        density = preset.density if v["density_kg_m3"] is None else v["density_kg_m3"]
+        eps_r = preset.eps_r if v["eps_r"] is None else v["eps_r"]
+    (r_a,) = _need(v, "particle", "r_a_m")
+    if (v["r_b_m"] is None) == (v["eccentricity"] is None):
+        _fail("particle", "give exactly one of 'r_b_m' or 'eccentricity'")
     try:
-        if "r_b_m" in section:
-            r_b = _number(section, path, "r_b_m", minimum=0.0, strict=True)
-            return NanoparticleSpec(r_a=r_a, r_b=r_b, density=density, eps_r=eps_r)
-        ecc = _number(section, path, "eccentricity", minimum=0.0)
-        return NanoparticleSpec.from_eccentricity(r_a, ecc, density, eps_r)
+        if v["r_b_m"] is not None:
+            return NanoparticleSpec(r_a=r_a, r_b=v["r_b_m"], density=density, eps_r=eps_r)
+        return NanoparticleSpec.from_eccentricity(r_a, v["eccentricity"], density, eps_r)
     except ValueError as exc:
-        raise ConfigError(f"config error at {path}: {exc}") from exc
+        raise ConfigError(f"config error at particle: {exc}") from exc
 
 
-def _parse_trap(section: dict) -> TrapConfig:
-    _check_known(section, "trap", {"power_w", "waist_m"})
-    return TrapConfig(
-        power=_number(section, "trap", "power_w", minimum=0.0, strict=True),
-        waist=_number(section, "trap", "waist_m", minimum=0.0, strict=True),
-    )
+def _parse_drive(v: dict) -> dict:
+    """The drive section's values, with one frequency or detuning and at most one strength."""
+    if (v["frequency"] is None) == (v["detuning"] is None):
+        _fail("drive", "give exactly one of a drive 'frequency' or a 'detuning'")
+    if v["power_w"] is not None and v["amplitude"] is not None:
+        _fail("drive", "give at most one of 'power_w' or a direct 'amplitude'")
+    return v
 
 
-def _parse_drive(section: dict) -> tuple[float | None, float | None, float | None, float | None]:
-    """The validated (frequency, detuning, power_w, amplitude) of the drive."""
-    path = "drive"
-    _check_known(section, path, {
-        "frequency_hz", "frequency_rad_s", "detuning_hz", "detuning_rad_s",
-        "power_w", "amplitude_hz", "amplitude_rad_s",
-    })
-    freq = _frequency(section, path, "frequency", required=False, minimum=0.0, strict=True)
-    det = _frequency(section, path, "detuning", required=False)
-    if (freq is None) == (det is None):
-        _fail(path, "give exactly one of a drive 'frequency' or a 'detuning'")
-    power = _number(section, path, "power_w", required=False, minimum=0.0)
-    amplitude = _frequency(section, path, "amplitude", required=False, minimum=0.0)
-    if power is not None and amplitude is not None:
-        _fail(path, "give at most one of 'power_w' or a direct 'amplitude'")
-    return freq, det, power, amplitude
-
-
-def _resolve_drive(freq, det, power, amplitude, particle: NanoparticleSpec, trap: TrapConfig,
+def _resolve_drive(v: dict, particle: NanoparticleSpec, trap: TrapConfig,
                    mode: ModeParameters) -> DriveSettings:
     """The drive of ``_parse_drive``'s values at the particle's mode."""
+    freq, det, power, amplitude = v["frequency"], v["detuning"], v["power_w"], v["amplitude"]
     if freq is not None:
         omega_ml, delta_ml = freq, freq - mode.omega_t
     else:
@@ -308,108 +324,59 @@ def _checked_linspace(lo: float, hi: float, n: int, path: str, keys: str) -> tup
     return tuple(grid)
 
 
-def _parse_sweep(section: dict) -> SweepSettings:
-    path = "sweep"
-    _check_known(section, path, {
-        "amplitude_min_hz", "amplitude_min_rad_s",
-        "amplitude_max_hz", "amplitude_max_rad_s", "points",
-    })
-    lo = _frequency(section, path, "amplitude_min", minimum=0.0)
-    hi = _frequency(section, path, "amplitude_max", minimum=0.0)
+def _parse_sweep(v: dict) -> SweepSettings:
+    lo, hi = _need(v, "sweep", "amplitude_min", "amplitude_max")
     if not hi > lo:
-        _fail(path, f"amplitude_max must exceed amplitude_min, got [{lo}, {hi}] rad/s")
-    points = _integer(section, path, "points", minimum=2)
-    return SweepSettings(_checked_linspace(lo, hi, points, path,
+        _fail("sweep", f"amplitude_max must exceed amplitude_min, got [{lo}, {hi}] rad/s")
+    (points,) = _need(v, "sweep", "points")
+    return SweepSettings(_checked_linspace(lo, hi, points, "sweep",
                                            "amplitude_min_*, amplitude_max_* and points"))
 
 
-def _parse_ramp(section: dict, gamma_b: float) -> RampSettings:
-    path = "ramp"
-    _check_known(section, path, {
-        "amplitude_start_hz", "amplitude_start_rad_s",
-        "amplitude_stop_hz", "amplitude_stop_rad_s",
-        "steps", "dwell_s", "tolerance",
-    })
-    start = _frequency(section, path, "amplitude_start", minimum=0.0)
-    stop = _frequency(section, path, "amplitude_stop", minimum=0.0)
+def _parse_ramp(v: dict, gamma_b: float) -> RampSettings:
+    start, stop = _need(v, "ramp", "amplitude_start", "amplitude_stop")
     if not stop > start:
-        _fail(path, "amplitude_stop must exceed amplitude_start (the ramp runs up, then back down)")
-    steps = _integer(section, path, "steps", minimum=3)
-    dwell = _number(section, path, "dwell_s", required=False, minimum=0.0, strict=True)
+        _fail("ramp", "amplitude_stop must exceed amplitude_start (the ramp runs up, then back down)")
+    (steps,) = _need(v, "ramp", "steps")
+    dwell = v["dwell_s"]
     if dwell is None:
         if not gamma_b > 0.0:
             raise ConfigError("config error: ramp.dwell_s is required when gamma_b is zero "
                               "(no damping time to set the quasi-static dwell)")
         dwell = DWELL_DAMPING_CYCLES / gamma_b
         if not math.isfinite(dwell):
-            _fail(path, f"the default dwell {DWELL_DAMPING_CYCLES:g} / gamma_b overflows "
+            _fail("ramp", f"the default dwell {DWELL_DAMPING_CYCLES:g} / gamma_b overflows "
                   f"float range at gamma_b = {gamma_b!r} rad/s; give 'dwell_s'")
-    tol = _number(section, path, "tolerance", required=False, minimum=0.0, strict=True)
-    return RampSettings(start, stop, steps, dwell, tol if tol is not None else 1e-8)
+    return RampSettings(start, stop, steps, dwell,
+                        1e-8 if v["tolerance"] is None else v["tolerance"])
 
 
-def _parse_squeeze(section: dict) -> SqueezeSettings:
+def _parse_squeeze(v: dict) -> SqueezeSettings:
     """The squeeze settings; ``load_config`` sets ``nbar`` when ``thermal`` is true."""
-    path = "squeeze"
-    _check_known(section, path, {
-        "r", "from_drive", "phi_rad", "nbar", "thermal",
-        "t_max_s", "points", "include_damping", "branch",
-    })
-    from_drive = section.get("from_drive", False)
-    if not isinstance(from_drive, bool):
-        _fail(f"{path}.from_drive", f"expected true/false, got {from_drive!r}")
-    r = _number(section, path, "r", required=not from_drive, minimum=0.0)
-    if from_drive and r is not None:
-        _fail(path, "give either 'r' or 'from_drive', not both")
-    phi_raw = section.get("phi_rad")
-    if phi_raw is None:
-        if not from_drive:
-            _fail(path, "missing 'phi_rad' (a number or list of numbers)")
-        phis: tuple[float, ...] = ()
-    else:
-        phi_list = phi_raw if isinstance(phi_raw, list) else [phi_raw]
-        if not phi_list or not all(_is_finite_number(v) for v in phi_list):
-            _fail(f"{path}.phi_rad",
-                  f"expected a finite number or non-empty list of them, got {phi_raw!r}")
-        phis = tuple(float(v) for v in phi_list)
-    thermal = section.get("thermal", False)
-    if not isinstance(thermal, bool):
-        _fail(f"{path}.thermal", f"expected true/false, got {thermal!r}")
-    nbar = _number(section, path, "nbar", required=False, minimum=0.0)
-    if thermal and nbar is not None:
-        _fail(path, "give either 'nbar' or 'thermal', not both")
-    include_damping = section.get("include_damping", False)
-    if not isinstance(include_damping, bool):
-        _fail(f"{path}.include_damping", f"expected true/false, got {include_damping!r}")
-    branch = section.get("branch", "upper")
-    if branch not in ("upper", "lower"):
-        _fail(f"{path}.branch", f"expected 'upper' or 'lower', got {branch!r}")
-    return SqueezeSettings(
-        from_drive=from_drive,
-        r=r,
-        phi_rad=phis,
-        nbar=0.0 if nbar is None else nbar,
-        t=_checked_linspace(0.0, _number(section, path, "t_max_s", minimum=0.0, strict=True),
-                            _integer(section, path, "points", required=False, minimum=2) or 400,
-                            path, "t_max_s and points"),
-        include_damping=include_damping,
-        branch=branch,
-    )
+    from_drive = v["from_drive"] is True
+    if not from_drive:
+        _need(v, "squeeze", "r")
+    elif v["r"] is not None:
+        _fail("squeeze", "give either 'r' or 'from_drive', not both")
+    if v["phi_rad"] is None and not from_drive:
+        _fail("squeeze", "missing 'phi_rad' (a number or list of numbers)")
+    if v["thermal"] and v["nbar"] is not None:
+        _fail("squeeze", "give either 'nbar' or 'thermal', not both")
+    (t_max,) = _need(v, "squeeze", "t_max_s")
+    t = _checked_linspace(0.0, t_max, v["points"] or 400, "squeeze", "t_max_s and points")
+    return SqueezeSettings(from_drive, v["r"], v["phi_rad"] or (),
+                           0.0 if v["nbar"] is None else v["nbar"], t,
+                           v["include_damping"] is True, v["branch"] or "upper")
 
 
-def _parse_scan(section: dict) -> ScanSettings:
-    path = "derive"
-    _check_known(section, path, {"scan", "min", "max", "points"})
-    axis = section.get("scan")
-    if axis not in ("r_a_m", "eccentricity"):
-        _fail(f"{path}.scan", f"expected 'r_a_m' or 'eccentricity', got {axis!r}")
-    lo = _number(section, path, "min", minimum=0.0, strict=axis == "r_a_m")
-    hi = _number(section, path, "max")
+def _parse_scan(v: dict) -> ScanSettings:
+    axis, lo, hi = _need(v, "derive", "scan", "min", "max")
+    _bound("derive.min", "must be", lo, 0.0, axis == "r_a_m")  # a radius, or an eccentricity
     if not hi > lo:
-        _fail(path, f"max must exceed min, got [{lo}, {hi}]")
+        _fail("derive", f"max must exceed min, got [{lo}, {hi}]")
     if axis == "eccentricity" and hi >= 1.0:
-        _fail(f"{path}.max", f"eccentricity scan must stay below 1, got {hi}")
-    points = _integer(section, path, "points", minimum=2)
+        _fail("derive.max", f"eccentricity scan must stay below 1, got {hi}")
+    (points,) = _need(v, "derive", "points")
     return ScanSettings(axis, tuple(_linspace(lo, hi, points)))
 
 
@@ -424,31 +391,23 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config error: cannot read {p} ({exc.strerror})") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config error: {p} is not valid JSON ({exc})") from exc
-    root = _require_mapping(raw, "(root)")
-    _check_known(root, "(root)", {
-        "particle", "trap", "environment", "drive", "sweep", "ramp", "squeeze", "derive",
-    })
+    root = _mapping(raw, "(root)", _SECTIONS)
     for name in ("particle", "trap", "environment"):
         if name not in root:
             _fail("(root)", f"missing required section '{name}'")
-    env = _require_mapping(root["environment"], "environment")
-    _check_known(env, "environment", {
-        "pressure_pa", "temperature_k", "gamma_b_hz", "gamma_b_rad_s",
-        "damping_per_pascal_rad_s",
-    })
-    damping = _number(env, "environment", "damping_per_pascal_rad_s",
-                      required=False, minimum=0.0)
-    particle = _parse_particle(_require_mapping(root["particle"], "particle"))
-    trap = _parse_trap(_require_mapping(root["trap"], "trap"))
-    pressure = _number(env, "environment", "pressure_pa", minimum=0.0)
-    temperature = _number(env, "environment", "temperature_k", minimum=0.0, strict=True)
-    gamma_b = _frequency(env, "environment", "gamma_b", required=False, minimum=0.0)
+    values = {name: _section(root, name) for name in _SECTIONS if name in root}
+    env = values["environment"]
+    particle = _parse_particle(values["particle"])
+    trap = TrapConfig(*_need(values["trap"], "trap", "power_w", "waist_m"))
+    pressure, temperature = _need(env, "environment", "pressure_pa", "temperature_k")
+    gamma_b = env["gamma_b"]
     if gamma_b is None:
+        damping = env["damping_per_pascal_rad_s"]
         gamma_b = gas_damping(pressure, DEFAULT_DAMPING_PER_PASCAL if damping is None else damping)
         if not math.isfinite(gamma_b):
             _fail("environment", "damping_per_pascal_rad_s * pressure_pa overflows float range")
     drive, sweep, ramp, squeeze, scan = (
-        parse(_require_mapping(root[name], name)) if name in root else None
+        parse(values[name]) if name in values else None
         for name, parse in (("drive", _parse_drive), ("sweep", _parse_sweep),
                             ("ramp", lambda ramp: _parse_ramp(ramp, gamma_b)),
                             ("squeeze", _parse_squeeze), ("derive", _parse_scan))
@@ -484,12 +443,12 @@ def load_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         _fail("environment.temperature_k", str(exc))
     if drive is not None:
-        drive = _resolve_drive(*drive, particle, trap, mode)
+        drive = _resolve_drive(drive, particle, trap, mode)
         _check_cubic_range(root, drive, gamma_b, mode.eta, sweep)
         if drive.amplitude is None and squeeze is not None and squeeze.from_drive:
             raise ConfigError("config error: squeeze.from_drive needs a drive amplitude "
                               "('power_w' or 'amplitude_*') in the drive section")
-    if squeeze is not None and root["squeeze"].get("thermal", False):
+    if squeeze is not None and values["squeeze"]["thermal"]:
         squeeze = squeeze._replace(nbar=nbar_thermal)
     if squeeze is not None and squeeze.r is not None and drive is not None:
         lam = drive.delta_ml + 24.0 * mode.eta * squeeze.r * squeeze.r  # as squeeze_params

@@ -1,18 +1,24 @@
-"""Config fuzzer for the ``bistability`` and ``derive`` commands.
+"""Config fuzzers for the ``bistability``, ``derive`` and ``squeeze`` commands.
 
-Each example edits up to three keys of the shipped ``bistability`` config,
-drawn over the documented schema, to an edge float (zero, subnormals, 1e154,
-1e300, both signs) or to a shipped-scale value times 10^[-3, 3], and runs
-``cli.main`` in process.  Every run must end with a documented exit code and
-no escaping exception; a ``bistability`` run that succeeds must show the
-S-curve pattern on every three-root drive and root counts that agree with its
-summary's fold window.  (``hysteresis`` and ``squeeze`` are left out: their
-run time is not bounded over this schema.)
+Each ``bistability``/``derive`` example edits up to three keys of the shipped
+``bistability`` config, drawn over the documented schema, to an edge float
+(zero, subnormals, 1e154, 1e300, both signs) or to a shipped-scale value times
+10^[-3, 3], and runs ``cli.main`` in process.  Every run must end with a
+documented exit code and no escaping exception; a ``bistability`` run that
+succeeds must show the S-curve pattern on every three-root drive and root
+counts that agree with its summary's fold window.
+
+Each ``squeeze`` example draws the squeeze section of the shipped ``squeeze``
+config, with at most 50 points, and its damping and detuning; a run that
+succeeds must write traces whose S_theta and S_J are finite and positive and
+obey the uncertainty bound S_theta S_J >= 1/16 (theta0 J0 = 2 hbar).
+(``hysteresis`` is left out: its run time is not bounded over this schema.)
 """
 
 import copy
 import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -133,3 +139,57 @@ def test_cli_config_fuzz(cfg, command, fmt):
                 outer = 1.0 if gamma_b > 0.0 else 0.0
                 assert [row["stable"] for row in rows] == [outer, 0.0, outer]
                 assert max(rows[1]["re_eig1"], rows[1]["re_eig2"]) > 0.0
+
+
+SQUEEZE = json.loads((ROOT / "configs" / "squeeze.json").read_text())
+
+
+def scaled(value):
+    """``value`` times 10^[-3, 3]."""
+    return st.floats(-3.0, 3.0).map(lambda e: value * 10.0 ** e)
+
+
+@st.composite
+def squeeze_configs(draw):
+    cfg = copy.deepcopy(SQUEEZE)
+    sq = cfg["squeeze"] = {"t_max_s": draw(scaled(5e-3)), "points": draw(st.integers(2, 50)),
+                           "include_damping": draw(st.booleans())}
+    phis = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    if draw(st.booleans()):  # r and the default phase from a stable steady branch
+        sq.update(from_drive=True, branch=draw(st.sampled_from(["upper", "lower"])))
+        cfg["drive"]["power_w"] = draw(scaled(1e-5))
+        if draw(st.booleans()):
+            sq["phi_rad"] = phis
+    else:
+        sq["r"] = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e77, 1e154]), scaled(40.0)))
+        sq["phi_rad"] = phis if draw(st.booleans()) else phis[0]
+    if draw(st.booleans()):
+        sq["thermal"] = True
+    else:
+        sq["nbar"] = draw(st.one_of(st.just(0.0), scaled(1.0)))
+    damping = draw(st.one_of(st.none(), st.sampled_from([0.0, 5e-324]), scaled(8e3)))
+    if damping is not None:
+        cfg["environment"]["gamma_b_rad_s"] = damping
+    cfg["drive"]["detuning_hz"] = draw(st.one_of(st.sampled_from([0.0, -200.0]), scaled(200.0)))
+    return cfg
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=squeeze_configs(), fmt=st.sampled_from(["csv", "csv+svg"]))
+def test_cli_squeeze_fuzz(cfg, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        code = main(["squeeze", "--config", str(path), "--out", str(out), "--format", fmt])
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        traces = sorted(out.glob("squeeze_*.csv"))
+        assert traces
+        for trace in traces:
+            with open(trace, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    s_theta, s_j = float(row["S_theta"]), float(row["S_J"])
+                    assert 0.0 < s_theta < math.inf and 0.0 < s_j < math.inf, (trace.name, row)
+                    assert s_theta * s_j >= (1.0 - 1e-9) / 16.0, (trace.name, row)

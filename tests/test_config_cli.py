@@ -178,6 +178,34 @@ def test_particle_shape_exclusivity(tmp_path):
         load_config(write_cfg(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("material", [[], ["diamond"], {}, 3, None])
+def test_cli_rejects_a_material_that_is_not_a_string(tmp_path, capsys, material):
+    # a list or an object cannot be hashed: looking it up among the presets
+    # ended the run in a TypeError traceback
+    cfg = with_sections(BASE)
+    cfg["particle"]["material"] = material
+    assert run_cli(["derive", "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error at particle.material: expected one of ['diamond', 'silica'], "
+                   f"got {material!r}\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("r_b_m", "4e-8", "expected a finite number, got '4e-8'"),
+    ("r_b_m", 0.0, "must be > 0.0, got 0.0"),
+    ("eccentricity", "0.9", "expected a finite number, got '0.9'"),
+    ("eccentricity", -0.5, "must be >= 0.0, got -0.5"),
+])
+def test_cli_particle_shape_errors_name_the_key_once(tmp_path, capsys, key, value, message):
+    cfg = with_sections(BASE)
+    del cfg["particle"]["r_b_m"]
+    cfg["particle"][key] = value
+    assert run_cli(["derive", "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error at particle.{key}: {message}\n"
+    assert err.count("config error") == 1
+
+
 def test_drive_validation(tmp_path):
     both = with_sections(BASE, drive={"frequency_hz": 1.2e6, "detuning_hz": -200.0})
     with pytest.raises(ConfigError, match="exactly one of a drive"):

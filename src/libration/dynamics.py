@@ -10,46 +10,37 @@ S-curve and jumps at the fold points, which is how the hysteresis loop and the
 The integrator is an adaptive Dormand-Prince 5(4) stepper written here for
 the scalar amplitude, stepped as the real pair (Re beta, Im beta) in Python
 floats with the operation order of complex arithmetic: the same steps and the
-same bits as on the complex amplitude, without the cost of generic complex
-arithmetic.  Its step loop is flat float code, with the right-hand side and
-error norm written out inline and no function calls per stage.  It
-reproduces the tableau, error norm and step controller of scipy's RK45, so
-it takes the same accepted steps, without scipy's per-step overhead on a
-two-dimensional system.  Trajectories and sweeps are lists of Python floats
-and complex numbers, so this module imports neither scipy nor numpy.  The
-occupation n is ``re*re + im*im``, the expression the right-hand side uses.
+same bits as on the complex amplitude.  Its step loop is flat float code, with
+the right-hand side and error norm written out inline.  It reproduces the
+tableau, error norm and step controller of scipy's RK45, so it takes the same
+accepted steps, without scipy's per-step overhead on a two-dimensional system.
+Trajectories and sweeps are lists of Python floats and complex numbers, so
+this module imports neither scipy nor numpy.  The occupation n is
+``re*re + im*im``, the expression the right-hand side uses.
 :func:`mean_field_rhs` is the complex reference form of the right-hand side.
+
+A damped plateau runs DP45 in chunks of 2/gamma_b only until, about the
+stable steady root beta* nearest the state, the gate
+12 eta (2|beta*| + |d|)|d| < 0.01 sqrt(det J) holds for d = beta - beta*: the
+quadratic remainder of the force is small against the linear restoring rate.
+The rest of the dwell is one closed-form step about beta*, the linear flow
+e^(JT) d plus the second-order term d2(T) (:func:`_propagate`), kept when its
+error estimate 2|d2|/|beta*|, relative in n, is at most ``tol``; else DP45
+steps another chunk.  So a damped plateau's work is bounded by its settling
+time, not its dwell.  Undamped plateaus, and those whose steady roots cannot
+be solved, run on DP45 alone.  A sweep runs in the caller's process alone.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
 the ramp direction (up past n_low, down past n_high), leaving the stable branch
 it was following.  An S-curve that does not fold has no jumps.
-
-:func:`hysteresis_sweep` steps the down ramp on two cores where it can:
-``os.fork`` exists, the CPU affinity set has two or more CPUs, gamma_b > 0
-and the top drive has a steady root.  Before the up ramp it forks one worker,
-at nice 19, that steps the down ramp from that closed-form root.  A plateau
-shrinks a difference of start states by about exp(-gamma_b*dwell/2), e^-10
-at the default dwell, so that chain soon meets the exact one bit for bit.
-The parent steps the exact chain until one of its plateau end states equals
-the worker's, then takes every plateau the worker has finished.  A plateau is
-a function of its start state alone, so outputs and counters are those of the
-sequential sweep whether the worker matched, lagged, died or never started;
-the parent never waits for it, and kills and reaps it before returning or
-raising.  On ``configs/hysteresis.json`` the chains meet at down plateau 42
-of 300.  At the default dwell they met on 19 of 27 variants of it (detuning
-x0.5/1/2, 50/150/300 steps, tol 1e-6/1e-8/1e-10), 1-79 % of the way down,
-and at a 40/gamma_b dwell not at all; there the worker costs the fork and the
-CPU time it takes from other processes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
-import os
-import signal
-import struct
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -59,6 +50,7 @@ from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
     TurningPoints,
+    _curve_slope,
     _linspace,
     _physical_folds,
     beta_from_n,
@@ -76,10 +68,6 @@ __all__ = [
     "quasi_static_sweep",
     "hysteresis_sweep",
 ]
-
-# One plateau record of _plateaus, as the worker writes it: end state, counts, complete.
-_RECORD = struct.Struct("<ddqq?")
-_STATE = struct.Struct("<dd")
 
 
 def mean_field_rhs(beta: complex, params: MeanFieldParams) -> complex:
@@ -123,12 +111,10 @@ def integrate(
     The stepper (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) works
     on the real pair (Re beta, Im beta) in Python floats, in the operation
     order of complex arithmetic, so it takes the same steps to the same bits
-    as it would on the complex amplitude.  The initial step and the step loop
-    evaluate the right-hand side and the error norm inline, with no function
-    calls per stage.  It uses the step controller of scipy's
-    RK45: RMS error norm over the real and imaginary parts, safety 0.9, step
-    factor in [0.2, 10] with no growth right after a rejection, and the
-    Hairer-Norsett-Wanner initial step.
+    as it would on the complex amplitude.  It uses the step controller of
+    scipy's RK45: RMS error norm over the real and imaginary parts, safety
+    0.9, step factor in [0.2, 10] with no growth right after a rejection, and
+    the Hairer-Norsett-Wanner initial step.
 
     ``tol`` is the accuracy target for the trajectory: the stepper is run
     a fixed safety factor tighter than ``tol`` so that the accumulated
@@ -370,77 +356,152 @@ def _fold_crossing(
     return None
 
 
-def _plateaus(
-    delta_ml: float,
-    gamma_b: float,
-    eta: float,
-    protocol: RampProtocol,
-    beta: complex,
-    tol: float,
-    source: _Worker | None = None,
-    emit: Callable[[tuple], None] | None = None,
-) -> list[tuple]:
-    """Step the plateaus of ``protocol`` from ``beta``: one record per plateau.
+#: Taylor terms for nodes within 1/T of each other: the j-th is < 1/j! of the first.
+_TAYLOR_TERMS = 20
+_INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(_TAYLOR_TERMS + 5)]
 
-    A record is (Re beta, Im beta, n_rhs, n_rejected, complete) of the
-    plateau's end state; the loop ends after the last drive or the first
-    incomplete plateau.  ``emit`` receives each record as it is stepped.
 
-    ``source.poll()`` returns, in order, the records that another chain over
-    the same drives has finished since the last call.  Each plateau is a
-    function of its start state alone, so once one of those records equals
-    this chain's record of the same plateau bit for bit, the two chains are
-    one from there on: the loop takes every record the source has finished
-    in place of stepping it, moves its state to the last one taken, and steps
-    only where the source has not got yet.  It never waits for the source.
+def _exp_divided_differences(nodes: tuple[complex, ...], T: float) -> Callable[[int], complex]:
+    """Divided differences of x -> exp(T x) over subsets of ``nodes``, keyed by bit mask.
+
+    A subset whose nodes are all more than 1/T apart is the sum over its nodes
+    z_i of e^(T z_i) / prod_(j != i) (z_i - z_j).  One whose p + 1 nodes z all
+    lie within 1/T of each other is the Taylor series about their mean m,
+    e^(T m) T^p sum_j h_j(T (z - m)) / (p + j)!, h_j being the complete
+    homogeneous symmetric polynomial of degree j; that covers coincident nodes.
+    Any other is split at its farthest pair (a, b), (exp[Z - a] - exp[Z - b]) /
+    (b - a).  None of these cancels much, and no node has a positive real part.
     """
-    drives = protocol.amplitudes()
-    records: list[tuple] = []
-    ahead: list[tuple] = []
-    checked, matched = 0, False
-    while len(records) < len(drives):
-        p = MeanFieldParams(delta_ml=delta_ml, Omega=drives[len(records)], gamma_b=gamma_b,
-                            eta=eta)
-        traj = integrate(p, beta, (0.0, protocol.dwell), tol=tol)
-        beta = traj.beta[-1]
-        records.append((beta.real, beta.imag, traj.n_rhs, traj.n_rejected, traj.complete))
-        if emit is not None:
-            emit(records[-1])
+    exps = [cmath.exp(T * z) for z in nodes]
+    memo: dict[int, complex] = {}
+
+    def divided(mask: int) -> complex:
+        if mask in memo:
+            return memo[mask]
+        z = [i for i in range(len(nodes)) if mask >> i & 1]
+        pairs = [(abs(nodes[i] - nodes[j]) * T, i, j) for k, i in enumerate(z) for j in z[k + 1:]]
+        if min(pairs, default=(math.inf,))[0] > 1.0:
+            value = sum(exps[i] / math.prod(nodes[i] - nodes[j] for j in z if j != i) for i in z)
+        elif max(pairs)[0] > 1.0:
+            _, a, b = max(pairs)
+            value = (divided(mask ^ 1 << a) - divided(mask ^ 1 << b)) / (nodes[b] - nodes[a])
+        else:
+            m = sum(nodes[i] for i in z) / len(z)
+            h = [1.0] + [0.0] * (_TAYLOR_TERMS - 1)
+            for i in z:
+                w = (nodes[i] - m) * T
+                for j in range(1, _TAYLOR_TERMS):
+                    h[j] += w * h[j - 1]
+            p = len(z) - 1
+            value = cmath.exp(T * m) * T**p * sum(map(operator.mul, h, _INV_FACTORIAL[p:]))
+        memo[mask] = value
+        return value
+
+    return divided
+
+
+def _propagate(params: MeanFieldParams, root: complex, beta: complex,
+               T: float) -> tuple[complex, complex]:
+    """(state after ``T`` seconds from ``beta``, d2): the flow about a stable root to second order.
+
+    As a real pair, d = beta - root follows d' = J d + Q(d) + 12 i eta |d|^2 d,
+    with Q(d) = 12 i eta (|d|^2 root + 2 Re(conj(root) d) d).  J has the
+    eigenvalues l1, l2 = -gamma_b/2 -+ s, s^2 = -(u + x)(u + 3x), x = 12 eta n
+    (det J is :func:`libration.steadystate._curve_slope`), and in Newton form
+    e^(Jt) = e^(l1 t) I + exp_t[l1, l2] (J - l1 I), exp_t[...] being divided
+    differences of x -> e^(x t).  The state returned is root + e^(JT) d + d2
+    with the second-order term d2 = integral_0^T e^(J(T-t)) Q(e^(Jt) d) dt.
+    Q(e^(Jt) d) is a sum of exponentials at 2 l1, l1 + l2 and 2 l2, so d2 is
+    a sum of divided differences over those nodes and l1, l2
+    (:func:`_exp_divided_differences`), finite at every confluence: s = 0,
+    2 l2 = l1 (s = gamma_b/6) or a fold.  |d2| is the error of the
+    first-order state, to within O(|d|^3).
+    """
+    k = 12.0 * params.eta
+    p, q = root.real, root.imag
+    n = p * p + q * q
+    a = params.delta_ml + k * (n + 1.0)
+    g = params.gamma_b / 2.0
+    s = cmath.sqrt(-a * (a + 2.0 * k * n))
+    # 800 decay times of the slowest mode take every exponential below float range
+    T = min(T, 800.0 / (g - s.real)) if s.real < g else T
+    # N = J - l1 I, J = [[-g - 2k p q, -a - 2k q^2], [a + 2k p^2, -g + 2k p q]]
+    n00, n01 = s - 2.0 * k * p * q, -a - 2.0 * k * q * q
+    n10, n11 = a + 2.0 * k * p * p, s + 2.0 * k * p * q
+    x0, y0 = beta.real - p, beta.imag - q
+    x1, y1 = n00 * x0 + n01 * y0, n10 * x0 + n11 * y0
+
+    def form(vx: complex, vy: complex, wx: complex, wy: complex) -> tuple[complex, complex]:
+        # the symmetric bilinear form of Q: Q(d) = form(d, d)
+        dot, pv, pw = vx * wx + vy * wy, p * vx + q * vy, p * wx + q * wy
+        return k * (-q * dot - pv * wy - pw * vy), k * (p * dot + pv * wx + pw * vx)
+
+    (aa_x, aa_y), (ab_x, ab_y), (bb_x, bb_y) = (
+        form(x0, y0, x0, y0), form(x0, y0, x1, y1), form(x1, y1, x1, y1))
+    # Q(e^(Jt) d) = e^(2 l1 t) Q(d) + 2 exp_t[2 l1, l1 + l2] form(d, N d)
+    # + 2 exp_t[2 l1, l1 + l2, 2 l2] Q(N d), and integral_0^T e^(J(T-t)) exp_t[M] dt
+    # = exp_T[M, l1] I + exp_T[M, l1, l2] N; l1, l2, 2 l1, l1 + l2, 2 l2 are mask bits 1-16
+    l1 = -g - s
+    dd = _exp_divided_differences((l1, -g + s, 2.0 * l1, -2.0 * g, -2.0 * g + 2.0 * s), T)
+    c1, c2, c3 = dd(5), 2.0 * dd(13), 2.0 * dd(29)
+    c4, c5, c6 = dd(7), 2.0 * dd(15), 2.0 * dd(31)
+    vx, vy = c4 * aa_x + c5 * ab_x + c6 * bb_x, c4 * aa_y + c5 * ab_y + c6 * bb_y
+    d2x = (c1 * aa_x + c2 * ab_x + c3 * bb_x + n00 * vx + n01 * vy).real
+    d2y = (c1 * aa_y + c2 * ab_y + c3 * bb_y + n10 * vx + n11 * vy).real
+    e1, e12 = dd(1), dd(3)
+    end = complex(p + (e1 * x0 + e12 * x1).real + d2x, q + (e1 * y0 + e12 * y1).real + d2y)
+    return end, complex(d2x, d2y)
+
+
+def _stable_roots(params: MeanFieldParams) -> list[tuple[complex, float]]:
+    """(beta*, det J) of each stable steady root; none undamped or where the roots fail."""
+    if not params.gamma_b > 0.0:
+        return []
+    k = 12.0 * params.eta
+    try:
+        roots = [(beta_from_n(params, n), _curve_slope(params.u, params.gamma_b, k * n))
+                 for n in steady_occupations(params)]
+    except (ValueError, ResonanceError):
+        return []
+    return [root for root in roots if root[1] > 0.0]
+
+
+def _plateau(params: MeanFieldParams, beta: complex, dwell: float,
+             tol: float) -> tuple[complex, int, int, bool]:
+    """(end state, n_rhs, n_rejected, complete) of a plateau of ``dwell`` seconds from ``beta``.
+
+    Damped, DP45 steps chunks of 2/gamma_b until the module docstring's gate
+    holds about the nearest stable root; :func:`_propagate` then finishes the
+    dwell if its estimate 2|d2|/|beta*| is at most ``tol`` and its exponentials
+    are in float range, else DP45 steps another chunk.  Undamped, or where the
+    steady roots cannot be solved, the plateau is one :func:`integrate` call.
+    """
+    roots = _stable_roots(params)
+    if not roots:
+        traj = integrate(params, beta, (0.0, dwell), tol=tol)
+        return traj.beta[-1], traj.n_rhs, traj.n_rejected, traj.complete
+    k = 12.0 * params.eta
+    chunk = 2.0 / params.gamma_b
+    t, n_rhs, n_rejected, chunks = 0.0, 0, 0, 0
+    while t < dwell:
+        root, det = min(roots, key=lambda r: abs(beta - r[0]))
+        d = abs(beta - root)
+        if k * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det):
+            try:
+                end, d2 = _propagate(params, root, beta, dwell - t)
+            except (ArithmeticError, ValueError):  # a phase T Im(l) beyond float range
+                d2 = math.inf
+            if 2.0 * abs(d2) <= tol * abs(root):
+                return end, n_rhs, n_rejected, True
+        chunks += 1
+        t_next = min(chunks * chunk, dwell)
+        traj = integrate(params, beta, (0.0, t_next - t), tol=tol)
+        beta, t = traj.beta[-1], t_next
+        n_rhs += traj.n_rhs
+        n_rejected += traj.n_rejected
         if not traj.complete:
-            break
-        if source is None:
-            continue
-        ahead += source.poll()
-        while not matched and checked < min(len(ahead), len(records)):
-            matched = _STATE.pack(*ahead[checked][:2]) == _STATE.pack(*records[checked][:2])
-            checked += 1
-        if matched and len(ahead) > len(records):
-            for record in ahead[len(records):len(drives)]:
-                records.append(record)
-                if not record[4]:
-                    return records
-            beta = complex(records[-1][0], records[-1][1])
-    return records
-
-
-def _sweep(
-    delta_ml: float, gamma_b: float, eta: float, protocol: RampProtocol, records: list[tuple],
-) -> SweepResult:
-    """The sweep of ``protocol`` whose plateaus :func:`_plateaus` recorded."""
-    beta = [complex(re, im) for re, im, *_ in records]
-    drives = protocol.amplitudes()[: len(beta)]
-    trajectory = Trajectory(
-        t=[(k + 1) * protocol.dwell for k in range(len(beta))], beta=beta,
-        omega_applied=drives, complete=records[-1][4],
-        n_rhs=sum(r[2] for r in records), n_rejected=sum(r[3] for r in records),
-    )
-    turning = _physical_folds(delta_ml, eta, gamma_b)
-    return SweepResult(
-        trajectory=trajectory,
-        jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
-        direction=protocol.direction,
-        turning=turning,
-    )
+            return beta, n_rhs, n_rejected, False
+    return beta, n_rhs, n_rejected, True
 
 
 def quasi_static_sweep(
@@ -453,87 +514,33 @@ def quasi_static_sweep(
 ) -> SweepResult:
     """Ramp the drive amplitude through its plateaus and record the end states.
 
-    Each plateau is integrated for ``protocol.dwell`` seconds from the end
-    state of the previous one.  A dwell much shorter than the damping time
-    cannot settle; that case is run as given (the CLI prints a warning).
+    Each plateau (:func:`_plateau`) runs for ``protocol.dwell`` seconds from
+    the end state of the previous one; the ramp stops after the first
+    incomplete plateau.  A dwell much shorter than the damping time cannot
+    settle; that case is run as given (the CLI prints a warning).
     """
-    records = _plateaus(delta_ml, gamma_b, eta, protocol, complex(beta_init), tol)
-    return _sweep(delta_ml, gamma_b, eta, protocol, records)
-
-
-class _Worker:
-    """A forked process stepping a ramp ahead of the parent, read as a record source.
-
-    :func:`_fork_worker` starts it; the parent reads it with :meth:`poll`,
-    which never blocks, and must :meth:`close` it, which kills and reaps it.
-    """
-
-    __slots__ = ("pid", "fd", "pending")
-
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd, self.pending = pid, fd, b""
-
-    def poll(self) -> list[tuple]:
-        """The records written since the last call; a partial record waits for its rest."""
-        try:
-            self.pending += os.read(self.fd, 1 << 16)
-        except BlockingIOError:
-            return []
-        whole = len(self.pending) - len(self.pending) % _RECORD.size
-        records = list(_RECORD.iter_unpack(self.pending[:whole]))
-        self.pending = self.pending[whole:]
-        return records
-
-    def close(self) -> None:
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        os.close(self.fd)
-
-
-def _fork_worker(
-    delta_ml: float, gamma_b: float, eta: float, protocol: RampProtocol, tol: float,
-) -> _Worker | None:
-    """Fork a worker that steps ``protocol`` from the steady root at its first drive.
-
-    Returns None, and starts nothing, where the worker cannot pay: without
-    ``os.fork``, on fewer than two CPUs, without damping (start states would
-    never be forgotten), or where the first drive has no steady root.  The
-    worker runs at nice 19, writes one record of :func:`_plateaus` per plateau
-    to a pipe, exits by its next plateau once its parent is gone, and leaves
-    only through ``os._exit``, so no handler of the caller runs twice.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2 or not gamma_b > 0.0:
-        return None
-    top = MeanFieldParams(delta_ml=delta_ml, Omega=protocol.omega_start, gamma_b=gamma_b, eta=eta)
-    try:
-        beta = beta_from_n(top, steady_occupations(top)[0])
-    except (ValueError, ResonanceError):
-        return None
-    read, write = os.pipe()
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        try:
-            os.close(read)
-            os.nice(19)
-
-            def emit(record: tuple) -> None:
-                if os.getppid() != parent:
-                    os._exit(0)
-                os.write(write, _RECORD.pack(*record))
-
-            _plateaus(delta_ml, gamma_b, eta, protocol, beta, tol, emit=emit)
-        finally:
-            os._exit(0)
-    os.close(write)
-    os.set_blocking(read, False)
-    return _Worker(pid, read)
+    drives = protocol.amplitudes()
+    beta, ends = complex(beta_init), []
+    n_rhs, n_rejected, complete = 0, 0, True
+    for omega in drives:
+        p = MeanFieldParams(delta_ml=delta_ml, Omega=omega, gamma_b=gamma_b, eta=eta)
+        beta, rhs, rejected, complete = _plateau(p, beta, protocol.dwell, tol)
+        ends.append(beta)
+        n_rhs += rhs
+        n_rejected += rejected
+        if not complete:
+            break
+    trajectory = Trajectory(
+        t=[(k + 1) * protocol.dwell for k in range(len(ends))], beta=ends,
+        omega_applied=drives[: len(ends)], complete=complete, n_rhs=n_rhs, n_rejected=n_rejected,
+    )
+    turning = _physical_folds(delta_ml, eta, gamma_b)
+    return SweepResult(
+        trajectory=trajectory,
+        jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
+        direction=protocol.direction,
+        turning=turning,
+    )
 
 
 class HysteresisResult(NamedTuple):
@@ -557,26 +564,18 @@ def hysteresis_sweep(
 ) -> HysteresisResult:
     """Run an up ramp, then its reverse from the final state, and compare.
 
+    Both ramps run in this process, plateau by plateau (:func:`_plateau`).
     The down ramp's drives, ``linspace(hi, lo, n)``, equal the up grid only
     to rounding (a few differ in the last bit), so each branch is integrated
     by the trapezoid rule on its own plateaus.  The terms (x0 - x1)(y0 + y1)/2
     along both ramps are +integral(n_down) on the falling drive and
     -integral(n_up) on the rising one; ``loop_area`` is their ``math.fsum``.
-    A forked worker may step part of the down ramp (see the module
-    docstring); the result is the sequential one bit for bit.
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")
-    protocol_down = protocol_up.reversed()
-    worker = _fork_worker(delta_ml, gamma_b, eta, protocol_down, tol)
-    try:
-        up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, tol=tol)
-        records = _plateaus(delta_ml, gamma_b, eta, protocol_down, up.trajectory.beta[-1], tol,
-                            source=worker)
-    finally:
-        if worker is not None:
-            worker.close()
-    down = _sweep(delta_ml, gamma_b, eta, protocol_down, records)
+    up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, tol=tol)
+    down = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up.reversed(),
+                              beta_init=up.trajectory.beta[-1], tol=tol)
     terms = []
     for sweep in (up, down):
         x, y = sweep.trajectory.omega_applied, sweep.trajectory.n

@@ -759,6 +759,10 @@ def test_cli_hysteresis_run(tmp_path):
         summary["static_fold_drive_rad_s"][1], rel=0.05
     )
     assert summary["loop_area"][0] > 0.0
+    # the jump's effective detuning is that of the last plateau before it
+    run = load_config(cfg)
+    for delta_eff, n_before in zip(summary["jump_delta_eff_rad_s"], summary["jump_n_before"]):
+        assert delta_eff == run.drive.delta_ml + 24.0 * run.mode.eta * n_before
     ET.parse(out / "hysteresis.svg")
 
 
@@ -793,6 +797,34 @@ def test_cli_hysteresis_short_dwell_warns_without_a_path(tmp_path):
     assert lines[0].startswith("warning: dwell*gamma_b = ")
     assert "not quasi-static" in lines[0]
     assert ".py" not in out.stderr and str(root) not in out.stderr
+
+
+@pytest.mark.parametrize("change", [
+    {"ramp": {"dwell_s": 1e3}},
+    {"drive": {"detuning_rad_s": 1e10}},
+    {"ramp": {"dwell_s": 1e300}, "drive": {"detuning_rad_s": 1e10}},
+], ids=["dwell 1e3 s", "detuning 1e10 rad/s", "both, dwell 1e300 s"])
+def test_cli_hysteresis_work_is_bounded_by_settling(tmp_path, change):
+    # a damped plateau's work ends once the state has settled enough for the
+    # closed form, however long the dwell or fast the rotation
+    root = Path(libration.__file__).resolve().parents[2]
+    payload = json.loads((root / "configs" / "hysteresis.json").read_text())
+    payload["ramp"]["steps"] = 3
+    for section, values in change.items():
+        payload[section].update(values)
+    cfg = write_cfg(tmp_path, payload)
+    argv = ["hysteresis", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = f"import sys; from libration.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    for name in ("hysteresis_up.csv", "hysteresis_down.csv"):
+        table = read_csv(tmp_path / "out" / name)
+        assert len(table["n"]) == 3
+        for column in ("re_beta", "im_beta", "n"):
+            assert np.isfinite(table[column]).all()
 
 
 def test_cli_hysteresis_blue_detuned_has_no_jumps(tmp_path):

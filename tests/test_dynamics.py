@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from libration.config import load_config
 from libration.dynamics import (
     RampProtocol,
     Trajectory,
+    _fold_crossing,
     hysteresis_sweep,
     integrate,
     mean_field_rhs,
@@ -179,6 +181,22 @@ def test_pair_kernel_is_bit_identical_to_complex_stepper():
             _assert_same_steps(bistable, beta0, (0.0, dwell), tol)
 
 
+def _dp45_ramp(params, protocol, beta, tol):
+    """A ramp with every plateau one ``integrate`` call over the dwell, DP45 alone.
+
+    Returns the plateau end states, the accepted steps and the right-hand-side
+    evaluations: the sweep as it was stepped before the closed form.
+    """
+    ends, steps, n_rhs = [], 0, 0
+    for w in protocol.amplitudes():
+        tr = integrate(params._replace(Omega=float(w)), beta, (0.0, protocol.dwell), tol=tol)
+        beta = tr.beta[-1]
+        ends.append(beta)
+        steps += len(tr.t) - 1
+        n_rhs += tr.n_rhs
+    return ends, steps, n_rhs
+
+
 def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
     tp = turning_points(
         REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
@@ -186,14 +204,17 @@ def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
     proto = RampProtocol(
         0.8 * tp.drive_high, 1.1 * tp.drive_low, 40, DWELL_DAMPING_CYCLES / REF_GAMMA_B
     )
-    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
-    assert result.up.jump is not None and result.down.jump is not None
+    # undamped, each plateau is one integrate call: the complex stepper's steps to the bit
+    undamped = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=0.0, gamma_b=0.0, eta=REF_ETA)
+    short = RampProtocol(proto.omega_start, proto.omega_end, 12, 1e-3)
+    result = hysteresis_sweep(REF_DELTA_ML, 0.0, REF_ETA, short)
     beta = 0.0j
     for sweep in (result.up, result.down):
         ends = []
         n_rhs = n_rejected = 0
         for w in sweep.trajectory.omega_applied:
-            tr = _assert_same_steps(ref_params(float(w)), beta, (0.0, proto.dwell), 1e-8)
+            tr = _assert_same_steps(undamped._replace(Omega=float(w)), beta, (0.0, short.dwell),
+                                    1e-8)
             beta = tr.beta[-1]
             ends.append(beta)
             n_rhs += tr.n_rhs
@@ -202,6 +223,33 @@ def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
         # the sweep's work counters are the sums over its plateaus
         assert sweep.trajectory.n_rhs == n_rhs
         assert sweep.trajectory.n_rejected == n_rejected
+    # damped, each plateau is within 10 tol (relative in n) of DP45 at tol
+    # 1e-12 from the same start state, but for the jump plateaus, which run on
+    # DP45 alone and are as accurate as DP45 at the sweep's tol; the jumps
+    # fall on the plateaus of the DP45-only sweep
+    tol = 1e-8
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto, tol=tol)
+    damped = ref_params(0.0)
+    beta = 0.0j
+    for sweep, ramp in ((result.up, proto), (result.down, proto.reversed())):
+        dp45, _, _ = _dp45_ramp(damped, ramp, beta, tol)
+        jump = sweep.jump
+        assert jump is not None
+        k_jump = sweep.trajectory.n.index(jump.n_after)
+        dp45_n = [b.real * b.real + b.imag * b.imag for b in dp45]
+        assert _fold_crossing(ramp.amplitudes(), dp45_n, REF_DELTA_ML, REF_ETA, sweep.turning,
+                              sweep.direction).drive == jump.drive
+        for k, (w, end, n) in enumerate(zip(ramp.amplitudes(), sweep.trajectory.beta,
+                                            sweep.trajectory.n)):
+            p = damped._replace(Omega=w)
+            n_ref = abs(integrate(p, beta, (0.0, ramp.dwell), tol=1e-12).beta[-1]) ** 2
+            if k == k_jump:
+                n_dp45 = abs(integrate(p, beta, (0.0, ramp.dwell), tol=tol).beta[-1]) ** 2
+                bound = max(10.0 * tol * n_ref, 2.0 * abs(n_dp45 - n_ref))
+            else:
+                bound = 10.0 * tol * n_ref
+            assert abs(n - n_ref) <= bound
+            beta = end
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -240,16 +288,25 @@ def _shipped_hysteresis():
 
 
 def test_sweep_counts_on_shipped_hysteresis_config():
-    # the CLI's sweep of configs/hysteresis.json: 600 plateaus, 86,988
-    # accepted steps, 564,642 right-hand-side evaluations
+    # the CLI's sweep of configs/hysteresis.json on DP45 alone, one integrate
+    # call per plateau: 600 plateaus, 86,988 accepted steps, 564,642
+    # right-hand-side evaluations
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = load_config(root / "configs" / "hysteresis.json")
+    ramp = cfg.ramp
+    params = MeanFieldParams(delta_ml=cfg.drive.delta_ml, Omega=0.0, gamma_b=cfg.gamma_b,
+                             eta=cfg.mode.eta)
+    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
+    up, up_steps, up_rhs = _dp45_ramp(params, proto, 0.0j, ramp.tolerance)
+    _, down_steps, down_rhs = _dp45_ramp(params, proto.reversed(), up[-1], ramp.tolerance)
+    assert up_steps + down_steps == 86_988
+    assert up_rhs + down_rhs == 564_642
+    # the sweep itself, DP45 only until the closed form takes over: 31,400
+    # evaluations in 208 chunks, and 598 plateaus end in closed form
     result = _shipped_hysteresis()
     trajectories = (result.up.trajectory, result.down.trajectory)
-    plateaus = sum(len(tr.t) for tr in trajectories)
-    n_rhs = sum(tr.n_rhs for tr in trajectories)
-    n_rejected = sum(tr.n_rejected for tr in trajectories)
-    assert plateaus == 600
-    assert n_rhs == 564_642
-    assert (n_rhs - 2 * plateaus) // 6 - n_rejected == 86_988
+    assert sum(len(tr.t) for tr in trajectories) == 600
+    assert sum(tr.n_rhs for tr in trajectories) == 31_400
 
 
 def test_default_down_grid_matches_up_grid_to_rounding():
@@ -455,3 +512,33 @@ def test_trajectory_container():
     assert tr.beta[-1] == 2.0 + 0j
     np.testing.assert_array_equal(tr.n, [1.0, 4.0])
     assert not tr.complete
+
+
+def test_hysteresis_sweep_starts_no_process(monkeypatch):
+    # the shipped sweep runs in the caller's process alone, so a signal that
+    # ends the caller leaves nothing behind
+    def refuse(*args, **kwargs):
+        raise AssertionError("hysteresis_sweep started a process")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(os, "posix_spawn", refuse, raising=False)
+    result = _shipped_hysteresis.__wrapped__()  # a fresh sweep, not the cached one
+    shipped = _shipped_hysteresis()
+    for sweep, same in ((result.up, shipped.up), (result.down, shipped.down)):
+        assert sweep.trajectory.beta == same.trajectory.beta
+
+
+def test_fold_crossing_from_a_plateau_exactly_on_the_fold():
+    # n[k-1] on the fold occupation itself still leaves the branch at plateau k
+    tp = turning_points(
+        REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
+    )
+    drives = [1.0e6, 2.0e6, 3.0e6, 4.0e6]
+    for direction, fold, n in (
+        ("up", tp.n_low, [0.25 * tp.n_low, 0.5 * tp.n_low, tp.n_low, 3.0 * tp.n_low]),
+        ("down", tp.n_high, [3.0 * tp.n_high, 2.0 * tp.n_high, tp.n_high, 0.5 * tp.n_high]),
+    ):
+        jump = _fold_crossing(drives, n, REF_DELTA_ML, REF_ETA, tp, direction)
+        assert jump is not None
+        assert (jump.drive, jump.n_before, jump.n_after) == (3.5e6, fold, n[3])
+        assert jump.delta_eff_before == REF_DELTA_ML + 24.0 * REF_ETA * fold

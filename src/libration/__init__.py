@@ -11,13 +11,12 @@ config      JSON run configuration: validated SI values, the working point resol
 output      CSV and SVG writers
 cli         ``libration`` command-line entry point (derive/bistability/hysteresis/squeeze)
 
-The package needs numpy only for the array API of ``squeezing``
-(``variance_theta_closed``, ``variance_J_closed``), which imports it when
-called; no module loads it on import, and no command loads it.  The
-reproduction evidence is kept with the tests, which also need scipy: the
-least-squares fit behind the reference working point ``model.REFERENCE_*``
-(``tests/oracles.py``) and the audit of the transcribed variance formulas
-behind ``findings.json`` (``tests/audit.py``).
+The package has no runtime dependency; numpy is needed only for array input
+to ``squeezing``'s ``variance_theta_closed`` and ``variance_J_closed``, and no
+command loads it.  The reproduction evidence is kept with the tests, which
+need numpy and scipy: the least-squares fit behind the reference working
+point ``model.REFERENCE_*`` (``tests/oracles.py``) and the audit of the
+transcribed variance formulas behind ``findings.json`` (``tests/audit.py``).
 """
 
 from libration.model import (

@@ -6,9 +6,11 @@ Subcommands: ``derive`` (mode numbers from a particle/trap config),
 next to the moment-equation reference).  Exit codes: 0 success, 1 config
 error, 2 numerical failure.  All outputs are deterministic for a fixed
 config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
-summary value is reported.  Grids and preconditions are checked in
-``load_config``; a command's own config error is a missing section.  A run
-warning is one ``warning:`` line on stderr, printed once.
+summary value is reported, except the ``static_fold_*`` columns of
+``hysteresis_summary.csv`` (the benchmark's reference pins that header).
+Grids and preconditions are checked in ``load_config``; a command's own
+config error is a missing section.  A run warning is one ``warning:`` line on
+stderr, printed once.
 
 ``main`` reads a plain ``<command> (--config|--out|--format) <value>...``
 line itself, with argparse's defaults and its choice of the last repeated

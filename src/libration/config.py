@@ -23,7 +23,8 @@ here so they hold everywhere downstream:
   is set, else ``nbar``, else 0), ``RampSettings.dwell`` (``dwell_s``, else
   ``DWELL_DAMPING_CYCLES / gamma_b``), ``ScanSettings.modes`` (the mode at
   each value of the derive scan's ``grid``; none when a value is a sphere),
-  and the checked grids ``SweepSettings.grid`` and ``SqueezeSettings.t``.
+  and the checked grids ``SweepSettings.grid``, ``SqueezeSettings.t``,
+  ``ScanSettings.grid`` and the up ramp's drives (not kept).
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
@@ -338,6 +339,7 @@ def _parse_ramp(v: dict, gamma_b: float) -> RampSettings:
     if not stop > start:
         _fail("ramp", "amplitude_stop must exceed amplitude_start (the ramp runs up, then back down)")
     (steps,) = _need(v, "ramp", "steps")
+    _checked_linspace(start, stop, steps, "ramp", "amplitude_start_*, amplitude_stop_* and steps")
     dwell = v["dwell_s"]
     if dwell is None:
         if not gamma_b > 0.0:
@@ -377,7 +379,7 @@ def _parse_scan(v: dict) -> ScanSettings:
     if axis == "eccentricity" and hi >= 1.0:
         _fail("derive.max", f"eccentricity scan must stay below 1, got {hi}")
     (points,) = _need(v, "derive", "points")
-    return ScanSettings(axis, tuple(_linspace(lo, hi, points)))
+    return ScanSettings(axis, _checked_linspace(lo, hi, points, "derive", "min, max and points"))
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -31,13 +31,13 @@ omega_ml2 = omega_t - 12 eta r^2:
 
 :func:`moment_oracle` is the exact closed-form solution of the uniformly
 damped second-moment equations, built on the same g1 and g2: plain Python,
-sample by sample, with lists in its :class:`VarianceTrace`, so a ``squeeze``
-run loads no numpy.  :func:`variance_theta_closed` and
-:func:`variance_J_closed` are the vectorised array API of the undamped forms:
-they evaluate in numpy, imported on their first call, and agree with
-``moment_oracle`` to rounding.  The tests hold both to independent references
-in ``tests/oracles.py``: a Pade matrix exponential, DOP853 integration and
-mpmath.
+sample by sample, with lists in its :class:`VarianceTrace`.  The module needs
+nothing outside the standard library.  :func:`variance_theta_closed` and
+:func:`variance_J_closed` evaluate a real scalar t on ``moment_oracle``'s
+kernel; only array input needs numpy, which they import then and evaluate in,
+agreeing with ``moment_oracle`` to rounding.  The tests hold both to
+independent references in ``tests/oracles.py``: a Pade matrix exponential,
+DOP853 integration and mpmath.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def _variances(ts: list[float], params: SqueezeParams, gamma: float = 0.0,
     k = (1, e1, e2) of e^{B t} = 1 + e1 B + e2 B^2, with e1 = t sinhc(2 lam_p t)
     and e2 = (t^2/2) sinhc(lam_p t)^2 since B^3 = 4 lam_p^2 B.  sinhc is taken in
     real arithmetic: sinh(x)/x for real lam_p, sin(x)/x for imaginary lam_p.
-    math raises ``OverflowError`` where a sample overflows, and ``ValueError``
-    where it is not a number (the sine of an infinite phase).
+    A variance that overflows, or that is not a number (the sine of an
+    infinite phase), raises ``RuntimeError``.
     """
     lps = params.lambda_p_sq
     lp, fn = (math.sqrt(lps), math.sinh) if lps >= 0.0 else (math.sqrt(-lps), math.sin)
@@ -242,17 +242,27 @@ def _variances(ts: list[float], params: SqueezeParams, gamma: float = 0.0,
             return [hi + bath * ai for hi, ai in zip(h, a)]
     else:
         kernel = undamped
-    s = [_quadratures(weights, *kernel(t)) for t in ts]
-    return [si[0] for si in s], [si[1] for si in s]
+    try:
+        s = [_quadratures(weights, *kernel(t)) for t in ts]
+        s_theta, s_j = [si[0] for si in s], [si[1] for si in s]
+        if not all(map(math.isfinite, s_theta + s_j)):
+            raise OverflowError
+    except (OverflowError, ValueError):  # math raises where numpy returns inf or nan
+        raise RuntimeError("moment propagation overflowed") from None
+    return s_theta, s_j
 
 
 def _closed(t, params: SqueezeParams) -> tuple:
-    """(S_theta, S_J) of the undamped closed forms at the times t, vectorised.
+    """(S_theta, S_J) of the undamped closed forms at the times t.
 
-    The array counterpart of ``_variances`` at gamma = 0, on the same weights
-    but in numpy's complex arithmetic; floats for a scalar t.
+    Floats from ``_variances`` for a real scalar t; else arrays, vectorised on
+    the same weights in numpy's complex arithmetic.
     """
-    import numpy as np  # only the array API loads numpy
+    import numbers  # here, as numpy: no command needs it
+    if isinstance(t, numbers.Real):
+        s_theta, s_j = _variances([float(t)], params)
+        return s_theta[0], s_j[0]
+    import numpy as np  # only array input loads numpy
 
     def sinhc(z):  # sinh(z)/z, equal to 1 only at z = 0
         nonzero = np.where(z == 0.0, 1.0, z)
@@ -260,16 +270,16 @@ def _closed(t, params: SqueezeParams) -> tuple:
 
     times = np.asarray(t, dtype=float)
     z = params.lambda_p * times
-    s_theta, s_j = _quadratures(_weights(params), 1.0, times * sinhc(2.0 * z),
-                                0.5 * times * times * sinhc(z) ** 2)
-    return (float(s_theta), float(s_j)) if np.isscalar(t) else (s_theta, s_j)
+    return _quadratures(_weights(params), 1.0, times * sinhc(2.0 * z),
+                        0.5 * times * times * sinhc(z) ** 2)
 
 
 def variance_theta_closed(t, params: SqueezeParams):
     """Angle variance S_theta(t) (in units of theta0^2), closed form.
 
-    A float for a scalar t, else a numpy array: the vectorised API, which
-    loads numpy on its first call.
+    A float for a real scalar t (``numbers.Real``): that sample of
+    ``moment_oracle``, bit for bit, with its ``RuntimeError`` on overflow.  Else
+    a numpy array: the vectorised API, which imports numpy when called.
     """
     return _closed(t, params)[0]
 
@@ -343,12 +353,7 @@ def moment_oracle(
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     times = _times(t_grid)
-    try:
-        s_theta, s_j = _variances([t - times[0] for t in times], params, gamma_b, nbar_bath)
-        if not all(map(math.isfinite, s_theta + s_j)):
-            raise OverflowError
-    except (OverflowError, ValueError):  # math raises where numpy returns inf or nan
-        raise RuntimeError("moment propagation overflowed") from None
+    s_theta, s_j = _variances([t - times[0] for t in times], params, gamma_b, nbar_bath)
     return VarianceTrace(t=times, S_theta=s_theta, S_J=s_j, regime=params.regime,
                          nbar=params.nbar)
 

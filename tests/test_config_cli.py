@@ -622,11 +622,12 @@ def test_cli_rejects_a_detuning_below_minus_omega_t(tmp_path, capsys, command):
 
 
 def test_cli_derive_svg_of_a_sub_ulp_scan_terminates(tmp_path):
-    # a scan span below one ulp of its values once left the SVG tick loop
-    # stuck; a fresh interpreter with a deadline
+    # a scan span of two ulp, three points one ulp apart, once left the SVG
+    # tick loop stuck (more points would collide, a config error); a fresh
+    # interpreter with a deadline
     cfg = write_cfg(tmp_path, with_sections(
         BASE, derive={"scan": "eccentricity", "min": 0.3, "max": 0.3000000000000001,
-                      "points": 5},
+                      "points": 3},
     ))
     root = Path(libration.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -1232,6 +1233,13 @@ SWEEP_COLLISION = ("sweep", "bistability",
                    "amplitude_min_*, amplitude_max_* and points")
 SQUEEZE_COLLISION = ("squeeze", "squeeze", {"t_max_s": 5e-324, "points": 10},
                      "t_max_s and points")
+SCAN_COLLISION = ("derive", "derive",
+                  {"scan": "eccentricity", "min": 0.5, "max": 0.5000000000000002, "points": 5},
+                  "min, max and points")
+RAMP_COLLISION = ("ramp", "hysteresis",
+                  {"amplitude_start_rad_s": 2.35e6, "amplitude_stop_rad_s": 2.3500000000000005e6,
+                   "steps": 5},
+                  "amplitude_start_*, amplitude_stop_* and steps")
 
 
 @pytest.mark.parametrize("command, section, config, grid, keys", [
@@ -1239,7 +1247,10 @@ SQUEEZE_COLLISION = ("squeeze", "squeeze", {"t_max_s": 5e-324, "points": 10},
     ("squeeze", *SQUEEZE_COLLISION),
     ("derive", *SWEEP_COLLISION),
     ("derive", *SQUEEZE_COLLISION),
-], ids=["bistability", "squeeze", "derive-sweep", "derive-squeeze"])
+    ("derive", *SCAN_COLLISION),
+    ("hysteresis", *RAMP_COLLISION),
+], ids=["bistability", "squeeze", "derive-sweep", "derive-squeeze", "derive-scan",
+        "hysteresis-ramp"])
 def test_cli_rejects_colliding_grid_points(tmp_path, capsys, command, section, config, grid,
                                            keys):
     # a span too narrow for the point count rounds neighbouring points

@@ -466,6 +466,22 @@ def test_damped_oracle_where_the_undamped_growth_overflows(gamma_b, t_max):
     np.testing.assert_allclose(tr.S_J, ref_j, rtol=1e-8, atol=0)
 
 
+@pytest.mark.parametrize("offset,phi", [(0.1, 1.0), (-0.1, 2.5)])
+def test_damped_oracle_near_threshold_is_accurate_to_rounding(offset, phi):
+    # |gamma^2 - 4 lam_p^2| = 0.1 gamma^2 and gamma t up to 20: the phi_1 form
+    # of a2 stays within a few ulp of mpmath, where the far-from-threshold form
+    # (a0 - h1 - gamma h2)/(gamma^2 - 4 lam_p^2) loses ~10x that to cancellation
+    gamma_b = 300.0
+    lps = gamma_b * gamma_b * (1.0 - offset) / 4.0
+    xi = 2.0 * math.sqrt(lps)
+    p = SqueezeParams(lam=math.sqrt(xi * xi - lps), xi=xi, phi=phi, r=1.0, nbar=0.0)
+    t = [k / gamma_b for k in range(21)]
+    tr = moment_oracle(p, t, gamma_b=gamma_b, nbar_bath=0.0)
+    ref_theta, ref_j = moment_mpmath(p, t, gamma_b, 0.0, dps=40)
+    np.testing.assert_allclose(tr.S_theta, ref_theta, rtol=1.5e-15, atol=0)
+    np.testing.assert_allclose(tr.S_J, ref_j, rtol=1.5e-15, atol=0)
+
+
 @pytest.mark.parametrize("lam_over_xi,phi", [(16.326, math.pi), (0.3, 1.0)])
 def test_damped_trace_settles_on_the_stationary_moments(lam_over_xi, phi):
     # the undamped growth rate 2 lam_p ~ 167 rad/s of the hyperbolic case is

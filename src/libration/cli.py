@@ -4,10 +4,9 @@ Subcommands: ``derive`` (mode numbers from a particle/trap config),
 ``bistability`` (steady branches over a drive-amplitude grid), ``hysteresis``
 (quasi-static up/down ramp pair), ``squeeze`` (variance traces, closed form
 next to the moment-equation reference).  Exit codes: 0 success, 1 config
-error, 2 numerical failure.  All outputs are deterministic for a fixed
-config; frequency columns are emitted in rad/s with an ``_hz`` twin where a
-summary value is reported, except the ``static_fold_*`` columns of
-``hysteresis_summary.csv`` (the benchmark's reference pins that header).
+error (an unusable ``--out`` too), 2 numerical failure.  All outputs are
+deterministic for a fixed config.  ``_TABLES`` declares every CSV column once,
+in order, and which frequencies ``_write_table`` follows by a twin in Hz.
 Grids and preconditions are checked in ``load_config``; a command's own
 config error is a missing section.  A run warning is one ``warning:`` line on
 stderr, printed once.
@@ -60,19 +59,46 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _twin(name: str, value: float, rad: str = "_rad_s", hz: str = "_hz") -> dict:
-    """A frequency as ``name + rad`` in rad/s with its twin ``name + hz`` in Hz."""
-    return {name + rad: value, name + hz: value / TWO_PI}
-
-
 def _or_nan(obj, field: str) -> float:
     """``obj.field``, or NaN when there is no fold or jump to read it from."""
     return math.nan if obj is None else getattr(obj, field)
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    """Write rows that share their keys as CSV columns, in key order."""
-    write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
+# The columns of every CSV table the commands write, in order.  A (name,
+# suffixes) column is a frequency in rad/s followed by its twin, value / 2 pi.
+_HZ = ("_rad_s", "_hz")  # the summaries' suffixes
+_OVER_2PI = ("", "_over_2pi")  # derive's, also of the twin rows of derive.csv
+_TABLES = {
+    "derive": ("quantity", "value", "unit"),
+    "derive_scan": ("inertia", ("omega_t", _OVER_2PI), "eta", "eta_over_omega_t"),  # after the axis
+    "bistability": ("omega_drive", "n", "delta_eff", "stable",
+                    "re_eig1", "im_eig1", "re_eig2", "im_eig2"),
+    "bistability_summary": (
+        "regime", ("omega_ml", _HZ), ("omega_c", _HZ), ("window_width", _HZ),
+        ("drive_up_fold", _HZ), ("drive_down_fold", _HZ),
+        ("delta_eff_up_fold", _HZ), ("delta_eff_down_fold", _HZ), "n_up_fold", "n_down_fold"),
+    "hysteresis_ramp": ("t", "re_beta", "im_beta", "n", "omega_applied"),
+    "hysteresis_summary": (
+        "direction", "jump_detected", ("jump_drive", _HZ), ("jump_delta_eff", _HZ),
+        "jump_n_before", "jump_n_after",
+        # no _hz twins yet: the benchmark's reference pins this header
+        "static_fold_drive_rad_s", "static_fold_delta_eff_rad_s", "loop_area"),
+    "squeeze_trace": ("t", "S_theta", "S_J", "squeezed_theta", "squeezed_J", "regime"),
+}
+
+
+def _write_table(path: Path, table: str, columns, lead: dict | None = None) -> None:
+    """Write ``columns``, one per column of ``_TABLES[table]`` and in its order,
+    after the ``lead`` columns, each frequency followed by its twin."""
+    named = dict(lead or {})
+    for column, values in zip(_TABLES[table], columns, strict=True):
+        if isinstance(column, tuple):
+            name, (rad, hz) = column
+            named[name + rad] = values
+            named[name + hz] = [value / TWO_PI for value in values]
+        else:
+            named[column] = values
+    write_csv(path, named)
 
 
 def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -91,9 +117,9 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
         rows.append((name, value, unit))
 
     def freq(name: str, value: float, label: str | None = None) -> None:
-        lines.append(f"{label or name:28s} {_fmt(value)} rad/s  ({_fmt(value / TWO_PI)} Hz)")
-        twin = _twin(name, value, rad="", hz="_over_2pi")
-        rows.extend(zip(twin, twin.values(), ("rad/s", "Hz")))
+        cycles = value / TWO_PI
+        lines.append(f"{label or name:28s} {_fmt(value)} rad/s  ({_fmt(cycles)} Hz)")
+        rows.extend(((name, value, "rad/s"), (name + _OVER_2PI[1], cycles, "Hz")))
 
     put("inertia", mode.inertia, "kg m^2")
     lines.append(f"{'kappa_x, kappa_y':28s} {_fmt(mode.kappa_x)}, {_fmt(mode.kappa_y)}")
@@ -119,19 +145,15 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
         if drive.amplitude is not None:
             freq("drive_amplitude", drive.amplitude, "drive amplitude")
     print("\n".join(lines))
-    write_csv(out / "derive.csv", dict(zip(("quantity", "value", "unit"), zip(*rows))))
+    _write_table(out / "derive.csv", "derive", zip(*rows))
 
     if cfg.scan is not None:
         axis, modes = cfg.scan.grid, cfg.scan.modes
         if not modes:
             raise NoConfinementError("the derive scan reaches a sphere, which has no confinement")
-        _write_rows(out / "derive_scan.csv", [{
-            cfg.scan.axis: value,
-            "inertia": m.inertia,
-            **_twin("omega_t", m.omega_t, rad="", hz="_over_2pi"),
-            "eta": m.eta,
-            "eta_over_omega_t": m.eta / m.omega_t,
-        } for value, m in zip(axis, modes)])
+        _write_table(out / "derive_scan.csv", "derive_scan",
+                     zip(*((m.inertia, m.omega_t, m.eta, m.eta / m.omega_t) for m in modes)),
+                     lead={cfg.scan.axis: axis})
         if fmt == "csv+svg":
             svg_line_chart(
                 out / "derive_scan.svg",
@@ -166,30 +188,15 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
     diagram = sweep_diagram(cfg.sweep.grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
 
-    _write_rows(out / "bistability.csv", [{
-        "omega_drive": w,
-        "n": b.n,
-        "delta_eff": b.delta_eff,
-        "stable": int(b.stable),
-        "re_eig1": b.eigenvalues[0].real,
-        "im_eig1": b.eigenvalues[0].imag,
-        "re_eig2": b.eigenvalues[1].real,
-        "im_eig2": b.eigenvalues[1].imag,
-    } for w, b in diagram.branches])
+    _write_table(out / "bistability.csv", "bistability", zip(*(
+        (w, b.n, b.delta_eff, int(b.stable), b.eigenvalues[0].real, b.eigenvalues[0].imag,
+         b.eigenvalues[1].real, b.eigenvalues[1].imag) for w, b in diagram.branches)))
 
     tp = diagram.turning
-    _write_rows(out / "bistability_summary.csv", [{
-        "regime": diagram.regime,
-        **_twin("omega_ml", diagram.omega_ml),
-        **_twin("omega_c", diagram.omega_c),
-        **_twin("window_width", diagram.window_width),
-        **_twin("drive_up_fold", _or_nan(tp, "drive_low")),
-        **_twin("drive_down_fold", _or_nan(tp, "drive_high")),
-        **_twin("delta_eff_up_fold", _or_nan(tp, "delta_eff_low")),
-        **_twin("delta_eff_down_fold", _or_nan(tp, "delta_eff_high")),
-        "n_up_fold": _or_nan(tp, "n_low"),
-        "n_down_fold": _or_nan(tp, "n_high"),
-    }])
+    _write_table(out / "bistability_summary.csv", "bistability_summary", [[value] for value in (
+        diagram.regime, diagram.omega_ml, diagram.omega_c, diagram.window_width,
+        *(_or_nan(tp, field) for field in ("drive_low", "drive_high", "delta_eff_low",
+                                           "delta_eff_high", "n_low", "n_high")))])
     print(f"regime: {diagram.regime}")
     print(f"omega_c: {_fmt(diagram.omega_c)} rad/s ({_fmt(diagram.omega_c / TWO_PI)} Hz)")
     if tp is not None:
@@ -223,36 +230,24 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
         if not sweep.trajectory.complete:
             raise NumericalError(f"{sweep.direction}-sweep integration failed")
         tr = sweep.trajectory
-        write_csv(out / f"hysteresis_{sweep.direction}.csv", {
-            "t": tr.t,
-            "re_beta": [b.real for b in tr.beta],
-            "im_beta": [b.imag for b in tr.beta],
-            "n": tr.n,
-            "omega_applied": tr.omega_applied,
-        })
+        _write_table(out / f"hysteresis_{sweep.direction}.csv", "hysteresis_ramp", (
+            tr.t, [b.real for b in tr.beta], [b.imag for b in tr.beta], tr.n, tr.omega_applied))
 
     tp = result.up.turning
     rows = []
     for sweep, side in ((result.up, "low"), (result.down, "high")):
         jump = sweep.jump
-        rows.append({
-            "direction": sweep.direction,
-            "jump_detected": int(jump is not None),
-            **_twin("jump_drive", _or_nan(jump, "drive")),
-            **_twin("jump_delta_eff", _or_nan(jump, "delta_eff_before")),
-            "jump_n_before": _or_nan(jump, "n_before"),
-            "jump_n_after": _or_nan(jump, "n_after"),
-            "static_fold_drive_rad_s": _or_nan(tp, f"drive_{side}"),
-            "static_fold_delta_eff_rad_s": _or_nan(tp, f"delta_eff_{side}"),
-            "loop_area": result.loop_area,
-        })
+        rows.append((sweep.direction, int(jump is not None), _or_nan(jump, "drive"),
+                     _or_nan(jump, "delta_eff_before"), _or_nan(jump, "n_before"),
+                     _or_nan(jump, "n_after"), _or_nan(tp, f"drive_{side}"),
+                     _or_nan(tp, f"delta_eff_{side}"), result.loop_area))
         if jump is None:
             print(f"{sweep.direction}-sweep: no jump detected")
         else:
             print(f"{sweep.direction}-sweep jump: Omega = {_fmt(jump.drive)} rad/s "
                   f"({_fmt(jump.drive / TWO_PI)} Hz), "
                   f"delta_eff(before) = {_fmt(jump.delta_eff_before)} rad/s")
-    _write_rows(out / "hysteresis_summary.csv", rows)
+    _write_table(out / "hysteresis_summary.csv", "hysteresis_summary", zip(*rows))
     print(f"loop area: {_fmt(result.loop_area)}")
     if fmt == "csv+svg":
         svg_line_chart(
@@ -312,10 +307,9 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
               f"period, pi/(4 |lam_p|) = {_fmt(quarter)} s: aliased traces", file=sys.stderr)
 
     def write_trace(path: Path, trace) -> None:
-        below = thermal_squeezing_check(trace)
-        write_csv(path, dict(t=trace.t, S_theta=trace.S_theta, S_J=trace.S_J,
-                             squeezed_theta=below[0], squeezed_J=below[1],
-                             regime=[trace.regime] * len(t)))
+        _write_table(path, "squeeze_trace", (trace.t, trace.S_theta, trace.S_J,
+                                             *thermal_squeezing_check(trace),
+                                             [trace.regime] * len(t)))
 
     svg_series = []
     for idx, (params, closed, oracle) in enumerate(runs):
@@ -425,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[command](cfg, out, fmt)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except OSError as exc:  # an --out that cannot be created or written into
+        print(f"config error: cannot write {exc.filename} ({exc.strerror})", file=sys.stderr)
         return 1
     except (NumericalError, NoConfinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

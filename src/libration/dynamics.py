@@ -170,9 +170,9 @@ def integrate(
         d2 = sqrt(a * a + b * b) / 2.0 ** 0.5 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        h_abs = min(100.0 * h0, h1, t_end - t)
+        else:  # a NaN d2 (f overflowed over h0) makes the step NaN, as a NaN h0 does
+            h1 = math.nan if math.isnan(d2) else (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(h1, 100.0 * h0, t_end - t)
         n_rhs = 2
 
     # The loop takes 4,663 steps on configs/hysteresis.json; a call per stage

@@ -4,7 +4,8 @@
 
 Each mutant is one text edit of one file of ``src/libration``, whose old text
 must occur there exactly once, and names the test modules that should catch
-it.  The tool copies ``src``, ``tests``, ``configs``, ``README.md`` and
+it.  The tool copies ``src``, ``tests``, ``configs``, ``perfbench``
+(``tests/test_tables.py`` reads its column rules), ``README.md`` and
 ``pyproject.toml`` to the work directory (a new temporary one by default) and
 first runs every named module on the unmutated copy, which must pass.  Then,
 one mutant at a time, it edits the copy, runs the mutant's modules with
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "configs", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT_S = 900
 
 
@@ -95,6 +96,31 @@ MUTANTS = [
     Mutant("scan-grid-unchecked", "config.py",
            '_checked_linspace(lo, hi, points, "derive", "min, max and points")',
            "tuple(_linspace(lo, hi, points))", ("test_config_cli", "test_config_keys")),
+    Mutant("strict-bound-non-strict", "config.py",
+           '"tolerance": ("number", 0.0, True)', '"tolerance": ("number", 0.0, False)',
+           ("test_config_cli", "test_config_keys")),
+    Mutant("summary-columns-swapped", "cli.py",
+           '"regime", ("omega_ml", _HZ), ("omega_c", _HZ),',
+           '"regime", ("omega_c", _HZ), ("omega_ml", _HZ),',
+           ("test_tables", "test_config_cli", "test_standalone")),
+    Mutant("jump-drive-twin-dropped", "cli.py",
+           '("jump_drive", _HZ)', '"jump_drive"',
+           ("test_tables", "test_config_cli", "test_standalone")),
+    Mutant("twin-divisor-times-two-pi", "cli.py",
+           "[value / TWO_PI for value in values]", "[value * TWO_PI for value in values]",
+           ("test_tables", "test_config_cli", "test_standalone")),
+    Mutant("csv-bool-text-reversed", "output.py",
+           'bool: ("0", "1").__getitem__', 'bool: ("1", "0").__getitem__',
+           ("test_config_cli", "test_standalone")),
+    Mutant("tick-guard-0.4-ulp", "output.py",
+           "if step <= 4.0 * math.ulp(", "if step <= 0.4 * math.ulp(",
+           ("test_config_cli",)),
+    Mutant("depolarization-series-to-1e-1", "model.py",
+           "if e < 1e-2:", "if e < 1e-1:", ("test_model", "test_standalone")),
+    Mutant("thermal-occupancy-exp-minus-1", "model.py",
+           "nbar = 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)",
+           "nbar = 1.0 / (math.exp(HBAR * omega / kt if kt > 0.0 else math.inf) - 1.0)",
+           ("test_model", "test_config_cli")),
 ]
 
 

@@ -778,6 +778,17 @@ def test_cli_hysteresis_reports_an_unstartable_plateau(tmp_path, capsys):
     assert "up-sweep integration failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", [1e290, 1e300])
+def test_cli_hysteresis_loose_tolerance_is_a_numerical_failure(tmp_path, capsys, tolerance):
+    # an error scale beyond float range: exit 2 with one line, not a traceback
+    root = Path(libration.__file__).resolve().parents[2]
+    payload = json.loads((root / "configs" / "hysteresis.json").read_text())
+    payload["ramp"]["tolerance"] = tolerance
+    cfg = write_cfg(tmp_path, payload)
+    assert run_cli(["hysteresis", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "numerical failure: up-sweep integration failed\n"
+
+
 def test_cli_hysteresis_short_dwell_warns_without_a_path(tmp_path):
     # a dwell far below the damping time: one path-free warning line per run
     cfg = write_cfg(tmp_path, with_sections(
@@ -1062,6 +1073,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     free = write_cfg(tmp_path, undamped, "free.json")
     assert run_cli(["hysteresis", "--config", free]) == 1
     assert "dwell_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, strerror", [("file/sub", "Not a directory"),
+                                              ("file", "File exists")])
+def test_cli_unusable_out_is_a_config_error(tmp_path, capsys, target, strerror):
+    # an --out below a regular file, or that is one: exit 1 with one line
+    (tmp_path / "file").write_text("")
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / target
+    assert run_cli(["derive", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: cannot write {out} ({strerror})\n"
 
 
 def test_cli_names_the_resonance_error(tmp_path, capsys):

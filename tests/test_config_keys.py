@@ -5,6 +5,8 @@
   ``ConfigError`` or a ``NoConfinementError`` may escape.
 * Every key, set to a value of the wrong JSON type, fails a ``main`` run with
   exit 1 and a message that names the key's dotted path.
+* Every key with a lower bound, set to that bound, fails to load if and only
+  if the key is one whose zero means nothing.
 * README's "Config format" section names every key of the table, and its
   config block has exactly the table's sections.
 """
@@ -115,6 +117,35 @@ def test_cli_names_every_key_of_the_wrong_type(tmp_path, capsys, section, key, t
     err = capsys.readouterr().err
     assert err.startswith(f"config error at {section}.{key}: ")
     assert "Traceback" not in err
+
+
+# (section, JSON key, table key, minimum) of every key with a lower bound
+BOUNDED = [(section, key + ("_rad_s" if kind == "frequency" else ""), key, minimum)
+           for section, table in _SECTIONS.items()
+           for key, (kind, minimum, _) in table.items() if minimum is not None]
+# the keys whose zero means nothing, and so must be positive; every other
+# bounded key may sit at its minimum
+POSITIVE = {"environment.temperature_k", "particle.density_kg_m3", "particle.r_a_m",
+            "particle.r_b_m", "trap.power_w", "trap.waist_m", "drive.frequency",
+            "ramp.dwell_s", "ramp.tolerance", "squeeze.t_max_s"}
+
+
+@pytest.mark.parametrize("section, key, table_key, minimum", BOUNDED,
+                         ids=[f"{section}.{key}" for section, key, _, _ in BOUNDED])
+def test_a_value_at_its_bound_fails_only_where_it_must_be_positive(tmp_path, section, key,
+                                                                   table_key, minimum):
+    cfg = copy.deepcopy(FULL)
+    cfg[section][key] = minimum
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        load_config(path)
+        error = ""
+    except (ConfigError, NoConfinementError) as exc:  # a sphere, at eccentricity 0
+        error = str(exc)
+    strict = f"{section}.{table_key}" in POSITIVE
+    assert (f"must be > {minimum}" in error) == strict, error
+    assert f"must be >= {minimum}" not in error
 
 
 def readme_config_format():

@@ -389,6 +389,16 @@ def test_unusable_initial_step_returns_start_state():
         assert (tr.n_rhs, tr.n_rejected) == (2, 0)
 
 
+def test_nan_initial_step_norm_returns_start_state():
+    # a tolerance so loose that the error scale overflows: f's change over
+    # the trial step is inf / inf, a NaN norm, which once divided by zero
+    p = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=1.08e7, gamma_b=REF_GAMMA_B, eta=REF_ETA)
+    tr = integrate(p, 1e100 + 0j, (0.0, 2.5e-4), tol=1e300)
+    assert not tr.complete
+    assert tr.t == [0.0] and tr.beta == [1e100 + 0j]
+    assert (tr.n_rhs, tr.n_rejected) == (2, 0)
+
+
 def test_step_underflow_returns_partial_trajectory():
     # at t ~ 1e12 s ten ulp exceed any step the error control accepts
     tr = integrate(ref_params(6.0e6), 300.0 + 0.0j, (1e12, 1e12 + 1.0))

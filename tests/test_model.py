@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
@@ -52,6 +53,16 @@ def test_depolarization_series_joins_closed_form():
         la, _ = depolarization_factors(e)
         qa, _ = depolarization_quad(e)
         np.testing.assert_allclose(la, qa, rtol=1e-10)
+
+
+def test_depolarization_above_the_series_range_is_accurate_to_rounding():
+    # the closed form is within 5e-13 of a 50-digit evaluation from the
+    # switch up to e = 0.1, where the truncated series would be 2e-11 off
+    with mpmath.workdps(50):
+        for e in (0.02, 0.07, 0.09, 0.099):
+            x = mpmath.mpf(e)
+            exact = float((1 - x * x) / (x * x) * (mpmath.atanh(x) / x - 1))
+            assert depolarization_factors(e)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_depolarization_domain():

@@ -251,6 +251,9 @@ def depolarization_factors(eccentricity: float) -> tuple[float, float]:
     and transversally L_b = L_c = (1 - L_a)/2.  For e -> 0 both approach the
     spherical value 1/3; the closed form loses digits to cancellation there,
     so a small-e series L_a = (1-e^2) * sum_k e^(2k)/(2k+3) is used instead.
+    Against 40-digit mpmath the closed form is up to 7e-12 off (relative) for
+    e in [0.01, 0.02) and 4e-13 in [0.04, 0.05), the five-term series 6e-14
+    up to e = 0.055 and 1.4e-13 by 0.06; so the switch sits at 0.055.
 
     Raises
     ------
@@ -265,7 +268,7 @@ def depolarization_factors(eccentricity: float) -> tuple[float, float]:
         # (1 - L_a)/2 would differ from L_a by one ulp and fake a confinement.
         third = 1.0 / 3.0
         return third, third
-    if e < 1e-2:
+    if e < 5.5e-2:
         e2 = e * e
         la = (1.0 - e2) * (1.0 / 3.0 + e2 / 5.0 + e2**2 / 7.0 + e2**3 / 9.0 + e2**4 / 11.0)
     else:

@@ -254,6 +254,9 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     k = 12.0 * params.eta
     target = params.Omega**2 / 4.0
     tol = 1e-13 * target
+    # the constant terms of _cubic_n and _curve_slope, in their own expressions
+    g2_cubic = params.gamma_b * params.gamma_b / 4.0
+    g2_slope = params.gamma_b**2 / 4.0
 
     def solve(lo: float, hi: float, rising: bool) -> float:
         # Newton from the end where the residual and its curvature
@@ -269,16 +272,19 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
         # short of tol: keep the smallest one seen
         best_f, best = math.inf, n
         for _ in range(200):  # under 70 needed over the whole ROADMAP range
-            f = _cubic_n(params, n)
-            if abs(f) < best_f:
-                best_f, best = abs(f), n
-            if abs(f) <= tol:
+            # _cubic_n and _curve_slope written out, to the bit
+            x = k * n
+            f = n * (g2_cubic + (u + x) ** 2) - target
+            abs_f = f if f >= 0.0 else -f
+            if abs_f < best_f:
+                best_f, best = abs_f, n
+            if abs_f <= tol:
                 break
             if (f < 0.0) == rising:
                 lo = n
             else:
                 hi = n
-            slope = _curve_slope(u, params.gamma_b, k * n)
+            slope = g2_slope + (u + x) * (u + 3.0 * x)
             n = n - f / slope if slope else lo
             if not lo < n < hi:
                 n = 0.5 * (lo + hi)

@@ -67,6 +67,27 @@ MUTANTS = [
            "return params.delta_ml + 24.0 * params.eta * n",
            "return (params.delta_ml + 24.0 * params.eta * n) * (1.0 + 1e-12)",
            ("test_steadystate", "test_standalone")),
+    Mutant("table-difference-swapped", "dynamics.py",
+           "d10, d20, d21, d30, d31 = z1 - z0, z2 - z0, z2 - z1, z3 - z0, z3 - z1",
+           "d10, d20, d21, d30, d31 = z1 - z0, z2 - z0, z1 - z2, z3 - z0, z3 - z1",
+           ("test_propagator",)),
+    Mutant("table-product-reordered", "dynamics.py",
+           "p4_0 * d41 * d42", "p4_0 * d42 * d41",
+           ("test_propagator",)),
+    Mutant("table-gap-half", "dynamics.py",
+           "abs(d) * T > 1.0 for d in", "abs(d) * T > 0.5 for d in",
+           ("test_propagator",)),
+    Mutant("stable-roots-keep-unstable", "dynamics.py",
+           "for n, det in slopes if det > 0.0]", "for n, det in slopes]",
+           ("test_propagator", "test_dynamics")),
+    Mutant("newton-cubic-constant-one-ulp", "steadystate.py",
+           "g2_cubic = params.gamma_b * params.gamma_b / 4.0",
+           "g2_cubic = math.nextafter(params.gamma_b * params.gamma_b / 4.0, math.inf)",
+           ("test_steadystate",)),
+    Mutant("newton-slope-constant-one-ulp", "steadystate.py",
+           "g2_slope = params.gamma_b**2 / 4.0",
+           "g2_slope = math.nextafter(params.gamma_b**2 / 4.0, math.inf)",
+           ("test_steadystate",)),
     Mutant("loop-area-sign", "dynamics.py",
            "(x0 - x1) * (y0 + y1) / 2.0", "(x1 - x0) * (y0 + y1) / 2.0",
            ("test_dynamics",)),
@@ -116,7 +137,9 @@ MUTANTS = [
            "if step <= 4.0 * math.ulp(", "if step <= 0.4 * math.ulp(",
            ("test_config_cli",)),
     Mutant("depolarization-series-to-1e-1", "model.py",
-           "if e < 1e-2:", "if e < 1e-1:", ("test_model", "test_standalone")),
+           "if e < 5.5e-2:", "if e < 1e-1:", ("test_model", "test_standalone")),
+    Mutant("depolarization-series-to-1e-2", "model.py",
+           "if e < 5.5e-2:", "if e < 1e-2:", ("test_model", "test_standalone")),
     Mutant("thermal-occupancy-exp-minus-1", "model.py",
            "nbar = 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)",
            "nbar = 1.0 / (math.exp(HBAR * omega / kt if kt > 0.0 else math.inf) - 1.0)",

@@ -12,6 +12,12 @@ arithmetic.  The only shared ingredients are the fixed-point polynomial, the
 fluctuation matrix, the moment equations and the mean-field right-hand side
 themselves, which *are* the model.
 
+Three references keep the operation order of package code that has since
+been rewritten for speed, so the tests can hold the new code to them bit for
+bit: the complex-arithmetic Dormand-Prince stepper, the sum formula of the
+exponential divided differences, and the steady-state Newton loop that calls
+``_cubic_n`` and ``_curve_slope``.
+
 Two paper formulas that no command uses are kept here too, with the tests
 that check them: the regime window (omega_ml1, omega_ml2) of the fluctuation
 dynamics and the minimum drive to a target effective detuning.  The one
@@ -23,6 +29,7 @@ reference particle, which reproduces the frozen working point
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -451,6 +458,85 @@ def dopri_complex(params, beta_init: complex, t_span, tol: float = 1e-8):
         ys.append(y_new)
         t, y, k1 = t_new, y_new, k7
     return np.array(ts, dtype=float), np.array(ys, dtype=complex)
+
+
+def exp_divided_difference_sum(nodes, T: float, mask: int) -> complex:
+    """exp_T over the nodes whose bits are set in ``mask``, by the sum formula.
+
+    sum_i e^(T z_i) / prod_(j != i) (z_i - z_j) in the operation order of
+    ``libration.dynamics._exp_divided_differences`` on separated nodes, as it
+    was written before the propagator's table: ``sum`` from int 0 over the
+    subset in ascending order, each product ``math.prod`` from int 1.
+    """
+    z = [i for i in range(len(nodes)) if mask >> i & 1]
+    return sum(cmath.exp(T * nodes[i]) / math.prod(nodes[i] - nodes[j] for j in z if j != i)
+               for i in z)
+
+
+def steady_occupations_calls(params) -> list[float]:
+    """``libration.steadystate.steady_occupations`` with its Newton loop as first written.
+
+    Each iteration calls ``_cubic_n`` for the residual, ``abs`` for its size
+    and ``_curve_slope`` for the slope; the brackets, start points, stall
+    guard and residual check are the package's.  The package now writes
+    these expressions out in the loop, and must give the same bits.
+    """
+    from libration.steadystate import (
+        RESIDUAL_RTOL, ResonanceError, _cubic_n, _curve_slope, _fold_x, _range_fault)
+
+    fault = _range_fault("delta_ml", params.u, params.gamma_b, params.eta, params.Omega)
+    if fault is not None:
+        raise ValueError(f"{fault}={getattr(params, fault)!r} puts the steady-state cubic "
+                         "beyond float range")
+    if params.Omega == 0.0:
+        return [0.0]
+    u = params.u
+    k = 12.0 * params.eta
+    target = params.Omega**2 / 4.0
+    tol = 1e-13 * target
+
+    def solve(lo: float, hi: float, rising: bool) -> float:
+        if (4.0 * u + 6.0 * k * lo < 0.0) == rising:
+            n = lo
+        elif (4.0 * u + 6.0 * k * hi > 0.0) == rising:
+            n = hi
+        else:
+            n = 0.5 * (lo + hi)
+        best_f, best = math.inf, n
+        for _ in range(200):
+            f = _cubic_n(params, n)
+            if abs(f) < best_f:
+                best_f, best = abs(f), n
+            if abs(f) <= tol:
+                break
+            if (f < 0.0) == rising:
+                lo = n
+            else:
+                hi = n
+            slope = _curve_slope(u, params.gamma_b, k * n)
+            n = n - f / slope if slope else lo
+            if not lo < n < hi:
+                n = 0.5 * (lo + hi)
+                if not lo < n < hi:
+                    break
+        return best
+
+    drive_x = 3.0 * params.eta * params.Omega**2
+    top = (max(-u, 0.0) + drive_x ** (1.0 / 3.0)) / k
+    brackets = [(0.0, top, True)]
+    folds = _fold_x(u, params.gamma_b)
+    if folds is not None:
+        (x_low, f_low), (x_high, f_high) = folds
+        if x_low > 0.0 and f_high <= drive_x <= f_low:
+            n_low, n_high = x_low / k, x_high / k
+            brackets = [(0.0, n_low, True), (n_low, n_high, False), (n_high, top, True)]
+    roots = [solve(*b) for b in brackets]
+    for (lo, hi, _), n in zip(brackets, roots):
+        residual = _cubic_n(params, n)
+        resonant = u + k * n == 0.0 and params.gamma_b / 2.0 == 0.0
+        if resonant or not abs(residual) <= RESIDUAL_RTOL * target:
+            raise ResonanceError(params, (lo, hi), n, residual)
+    return roots
 
 
 # Paper formulas that no command uses, kept as evidence.

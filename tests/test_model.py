@@ -49,20 +49,30 @@ def test_depolarization_against_quadrature():
 
 def test_depolarization_series_joins_closed_form():
     # the small-e series and the log form must agree through the switchover
-    for e in (5e-3, 9.9e-3, 1.01e-2, 2e-2):
+    for e in (5e-3, 9.9e-3, 1.01e-2, 2e-2, 5.4e-2, 5.5e-2, 5.6e-2):
         la, _ = depolarization_factors(e)
         qa, _ = depolarization_quad(e)
         np.testing.assert_allclose(la, qa, rtol=1e-10)
 
 
+def _la_50_digits(e):
+    with mpmath.workdps(50):
+        x = mpmath.mpf(e)
+        return float((1 - x * x) / (x * x) * (mpmath.atanh(x) / x - 1))
+
+
 def test_depolarization_above_the_series_range_is_accurate_to_rounding():
     # the closed form is within 5e-13 of a 50-digit evaluation from the
     # switch up to e = 0.1, where the truncated series would be 2e-11 off
-    with mpmath.workdps(50):
-        for e in (0.02, 0.07, 0.09, 0.099):
-            x = mpmath.mpf(e)
-            exact = float((1 - x * x) / (x * x) * (mpmath.atanh(x) / x - 1))
-            assert depolarization_factors(e)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    for e in (0.06, 0.07, 0.09, 0.099):
+        assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("e", [0.0101, 0.02, 0.03, 0.05, 0.07])
+def test_depolarization_on_both_sides_of_the_switch_is_within_1e_13(e):
+    # the closed form is 1.6e-13 off at e = 0.0101 and 4.6e-13 at 0.02, the
+    # series 6.5e-13 at 0.07: each e takes the form that is accurate there
+    assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-13, abs=0.0)
 
 
 def test_depolarization_domain():

@@ -1,0 +1,28 @@
+"""The mutation harness's list stays applicable to the tree.
+
+``tests/mutants.py`` is run by hand; it stops at a mutant whose text no longer
+occurs exactly once in its file only after its baseline test run.  These
+checks catch that in Tier-1, as soon as an edit moves a mutated line.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mutants import MUTANTS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_mutant_ids_are_unique():
+    ids = [m.id for m in MUTANTS]
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
+def test_mutant_text_occurs_once_in_its_file(mutant):
+    source = (ROOT / "src" / "libration" / mutant.file).read_text()
+    assert source.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    for module in mutant.tests:
+        assert (ROOT / "tests" / f"{module}.py").is_file()

@@ -9,15 +9,22 @@ state, in the three regimes of J's eigenvalues -gamma_b/2 -+ s: oscillatory
 """
 
 import cmath
+import collections
 import math
+import struct
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import libration
 from libration import dynamics
-from libration.dynamics import RampProtocol, integrate, quasi_static_sweep
-from libration.steadystate import MeanFieldParams, _curve_slope, beta_from_n, steady_occupations
+from libration.config import load_config
+from libration.dynamics import RampProtocol, hysteresis_sweep, integrate, quasi_static_sweep
+from libration.steadystate import (
+    MeanFieldParams, _curve_slope, _physical_folds, beta_from_n, steady_occupations)
+from oracles import exp_divided_difference_sum
 
 DELTA_ML = -34283.6799057411
 GAMMA_B = 8012.985643210628
@@ -128,6 +135,101 @@ def test_divided_differences_match_mpmath(s_sq):
             p = len(subset) - 1
             scale = T**p * max(abs(cmath.exp(T * z)) for z in subset) / math.factorial(p)
             assert abs(divided(mask) - want) <= 1e-13 * scale
+
+
+def _bits(z):
+    """The bytes of a complex number: equal only for the same bits, signed zeros and NaNs too."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _propagator_nodes(g, s):
+    """(l1, l2, 2 l1, l1 + l2, 2 l2) as :func:`dynamics._propagate` forms them."""
+    l1 = -g - s
+    return (l1, -g + s, 2.0 * l1, -2.0 * g, -2.0 * g + 2.0 * s)
+
+
+#: nodes over 1/T apart with Re <= 0: five free ones, or the propagator's
+#: five at some s^2 / (gamma_b/2)^2, both in units of 1/T
+_free_nodes = st.tuples(*[st.builds(complex, st.floats(-60.0, 0.0), st.floats(-60.0, 60.0))] * 5)
+_propagator_shape = st.builds(
+    lambda g, s_sq: _propagator_nodes(g, cmath.sqrt(s_sq * g * g)),
+    st.floats(0.5, 60.0), st.floats(-30.0, 1.0))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(nodes=st.one_of(_free_nodes, _propagator_shape), log_t=st.floats(-9.0, 2.0))
+def test_separated_table_equals_the_sum_formula_bit_for_bit(nodes, log_t):
+    T = 10.0**log_t
+    nodes = tuple(z / T for z in nodes)
+    assume(all(abs(a - b) * T > 1.0 for k, a in enumerate(nodes) for b in nodes[k + 1:]))
+    table = dynamics._separated_divided_differences(nodes, T)
+    recursion = dynamics._exp_divided_differences(nodes, T)
+    assert table is not None
+    for mask, value in zip(dynamics._MASKS, table):
+        assert _bits(value) == _bits(exp_divided_difference_sum(nodes, T, mask))
+        assert _bits(value) == _bits(recursion(mask))
+
+
+def test_separated_table_needs_every_pair_over_1_over_t():
+    # a pair exactly 1/T apart is left to the recursion; a hair further is not
+    far = (-10.0, -20.0 + 5.0j, -30.0 - 5.0j, -40.0)
+    assert dynamics._separated_divided_differences((-1.0, -2.0) + far[1:], 1.0) is None
+    assert dynamics._separated_divided_differences(
+        (-1.0, math.nextafter(-2.0, -math.inf)) + far[1:], 1.0) is not None
+    # and the confluent points of the propagator's nodes, s = 0 and 2 l2 = l1
+    for s in (0.0, GAMMA_B / 6.0):
+        nodes = _propagator_nodes(GAMMA_B / 2.0, complex(s))
+        assert dynamics._separated_divided_differences(nodes, 20.0 / GAMMA_B) is None
+
+
+def _shipped_sweep():
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = load_config(root / "configs" / "hysteresis.json")
+    ramp = cfg.ramp
+    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
+    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, proto,
+                              tol=ramp.tolerance)
+    return [_bits(b) for sweep in (result.up, result.down) for b in sweep.trajectory.beta]
+
+
+def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch):
+    # all 612 closed-form steps of configs/hysteresis.json have nodes over
+    # 1/T apart; the sweep on the recursion alone ends in the same bits
+    calls = collections.Counter()
+    table, recursion = dynamics._separated_divided_differences, dynamics._exp_divided_differences
+
+    def counted_table(nodes, T):
+        dd = table(nodes, T)
+        calls["table" if dd is not None else "confluent"] += 1
+        return dd
+
+    def counted_recursion(nodes, T):
+        calls["recursion"] += 1
+        return recursion(nodes, T)
+
+    monkeypatch.setattr(dynamics, "_separated_divided_differences", counted_table)
+    monkeypatch.setattr(dynamics, "_exp_divided_differences", counted_recursion)
+    ends = _shipped_sweep()
+    assert calls == {"table": 612}
+    monkeypatch.setattr(dynamics, "_separated_divided_differences", lambda nodes, T: None)
+    assert _shipped_sweep() == ends
+    assert calls == {"table": 612, "recursion": 612}
+
+
+def test_stable_roots_inside_the_window_are_the_outer_branches():
+    # three roots, the middle one unstable: only the outer two, each with
+    # beta_from_n's amplitude and the S-curve slope as det J, to the bit
+    folds = _physical_folds(DELTA_ML, ETA, GAMMA_B)
+    params = MeanFieldParams(DELTA_ML, 0.5 * (folds.drive_low + folds.drive_high), GAMMA_B, ETA)
+    low, middle, high = steady_occupations(params)
+    assert _curve_slope(U, GAMMA_B, K * middle) < 0.0
+    assert dynamics._stable_roots(params) == [
+        (beta_from_n(params, n), _curve_slope(U, GAMMA_B, K * n)) for n in (low, high)]
+    # a plateau from the unstable root settles on a stable one
+    beta = beta_from_n(params, middle) * (1.0 + 1e-3)
+    end, _, _, complete = dynamics._plateau(params, beta, 40.0 / GAMMA_B, TOL)
+    n_end = abs(end) ** 2
+    assert complete and min(abs(n_end - low) / low, abs(n_end - high) / high) < 1e-6
 
 
 def _worst_deficit(sweep, proto):

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from oracles import (
     minimum_drive,
     scan_roots,
     stability_matrix,
+    steady_occupations_calls,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -158,6 +160,50 @@ def test_roots_property_over_roadmap_range(eta, gamma_b, abs_delta, sign, Omega)
         # an undamped mode only precesses about its outer branches
         outer = Stability.STABLE if gamma_b > 0.0 else Stability.MARGINAL
         assert [b.verdict for b in branches] == [outer, Stability.UNSTABLE, outer]
+
+
+def _occupations_or_error(solver, p):
+    """The roots' bytes, or the type and text of the error ``solver`` raises."""
+    try:
+        return [struct.pack("<d", n) for n in solver(p)]
+    except (ArithmeticError, ValueError, ResonanceError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    eta=log_uniform(-8.0, 2.0),
+    gamma_b=st.one_of(st.just(0.0), log_uniform(-3.0, 6.0)),
+    abs_delta=log_uniform(-3.0, 8.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    Omega=st.one_of(st.just(0.0), log_uniform(-3.0, 10.0)),
+    fold=st.sampled_from([None, 0, 1]),
+    offset=st.floats(-1e-6, 1e-6),
+)
+def test_newton_loop_equals_the_calling_form_bit_for_bit(
+        eta, gamma_b, abs_delta, sign, Omega, fold, offset):
+    # the roots, or the error, of the Newton loop that calls _cubic_n and
+    # _curve_slope; half the draws put the drive near a fold
+    p = MeanFieldParams(delta_ml=sign * abs_delta, Omega=Omega, gamma_b=gamma_b, eta=eta)
+    folds = fold_window_drives(p)
+    if fold is not None and folds is not None:
+        p = p._replace(Omega=folds[fold] * (1.0 + offset))
+    assert _occupations_or_error(steady_occupations, p) == \
+        _occupations_or_error(steady_occupations_calls, p)
+
+
+def test_newton_loop_equals_the_calling_form_on_the_shipped_drives():
+    # the 600 plateau drives of configs/hysteresis.json, up and down
+    root = Path(__file__).resolve().parents[1]
+    cfg = load_config(root / "configs" / "hysteresis.json")
+    ramp = cfg.ramp
+    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
+    drives = proto.amplitudes() + proto.reversed().amplitudes()
+    assert len(drives) == 600
+    for omega in drives:
+        p = MeanFieldParams(cfg.drive.delta_ml, omega, cfg.gamma_b, cfg.mode.eta)
+        assert _occupations_or_error(steady_occupations, p) == \
+            _occupations_or_error(steady_occupations_calls, p)
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)

@@ -30,12 +30,15 @@ steps another chunk.  So a damped plateau's work is bounded by its settling
 time, not its dwell.  Undamped plateaus, and those whose steady roots cannot
 be solved, run on DP45 alone.  A sweep runs in the caller's process alone.
 
-On ``configs/hysteresis.json`` 598 of the 600 plateaus end in closed form,
-after 208 DP45 chunks and in 612 closed-form steps whose nodes all lie over
-1/T apart, so every step reads its divided differences from one table of
-node differences.  Warm, on a 2-core x86-64 host under CPython 3.11, a
-closed-form step takes about 14 us, the stable-root solve about 15 us per
-plateau, and the whole sweep about 45 ms, some 40 % of it in DP45.
+The up and down ramps of a hysteresis sweep walk one grid of drives, the
+down ramp in reverse, and each drive's stable roots are solved once for both.
+On ``configs/hysteresis.json`` that is 300 steady solves for 600 plateaus;
+598 of the plateaus end in closed form, after 208 DP45 chunks and in 612
+closed-form steps whose nodes all lie over 1/T apart, so every step reads its
+divided differences from one table of node differences.  Warm, on a 2-core
+x86-64 host under CPython 3.11, a closed-form step takes about 14 us, a
+drive's stable-root solve about 15 us, and the whole sweep about 50 ms, half
+of it in DP45 and 15 % in the steady solves.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
@@ -305,8 +308,14 @@ class RampProtocol(_Validated, _RampFields):
         return "up" if self.omega_end > self.omega_start else "down"
 
     def amplitudes(self) -> list[float]:
-        """The plateau drives, ``np.linspace(omega_start, omega_end, n_steps)`` bit for bit."""
-        return _linspace(float(self.omega_start), float(self.omega_end), self.n_steps)
+        """The plateau drives in ramp order: ``np.linspace(lo, hi, n_steps)`` bit for bit.
+
+        lo and hi are the lower and higher endpoint; a down ramp takes that grid
+        reversed, so a ramp and its :meth:`reversed` visit the same floats.
+        """
+        lo, hi = sorted((float(self.omega_start), float(self.omega_end)))
+        drives = _linspace(lo, hi, self.n_steps)
+        return drives if self.direction == "up" else drives[::-1]
 
     def reversed(self) -> "RampProtocol":
         return RampProtocol(self.omega_end, self.omega_start, self.n_steps, self.dwell)
@@ -520,17 +529,18 @@ def _stable_roots(params: MeanFieldParams) -> list[tuple[complex, float]]:
         return []
 
 
-def _plateau(params: MeanFieldParams, beta: complex, dwell: float,
-             tol: float) -> tuple[complex, int, int, bool]:
+def _plateau(params: MeanFieldParams, roots: list[tuple[complex, float]], beta: complex,
+             dwell: float, tol: float) -> tuple[complex, int, int, bool]:
     """(end state, n_rhs, n_rejected, complete) of a plateau of ``dwell`` seconds from ``beta``.
 
+    ``roots`` are the drive's stable roots, :func:`_stable_roots` of ``params``.
     Damped, DP45 steps chunks of 2/gamma_b until the module docstring's gate
     holds about the nearest stable root; :func:`_propagate` then finishes the
     dwell if its estimate 2|d2|/|beta*| is at most ``tol`` and its exponentials
-    are in float range, else DP45 steps another chunk.  Undamped, or where the
-    steady roots cannot be solved, the plateau is one :func:`integrate` call.
+    are in float range, else DP45 steps another chunk.  Without roots
+    (undamped, or where the steady roots cannot be solved) the plateau is one
+    :func:`integrate` call.
     """
-    roots = _stable_roots(params)
     if not roots:
         traj = integrate(params, beta, (0.0, dwell), tol=tol)
         return traj.beta[-1], traj.n_rhs, traj.n_rejected, traj.complete
@@ -558,6 +568,27 @@ def _plateau(params: MeanFieldParams, beta: complex, dwell: float,
     return beta, n_rhs, n_rejected, True
 
 
+def _ramp(params: list[MeanFieldParams], roots: list[list[tuple[complex, float]]],
+          direction: str, dwell: float, beta_init: complex, tol: float,
+          turning: TurningPoints | None) -> SweepResult:
+    """The plateaus of ``params`` in order, each about its ``roots``: see quasi_static_sweep."""
+    beta, ends = complex(beta_init), []
+    n_rhs, n_rejected, complete = 0, 0, True
+    for p, stable in zip(params, roots):
+        beta, rhs, rejected, complete = _plateau(p, stable, beta, dwell, tol)
+        ends.append(beta)
+        n_rhs += rhs
+        n_rejected += rejected
+        if not complete:
+            break
+    drives = [p.Omega for p in params]
+    trajectory = Trajectory([(k + 1) * dwell for k in range(len(ends))], ends,
+                            drives[: len(ends)], complete, n_rhs, n_rejected)
+    p = params[0]
+    jump = _fold_crossing(drives, trajectory.n, p.delta_ml, p.eta, turning, direction)
+    return SweepResult(trajectory, jump, direction, turning)
+
+
 def quasi_static_sweep(
     delta_ml: float,
     gamma_b: float,
@@ -573,28 +604,9 @@ def quasi_static_sweep(
     incomplete plateau.  A dwell much shorter than the damping time cannot
     settle; that case is run as given (the CLI prints a warning).
     """
-    drives = protocol.amplitudes()
-    beta, ends = complex(beta_init), []
-    n_rhs, n_rejected, complete = 0, 0, True
-    for omega in drives:
-        p = MeanFieldParams(delta_ml=delta_ml, Omega=omega, gamma_b=gamma_b, eta=eta)
-        beta, rhs, rejected, complete = _plateau(p, beta, protocol.dwell, tol)
-        ends.append(beta)
-        n_rhs += rhs
-        n_rejected += rejected
-        if not complete:
-            break
-    trajectory = Trajectory(
-        t=[(k + 1) * protocol.dwell for k in range(len(ends))], beta=ends,
-        omega_applied=drives[: len(ends)], complete=complete, n_rhs=n_rhs, n_rejected=n_rejected,
-    )
-    turning = _physical_folds(delta_ml, eta, gamma_b)
-    return SweepResult(
-        trajectory=trajectory,
-        jump=_fold_crossing(drives, trajectory.n, delta_ml, eta, turning, protocol.direction),
-        direction=protocol.direction,
-        turning=turning,
-    )
+    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol.amplitudes()]
+    return _ramp(params, list(map(_stable_roots, params)), protocol.direction, protocol.dwell,
+                 beta_init, tol, _physical_folds(delta_ml, eta, gamma_b))
 
 
 class HysteresisResult(NamedTuple):
@@ -618,18 +630,23 @@ def hysteresis_sweep(
 ) -> HysteresisResult:
     """Run an up ramp, then its reverse from the final state, and compare.
 
-    Both ramps run in this process, plateau by plateau (:func:`_plateau`).
-    The down ramp's drives, ``linspace(hi, lo, n)``, equal the up grid only
-    to rounding (a few differ in the last bit), so each branch is integrated
-    by the trapezoid rule on its own plateaus.  The terms (x0 - x1)(y0 + y1)/2
-    along both ramps are +integral(n_down) on the falling drive and
-    -integral(n_up) on the rising one; ``loop_area`` is their ``math.fsum``.
+    Both ramps run in this process, plateau by plateau (:func:`_plateau`), on
+    one drive grid: the down ramp visits the up ramp's drives in reverse.  The
+    stable roots of each drive are solved once, into a list in grid order that
+    the up ramp reads forwards and the down ramp backwards, and the fold pair
+    once; the result equals :func:`quasi_static_sweep` up and then down, bit
+    for bit.  The terms (x0 - x1)(y0 + y1)/2 along both ramps are
+    +integral(n_down) on the falling drive and -integral(n_up) on the rising
+    one; ``loop_area`` is their ``math.fsum``.
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")
-    up = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up, tol=tol)
-    down = quasi_static_sweep(delta_ml, gamma_b, eta, protocol_up.reversed(),
-                              beta_init=up.trajectory.beta[-1], tol=tol)
+    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol_up.amplitudes()]
+    roots = list(map(_stable_roots, params))
+    turning = _physical_folds(delta_ml, eta, gamma_b)
+    dwell = protocol_up.dwell
+    up = _ramp(params, roots, "up", dwell, 0.0j, tol, turning)
+    down = _ramp(params[::-1], roots[::-1], "down", dwell, up.trajectory.beta[-1], tol, turning)
     terms = []
     for sweep in (up, down):
         x, y = sweep.trajectory.omega_applied, sweep.trajectory.n

@@ -88,6 +88,12 @@ MUTANTS = [
            "g2_slope = params.gamma_b**2 / 4.0",
            "g2_slope = math.nextafter(params.gamma_b**2 / 4.0, math.inf)",
            ("test_steadystate",)),
+    Mutant("down-grid-not-reversed", "dynamics.py",
+           'return drives if self.direction == "up" else drives[::-1]', "return drives",
+           ("test_dynamics", "test_down_ramp_worker")),
+    Mutant("down-ramp-roots-one-off", "dynamics.py",
+           "params[::-1], roots[::-1]", "params[::-1], roots[-2::-1] + roots[-1:]",
+           ("test_down_ramp_worker", "test_dynamics", "test_standalone")),
     Mutant("loop-area-sign", "dynamics.py",
            "(x0 - x1) * (y0 + y1) / 2.0", "(x1 - x0) * (y0 + y1) / 2.0",
            ("test_dynamics",)),
@@ -137,9 +143,14 @@ MUTANTS = [
            "if step <= 4.0 * math.ulp(", "if step <= 0.4 * math.ulp(",
            ("test_config_cli",)),
     Mutant("depolarization-series-to-1e-1", "model.py",
-           "if e < 5.5e-2:", "if e < 1e-1:", ("test_model", "test_standalone")),
+           "if e < 0.3:", "if e < 1e-1:", ("test_model", "test_standalone")),
     Mutant("depolarization-series-to-1e-2", "model.py",
-           "if e < 5.5e-2:", "if e < 1e-2:", ("test_model", "test_standalone")),
+           "if e < 0.3:", "if e < 1e-2:", ("test_model", "test_standalone")),
+    Mutant("depolarization-switch-at-0.5", "model.py",
+           "if e < 0.3:", "if e < 0.5:", ("test_model", "test_standalone")),
+    Mutant("depolarization-series-13-terms", "model.py",
+           "for k in range(13, -1, -1):", "for k in range(12, -1, -1):",
+           ("test_model", "test_standalone")),
     Mutant("thermal-occupancy-exp-minus-1", "model.py",
            "nbar = 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)",
            "nbar = 1.0 / (math.exp(HBAR * omega / kt if kt > 0.0 else math.inf) - 1.0)",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import libration
+from libration import dynamics
 from libration.config import load_config
 from libration.dynamics import (
     RampProtocol,
@@ -309,16 +310,32 @@ def test_sweep_counts_on_shipped_hysteresis_config():
     assert sum(tr.n_rhs for tr in trajectories) == 31_400
 
 
-def test_default_down_grid_matches_up_grid_to_rounding():
-    # the reversed ramp's linspace(hi, lo, n) is not the bitwise reverse of
-    # linspace(lo, hi, n), so loop_area integrates each ramp on its own
-    # plateaus; both grids span the same range and agree to rounding
+def test_default_down_grid_is_the_up_grid_reversed():
+    # a ramp and its reverse visit the same floats, where linspace(hi, lo, n)
+    # would differ from the up grid in the last bit at 72 of the 300 drives
+    # of configs/hysteresis.json
     root = Path(libration.__file__).resolve().parents[2]
     ramp = load_config(root / "configs" / "hysteresis.json").ramp
     proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, 1e-3)
     up = proto.amplitudes()
-    down = proto.reversed().amplitudes()[::-1]
-    np.testing.assert_allclose(down, up, rtol=1e-15, atol=0.0)
+    assert [v.hex() for v in proto.reversed().amplitudes()] == [v.hex() for v in up[::-1]]
+    result = _shipped_hysteresis()
+    assert result.up.trajectory.omega_applied == up
+    assert result.down.trajectory.omega_applied == up[::-1]
+
+
+def test_shipped_sweep_solves_each_drive_once(monkeypatch):
+    # one steady solve per drive, shared by both ramps: 300 calls, not one
+    # per plateau (600)
+    calls = []
+
+    def counted(params):
+        calls.append(params.Omega)
+        return steady_occupations(params)
+
+    monkeypatch.setattr(dynamics, "steady_occupations", counted)
+    _shipped_hysteresis.__wrapped__()
+    assert len(calls) == 300 and len(set(calls)) == 300
 
 
 def _interpolated_loop_area(result):
@@ -369,11 +386,13 @@ def test_ramp_amplitudes_are_numpy_linspace(lo, span, n, numpy_int, downward):
     hi = lo + span
     if not hi > lo:
         return
+    # a downward ramp takes the ascending grid reversed
     start, stop = (hi, lo) if downward else (lo, hi)
     proto = RampProtocol(start, stop, np.int64(n) if numpy_int else n, 1e-3)
     assert type(proto.n_steps) is int
+    grid = np.linspace(lo, hi, n).tolist()
     assert [v.hex() for v in proto.amplitudes()] == [
-        v.hex() for v in np.linspace(start, stop, n).tolist()
+        v.hex() for v in (grid[::-1] if downward else grid)
     ]
 
 

@@ -62,17 +62,30 @@ def _la_50_digits(e):
 
 
 def test_depolarization_above_the_series_range_is_accurate_to_rounding():
-    # the closed form is within 5e-13 of a 50-digit evaluation from the
-    # switch up to e = 0.1, where the truncated series would be 2e-11 off
-    for e in (0.06, 0.07, 0.09, 0.099):
-        assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-12, abs=0.0)
+    # the closed form is within 1e-14 of a 50-digit evaluation from the
+    # switch at e = 0.3 up
+    for e in (0.3, 0.31, 0.4, 0.6, 0.9, 0.98):
+        assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("e", [0.0101, 0.02, 0.03, 0.05, 0.07])
 def test_depolarization_on_both_sides_of_the_switch_is_within_1e_13(e):
-    # the closed form is 1.6e-13 off at e = 0.0101 and 4.6e-13 at 0.02, the
-    # series 6.5e-13 at 0.07: each e takes the form that is accurate there
+    # the closed form is 1.6e-13 off at e = 0.0101 and 2.4e-13 at 0.06, so
+    # each of these e takes the series
     assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-13, abs=0.0)
+
+
+def test_depolarization_is_accurate_to_rounding_across_the_switch():
+    # 300 e below the switch at 0.3, uniform and log-uniform, take the 14-term
+    # series (5e-16 at most; 13 terms are 2.6e-15 off near 0.3), and 300 in
+    # [0.3, 0.99) the closed form (8.5e-15 at most)
+    rng = np.random.default_rng(29)
+    below = [*rng.uniform(0.0, 0.3, 200), *np.exp(rng.uniform(math.log(1e-8), math.log(0.3), 100)),
+             0.299, math.nextafter(0.3, 0.0)]
+    above = [0.3, *rng.uniform(0.3, 0.99, 300)]
+    for sample, rel in ((below, 1e-15), (above, 1e-14)):
+        for e in map(float, sample):
+            assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=rel, abs=0.0)
 
 
 def test_depolarization_domain():

@@ -227,7 +227,8 @@ def test_stable_roots_inside_the_window_are_the_outer_branches():
         (beta_from_n(params, n), _curve_slope(U, GAMMA_B, K * n)) for n in (low, high)]
     # a plateau from the unstable root settles on a stable one
     beta = beta_from_n(params, middle) * (1.0 + 1e-3)
-    end, _, _, complete = dynamics._plateau(params, beta, 40.0 / GAMMA_B, TOL)
+    end, _, _, complete = dynamics._plateau(params, dynamics._stable_roots(params), beta,
+                                            40.0 / GAMMA_B, TOL)
     n_end = abs(end) ** 2
     assert complete and min(abs(n_end - low) / low, abs(n_end - high) / high) < 1e-6
 
@@ -270,7 +271,8 @@ def test_a_closed_form_beyond_float_range_leaves_the_plateau_to_dp45(monkeypatch
     monkeypatch.setattr(dynamics, "_propagate", beyond)
     params, root, _ = _plateau_at(-4.0 * G2, True)
     beta = root * (1.0 + 1e-6)
-    end, n_rhs, n_rejected, complete = dynamics._plateau(params, beta, 5.0 / GAMMA_B, TOL)
+    end, n_rhs, n_rejected, complete = dynamics._plateau(
+        params, dynamics._stable_roots(params), beta, 5.0 / GAMMA_B, TOL)
     work = 0
     for span in (2.0 / GAMMA_B, 4.0 / GAMMA_B - 2.0 / GAMMA_B, 5.0 / GAMMA_B - 4.0 / GAMMA_B):
         tr = integrate(params, beta, (0.0, span), tol=TOL)

@@ -45,12 +45,15 @@ PINNED_CSV = {
     "hysteresis/hysteresis_up.csv":
         "ba49294a1e9c67e5a4558d71dfe554da7a1a09e00fe7dfb8beb80675781de224",
     "hysteresis/hysteresis_down.csv":
-        "fe252b470b75d7a6dcc92fa94d9e638285bcdb6b623c91ffe5546cd63fe7fe1b",
+        "f1d721c9e346da51d40e7ab4eeaa07e5902d988d7394f77189c781f5e9071dff",
     "hysteresis/hysteresis_summary.csv":
         "8ed46ead21a6c3966b93605815d7fc4b20722f517bfab1c4f8eaecd2e5bacc68",
-    **{f"squeeze/squeeze_{kind}_{i}.csv":
-       "635396525cf7e783ad90e40659c0b0b82cc0ac05b3e0d47bb91eba820246d863"
-       for kind in ("closed", "oracle") for i in range(3)},
+    # phases 0, pi/4 and pi/2; the undamped oracle file is the closed-form one
+    **{f"squeeze/squeeze_{kind}_{i}.csv": digest
+       for kind in ("closed", "oracle") for i, digest in enumerate((
+           "635396525cf7e783ad90e40659c0b0b82cc0ac05b3e0d47bb91eba820246d863",
+           "ead98b0a2260f82efd165af7995152d0c3faf3e704d857d6a9eec4cfc6611fe1",
+           "edaf3f9a0f8c29b978cb681feb77c71eb60ff03b8a8734f4213a51e4756a0579"))},
 }
 
 

@@ -8,13 +8,8 @@ error (an unusable ``--out`` too), 2 numerical failure.  All outputs are
 deterministic for a fixed config.  ``_TABLES`` declares every CSV column once,
 in order, and which frequencies ``_write_table`` follows by a twin in Hz.
 Grids and preconditions are checked in ``load_config``; a command's own
-config error is a missing section.  A run warning is one ``warning:`` line on
-stderr, printed once.
-
-``main`` reads a plain ``<command> (--config|--out|--format) <value>...``
-line itself, with argparse's defaults and its choice of the last repeated
-value; argparse, imported inside ``build_parser``, runs only for help,
-``--version`` and any other line, and so writes every usage message.
+config error is a missing section, which ``_COMMANDS`` names.  A run warning
+is one ``warning:`` line on stderr, printed once.
 
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
 the command.  No command loads numpy, whose import would be about half of a
@@ -46,13 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 class NumericalError(RuntimeError):
     """A solver or integrator failed to produce a usable result."""
-
-
-def _need_sections(cfg: RunConfig, command: str, section: str) -> None:
-    """Reject a config without a drive or without the command's own ``section``."""
-    for name in ("drive", section):
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"config error: the '{command}' command needs a '{name}' section")
 
 
 def _fmt(value: float) -> str:
@@ -184,7 +172,6 @@ def _diagram_series(diagram) -> list[tuple[str, list[float], list[float]]]:
 
 
 def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
-    _need_sections(cfg, "bistability", "sweep")
     diagram = sweep_diagram(cfg.sweep.grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
 
@@ -218,7 +205,6 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
 def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.dynamics import RampProtocol, hysteresis_sweep
 
-    _need_sections(cfg, "hysteresis", "ramp")
     ramp = cfg.ramp
     protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
     if cfg.gamma_b > 0.0 and ramp.dwell * cfg.gamma_b < 0.5 * DWELL_DAMPING_CYCLES:
@@ -279,7 +265,6 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     from libration.squeezing import (exponential_angle, moment_oracle, squeeze_params,
                                      thermal_squeezing_check)
 
-    _need_sections(cfg, "squeeze", "squeeze")
     sq, nbar, t = cfg.squeeze, cfg.squeeze.nbar, cfg.squeeze.t
     if sq.from_drive:
         r, phi_default = _squeeze_reference(cfg)
@@ -342,86 +327,91 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
         )
 
 
+# every command: its function, the config section it needs beside the drive
+# (None: neither), and its help line
 _COMMANDS = {
-    "derive": cmd_derive,
-    "bistability": cmd_bistability,
-    "hysteresis": cmd_hysteresis,
-    "squeeze": cmd_squeeze,
+    "derive": (cmd_derive, None, "derived mode parameters for a particle/trap config"),
+    "bistability": (cmd_bistability, "sweep", "steady-state branches over a drive-amplitude grid"),
+    "hysteresis": (cmd_hysteresis, "ramp",
+                   "quasi-static up/down amplitude ramps with jump detection"),
+    "squeeze": (cmd_squeeze, "squeeze",
+                "variance traces: closed form next to the moment-equation reference"),
 }
 # every command's options, each with its default (None: required)
 _OPTIONS = {"--config": None, "--out": ".", "--format": "csv"}
 _FORMATS = ("csv", "csv+svg")
+_USAGE = f"usage: libration <command> --config PATH [--out DIR] [--format {'|'.join(_FORMATS)}]"
 
 
-def _plain_args(argv: list[str]) -> tuple[str, str, str, str] | None:
-    """(command, config, out, format) of a plain command line, else None.
+def _usage_error(message: str) -> ConfigError:
+    return ConfigError(f"{_USAGE}\nlibration: error: {message}")
 
-    Plain is ``<command>`` followed by ``<option> <value>`` pairs, with the
-    required ``--config`` given, no value starting with ``-``, and every
-    ``--format`` value one of ``_FORMATS`` (argparse checks each, not only
-    the last); the last of a repeated option counts.  On these lines argparse
-    gives the same four values without a message; any other line is left to it.
+
+def _parse_args(argv: list[str]) -> tuple[str, str, str, str]:
+    """(command, config, out, format) of a command line.
+
+    A line is ``<command>`` and then ``--config``, ``--out`` and ``--format``
+    in any order, each as ``--opt value`` or ``--opt=value``; the last of a
+    repeated option counts, and every ``--format`` value is checked.  A
+    ``-h`` or ``--help`` anywhere prints the commands, and a leading
+    ``--version`` the version, each ending in ``SystemExit(0)``.  Any other
+    line, a value starting with ``-`` too, raises ``ConfigError`` with the
+    usage line.
     """
-    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
-        return None
-    values = dict(_OPTIONS)
-    for option, value in zip(argv[1::2], argv[2::2]):
-        if (option not in _OPTIONS or value.startswith("-")
-                or option == "--format" and value not in _FORMATS):
-            return None
-        values[option] = value
-    if values["--config"] is None:
-        return None
-    return argv[0], values["--config"], values["--out"], values["--format"]
-
-
-def build_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="libration",
-        description="Nonlinear torsional-mode toolkit for levitated anisotropic nanoparticles.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("derive", "derived mode parameters for a particle/trap config"),
-        ("bistability", "steady-state branches over a drive-amplitude grid"),
-        ("hysteresis", "quasi-static up/down amplitude ramps with jump detection"),
-        ("squeeze", "variance traces: closed form next to the moment-equation reference"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=_OPTIONS["--out"],
-                       help="output directory (created if missing)")
-        p.add_argument("--format", choices=_FORMATS, default=_OPTIONS["--format"],
-                       help="artifact set to write")
-    return parser
+    if argv[:1] == ["--version"]:
+        print(f"libration {__version__}")
+        raise SystemExit(0)
+    if "-h" in argv or "--help" in argv:
+        print(f"{_USAGE}\n       libration --version\n\ncommands:")
+        for name, (_, _, help_line) in _COMMANDS.items():
+            print(f"  {name:13s}{help_line}")
+        print("\nEach option is --opt value or --opt=value; the last repeated one counts.\n"
+              f"--config is a JSON run configuration; --out defaults to {_OPTIONS['--out']} "
+              f"and --format to {_OPTIONS['--format']}.")
+        raise SystemExit(0)
+    if not argv:
+        raise _usage_error("the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        raise _usage_error(f"argument command: invalid choice: {command!r} "
+                           f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        option, inline, value = token.partition("=")
+        if option not in _OPTIONS:
+            raise _usage_error(f"unrecognized arguments: {token}")
+        if not inline:
+            value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            raise _usage_error(f"argument {option}: expected one argument")
+        if option == "--format" and value not in _FORMATS:
+            raise _usage_error(f"argument --format: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, _FORMATS))})")
+        given[option] = value
+    if "--config" not in given:
+        raise _usage_error("the following arguments are required: --config")
+    return command, *(given.get(option, default) for option, default in _OPTIONS.items())
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _plain_args(argv)
-    if args is None:
-        try:
-            ns = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            if not exc.code:  # --help, --version
-                raise
-            return 1  # a usage error is a config error; argparse would exit 2
-        args = ns.command, ns.config, ns.out, ns.format
-    command, config, out_dir, fmt = args
     try:
+        command, config, out_dir, fmt = _parse_args(sys.argv[1:] if argv is None else argv)
+        run, section, _ = _COMMANDS[command]
         cfg = load_config(config)
+        for name in ("drive", section) if section else ():
+            if getattr(cfg, name) is None:
+                raise ConfigError(
+                    f"config error: the '{command}' command needs a '{name}' section")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[command](cfg, out, fmt)
-    except ConfigError as exc:
+        run(cfg, out, fmt)
+    except ConfigError as exc:  # a usage error too
         print(str(exc), file=sys.stderr)
         return 1
-    except OSError as exc:  # an --out that cannot be created or written into
-        print(f"config error: cannot write {exc.filename} ({exc.strerror})", file=sys.stderr)
+    except OSError as exc:  # an --out that cannot be created or written into, a full stdout
+        target = "the output" if exc.filename is None else exc.filename
+        print(f"config error: cannot write {target} ({exc.strerror})", file=sys.stderr)
         return 1
     except (NumericalError, NoConfinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

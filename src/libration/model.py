@@ -253,8 +253,9 @@ def depolarization_factors(eccentricity: float) -> tuple[float, float]:
     so below e = 0.3 the series L_a = (1-e^2) * sum_k e^(2k)/(2k+3) is summed
     instead, to k = 13 by Horner's rule.  Against 40-digit mpmath the series
     is within 5e-16 (relative) up to e = 0.3, where 13 terms would be 2.6e-15
-    off, and the closed form within 8.5e-15 in [0.3, 0.5) and 2.7e-15 in
-    [0.5, 0.99); the closed form is up to 2.4e-13 off at e = 0.06.
+    off, and the closed form within 8.5e-15 in [0.3, 0.5), 2.7e-15 in
+    [0.5, 0.99) and 5e-16 in [0.99, 0.999999), as its 1 - e^2 is formed as
+    (1 - e)(1 + e); the closed form is up to 2.4e-13 off at e = 0.06.
 
     Raises
     ------
@@ -276,8 +277,10 @@ def depolarization_factors(eccentricity: float) -> tuple[float, float]:
             series = series * e2 + 1.0 / (2 * k + 3)
         la = (1.0 - e2) * series
     else:
-        # ln((1+e)/(1-e)) written via log1p to keep precision at moderate e
-        la = (1.0 - e * e) / (e * e) * (math.log1p(2.0 * e / (1.0 - e)) / (2.0 * e) - 1.0)
+        # ln((1+e)/(1-e)) written via log1p to keep precision at moderate e,
+        # and 1 - e^2 as a product, which does not cancel as e -> 1
+        la = ((1.0 - e) * (1.0 + e) / (e * e)
+              * (math.log1p(2.0 * e / (1.0 - e)) / (2.0 * e) - 1.0))
     return la, 0.5 * (1.0 - la)
 
 

@@ -136,6 +136,20 @@ MUTANTS = [
     Mutant("twin-divisor-times-two-pi", "cli.py",
            "[value / TWO_PI for value in values]", "[value * TWO_PI for value in values]",
            ("test_tables", "test_config_cli", "test_standalone")),
+    Mutant("format-checked-at-its-last-occurrence", "cli.py",
+           '        if option == "--format" and value not in _FORMATS:\n'
+           '            raise _usage_error(f"argument --format: invalid choice: {value!r} "\n'
+           '                               f"(choose from {\', \'.join(map(repr, _FORMATS))})")\n'
+           "        given[option] = value\n",
+           "        given[option] = value\n"
+           '    if given.get("--format", "csv") not in _FORMATS:\n'
+           '        raise _usage_error("argument --format: invalid choice")\n',
+           ("test_config_cli",)),
+    Mutant("first-repeated-option-wins", "cli.py",
+           "given[option] = value", "given.setdefault(option, value)", ("test_config_cli",)),
+    Mutant("inline-value-not-split", "cli.py",
+           'option, inline, value = token.partition("=")', 'option, inline, value = token, "", ""',
+           ("test_config_cli",)),
     Mutant("csv-bool-text-reversed", "output.py",
            'bool: ("0", "1").__getitem__', 'bool: ("1", "0").__getitem__',
            ("test_config_cli", "test_standalone")),
@@ -150,6 +164,9 @@ MUTANTS = [
            "if e < 0.3:", "if e < 0.5:", ("test_model", "test_standalone")),
     Mutant("depolarization-series-13-terms", "model.py",
            "for k in range(13, -1, -1):", "for k in range(12, -1, -1):",
+           ("test_model", "test_standalone")),
+    Mutant("depolarization-one-minus-e-squared", "model.py",
+           "la = ((1.0 - e) * (1.0 + e) / (e * e)", "la = ((1.0 - e * e) / (e * e)",
            ("test_model", "test_standalone")),
     Mutant("thermal-occupancy-exp-minus-1", "model.py",
            "nbar = 1.0 / math.expm1(HBAR * omega / kt if kt > 0.0 else math.inf)",

@@ -1,11 +1,15 @@
 """Config validation, CSV/SVG artifacts, and end-to-end command-line runs."""
 
+import argparse
 import ast
+import contextlib
 import copy
 import csv
+import errno
 import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -1125,16 +1129,39 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
 # empty value, values starting with "-", and format values)
 ARGV_TOKENS = ["derive", "bistability", "hysteresis", "squeeze", "--config", "--out", "--format",
                "--config=x", "--conf", "-h", "--", "", "-", "-1", "pdf", "csv+svg", "csv", "x"]
-# any run of tokens, or a command and option-value pairs, the lines main may
-# read itself, now and then with one token more
+# any run of tokens, or a command and option-value pairs, now and then with
+# one token more
 COMMAND_LINES = st.lists(st.sampled_from(ARGV_TOKENS), max_size=8) | st.builds(
     lambda command, pairs, tail: [command, *(token for pair in pairs for token in pair), *tail],
     st.sampled_from(["derive", "bistability", "hysteresis", "squeeze"]),
-    st.lists(st.tuples(st.sampled_from(["--config", "--out", "--format"]),
+    st.lists(st.tuples(st.sampled_from(["--config", "--out", "--format", "--format=csv+svg"]),
                        st.sampled_from(["x", "", "csv", "csv+svg"]) | st.sampled_from(ARGV_TOKENS)),
              min_size=1, max_size=4),
     st.just([]) | st.lists(st.sampled_from(ARGV_TOKENS), max_size=1),
 )
+
+
+def _reference_parser():
+    """The argparse parser the command line was read with before ``_parse_args``."""
+    parser = argparse.ArgumentParser(prog="libration")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {libration.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=".")
+        p.add_argument("--format", choices=("csv", "csv+svg"), default="csv")
+    return parser
+
+
+def _argparse_only(argv) -> bool:
+    """Whether ``argv`` uses what only argparse read: an abbreviation, ``--``,
+    or a value starting with ``-``."""
+    for token in argv:
+        option, inline, value = token.partition("=")
+        if token.startswith("-") and option not in cli._OPTIONS or inline and value.startswith("-"):
+            return True
+    return False
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -1142,12 +1169,92 @@ COMMAND_LINES = st.lists(st.sampled_from(ARGV_TOKENS), max_size=8) | st.builds(
 @example(argv=["squeeze", "--config", "c.json", "--out", "o", "--format", "csv+svg"])
 @example(argv=["derive", "--config", "a", "--format", "csv+svg", "--config", "", "--format", "csv"])
 @example(argv=["derive", "--config", "x", "--format", "x", "--format", "csv"])
+@example(argv=["derive", "--out=o", "--config=", "--format=csv+svg", "--config=c=d"])
+@example(argv=["hysteresis", "--conf", "x"])
 def test_cli_plain_command_lines_parse_as_argparse(argv):
-    # wherever main reads a line itself, argparse reads the same values from it
-    plain = cli._plain_args(argv)
-    if plain is not None:
-        args = cli.build_parser().parse_args(argv)
-        assert plain == (args.command, args.config, args.out, args.format)
+    # where argparse reads a line without an abbreviation, "--" or a value
+    # starting with "-", _parse_args reads the same four values from it; on
+    # any other line main exits 0 (help, version) or 1 with a usage message
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            reference = _reference_parser().parse_args(argv)
+        except SystemExit:
+            reference = None
+    if reference is not None and not _argparse_only(argv):
+        assert cli._parse_args(argv) == (reference.command, reference.config, reference.out,
+                                         reference.format)
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0
+            assert {"-h", "--help"} & set(argv) or argv[0] == "--version"
+            return
+    assert code == 1
+    assert err.getvalue().startswith("usage: libration <command> --config PATH")
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["derive", "--config=x"], ("derive", "x", ".", "csv")),
+    (["squeeze", "--format=csv+svg", "--out", "o", "--config", "c"],
+     ("squeeze", "c", "o", "csv+svg")),
+    (["bistability", "--config", "a", "--out=o", "--config=b", "--out", "p"],
+     ("bistability", "b", "p", "csv")),
+    (["hysteresis", "--config=a=b", "--format", "csv+svg", "--format=csv"],
+     ("hysteresis", "a=b", ".", "csv")),
+])
+def test_cli_option_forms(argv, expected):
+    # --opt value and --opt=value in any order, the last repeated one counting
+    assert cli._parse_args(argv) == expected
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_help_after_each_command_exits_0(capsys, command):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--config", "x", flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: libration <command>")
+        for name, (_, _, help_line) in cli._COMMANDS.items():
+            assert f"  {name}" in out and help_line in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "--version"], "unrecognized arguments: --version"),
+    (["derive", "--conf", "x"], "unrecognized arguments: --conf"),
+    (["derive", "--config", "x", "--"], "unrecognized arguments: --"),
+    (["derive", "--config", "-1"], "argument --config: expected one argument"),
+    (["derive", "--config", "x", "--out=-o"], "argument --out: expected one argument"),
+    (["derive", "--config", "x", "--format"], "argument --format: expected one argument"),
+    (["derive", "--config", "x", "--format", "pdf", "--format", "csv"],
+     "argument --format: invalid choice: 'pdf'"),
+    (["derive", "--config", "x", "--format=svg"], "argument --format: invalid choice: 'svg'"),
+    (["derive", "--out", "o"], "the following arguments are required: --config"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_usage_error_names_the_token(capsys, argv, message):
+    # one usage line and one error line, exit 1
+    assert run_cli(argv) == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: libration <command> --config PATH")
+    assert error.startswith(f"libration: error: {message}")
+
+
+def test_cli_reports_a_failing_write_without_a_file_name(tmp_path, capsys, monkeypatch):
+    # the report cannot be printed (a full disk behind stdout): exit 1, no "None"
+    class FullStream(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    cfg = write_cfg(tmp_path, BASE)
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert run_cli(["derive", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot write the output ({os.strerror(errno.ENOSPC)})\n")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -1337,7 +1444,7 @@ def test_non_finite_numbers_rejected_everywhere(tmp_path):
 # modules each command must not load (beyond these, none loads scipy, the
 # modules xml.sax.saxutils pulls in, as the SVG writer escapes text itself,
 # dataclasses and the inspect it imports: the records are NamedTuples, or
-# argparse and its gettext and locale: main reads a plain command line itself)
+# argparse and its gettext and locale: main parses every command line itself)
 NEVER_LOADED = ("scipy", "xml", "email", "http.client", "urllib.request", "dataclasses",
                 "inspect", "argparse", "gettext", "locale")
 NOT_LOADED_BY = {
@@ -1348,23 +1455,43 @@ NOT_LOADED_BY = {
 }
 
 
+def _loaded_by_main(argv, banned) -> tuple[int, list[str], str]:
+    """main's exit code on ``argv``, which ``banned`` modules it loaded, and
+    what else it wrote to stderr, in a fresh interpreter."""
+    root = Path(libration.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = (f"import sys\nfrom libration.cli import main\n"
+            f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+            f"print(code, [m for m in {banned!r} if m in sys.modules], file=sys.stderr)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    *err, last = out.stderr.splitlines()
+    code, loaded = last.split(" ", 1)
+    return int(code), ast.literal_eval(loaded), "\n".join(err)
+
+
 @pytest.mark.parametrize("command", sorted(NOT_LOADED_BY))
 def test_cli_import_footprint(tmp_path, command):
     # each command imports only the layers it uses; a shipped-config run
     # with every artifact, in a fresh interpreter
     root = Path(libration.__file__).resolve().parents[2]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     argv = [command, "--config", str(root / "configs" / f"{command}.json"),
             "--out", str(tmp_path), "--format", "csv+svg"]
-    banned = NEVER_LOADED + NOT_LOADED_BY[command]
-    code = (f"import sys; from libration.cli import main; code = main({argv!r}); "
-            f"print(code, [m for m in {banned!r} if m in sys.modules], file=sys.stderr)")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-    )
-    assert out.stderr.strip() == "0 []"
+    assert _loaded_by_main(argv, NEVER_LOADED + NOT_LOADED_BY[command]) == (0, [], "")
     if command == "squeeze":  # the moment oracle ran too, for each of the three phases
         assert (tmp_path / "squeeze_oracle_2.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["squeeze", "-h"], 0), (["--version"], 0),
+    (["derive", "--config=x", "--bogus"], 1),
+])
+def test_cli_import_footprint_of_help_version_and_usage_errors(argv, code):
+    # help, the version and a usage error load no argparse, gettext or locale
+    exit_code, loaded, err = _loaded_by_main(argv, NEVER_LOADED)
+    assert (exit_code, loaded) == (code, [])
+    assert err.startswith("usage: libration") if code else err == ""
 
 
 def test_cli_squeeze_run_loads_no_scipy(tmp_path):

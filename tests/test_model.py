@@ -88,6 +88,14 @@ def test_depolarization_is_accurate_to_rounding_across_the_switch():
             assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=rel, abs=0.0)
 
 
+def test_depolarization_near_the_needle_limit_is_accurate_to_rounding():
+    # 2,000 e in [0.99, 0.999999): 1 - e^2 formed as (1 - e)(1 + e) keeps
+    # 5e-16; the cancelling 1 - e * e was up to 1e-12 off
+    rng = np.random.default_rng(32)
+    for e in map(float, rng.uniform(0.99, 0.999999, 2000)):
+        assert depolarization_factors(e)[0] == pytest.approx(_la_50_digits(e), rel=1e-15, abs=0.0)
+
+
 def test_depolarization_domain():
     with pytest.raises(ValueError):
         depolarization_factors(1.0)

@@ -27,8 +27,8 @@ The rest of the dwell is one closed-form step about beta*, the linear flow
 e^(JT) d plus the second-order term d2(T) (:func:`_propagate`), kept when its
 error estimate 2|d2|/|beta*|, relative in n, is at most ``tol``; else DP45
 steps another chunk.  So a damped plateau's work is bounded by its settling
-time, not its dwell.  Undamped plateaus, and those whose steady roots cannot
-be solved, run on DP45 alone.  A sweep runs in the caller's process alone.
+time, not its dwell.  Every plateau runs in this one loop; without stable
+roots (undamped, or unsolvable) the one chunk is the whole dwell, ungated.
 
 The up and down ramps of a hysteresis sweep walk one grid of drives, the
 down ramp in reverse, and each drive's stable roots are solved once for both.
@@ -534,29 +534,27 @@ def _plateau(params: MeanFieldParams, roots: list[tuple[complex, float]], beta: 
     """(end state, n_rhs, n_rejected, complete) of a plateau of ``dwell`` seconds from ``beta``.
 
     ``roots`` are the drive's stable roots, :func:`_stable_roots` of ``params``.
-    Damped, DP45 steps chunks of 2/gamma_b until the module docstring's gate
-    holds about the nearest stable root; :func:`_propagate` then finishes the
-    dwell if its estimate 2|d2|/|beta*| is at most ``tol`` and its exponentials
-    are in float range, else DP45 steps another chunk.  Without roots
-    (undamped, or where the steady roots cannot be solved) the plateau is one
+    DP45 steps chunks of 2/gamma_b until the module docstring's gate holds
+    about the nearest stable root; :func:`_propagate` then finishes the dwell
+    if its estimate 2|d2|/|beta*| is at most ``tol`` and its exponentials are
+    in float range, else DP45 steps another chunk.  Without roots (undamped,
+    or unsolvable) the one chunk is the whole dwell, ungated: one
     :func:`integrate` call.
     """
-    if not roots:
-        traj = integrate(params, beta, (0.0, dwell), tol=tol)
-        return traj.beta[-1], traj.n_rhs, traj.n_rejected, traj.complete
     k = 12.0 * params.eta
-    chunk = 2.0 / params.gamma_b
+    chunk = 2.0 / params.gamma_b if roots else dwell
     t, n_rhs, n_rejected, chunks = 0.0, 0, 0, 0
     while t < dwell:
-        root, det = min(roots, key=lambda r: abs(beta - r[0]))
-        d = abs(beta - root)
-        if k * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det):
-            try:
-                end, d2 = _propagate(params, root, beta, dwell - t)
-            except (ArithmeticError, ValueError):  # a phase T Im(l) beyond float range
-                d2 = math.inf
-            if 2.0 * abs(d2) <= tol * abs(root):
-                return end, n_rhs, n_rejected, True
+        if roots:
+            root, det = min(roots, key=lambda r: abs(beta - r[0]))
+            d = abs(beta - root)
+            if k * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det):
+                try:
+                    end, d2 = _propagate(params, root, beta, dwell - t)
+                except (ArithmeticError, ValueError):  # a phase T Im(l) beyond float range
+                    d2 = math.inf
+                if 2.0 * abs(d2) <= tol * abs(root):
+                    return end, n_rhs, n_rejected, True
         chunks += 1
         t_next = min(chunks * chunk, dwell)
         traj = integrate(params, beta, (0.0, t_next - t), tol=tol)
@@ -630,8 +628,8 @@ def hysteresis_sweep(
 ) -> HysteresisResult:
     """Run an up ramp, then its reverse from the final state, and compare.
 
-    Both ramps run in this process, plateau by plateau (:func:`_plateau`), on
-    one drive grid: the down ramp visits the up ramp's drives in reverse.  The
+    Both ramps run plateau by plateau (:func:`_plateau`) on one drive grid:
+    the down ramp visits the up ramp's drives in reverse.  The
     stable roots of each drive are solved once, into a list in grid order that
     the up ramp reads forwards and the down ramp backwards, and the fold pair
     once; the result equals :func:`quasi_static_sweep` up and then down, bit

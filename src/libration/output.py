@@ -24,11 +24,22 @@ _PALETTE = (
     "#0072b2", "#d55e00", "#009e73", "#cc79a7",
     "#56b4e9", "#e69f00", "#000000",
 )
+_WIDTH, _HEIGHT, _TICKS = 880, 540, 5  # every chart's size in px; the most ticks an axis takes
 
 
 def _escape(text: str) -> str:
     """Escape &, > and < for XML character data (as ``xml.sax.saxutils.escape``)."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``, naming ``path`` in an OSError that names no file (a full disk)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def _plain(seq) -> list:
@@ -85,18 +96,18 @@ def write_csv(path: str | Path, columns: dict[str, object]) -> None:
             cells.append(col)
         else:
             cells.append(map(_BULK.get(kind, _format_cell), col))
-    Path(path).write_text("\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
+    _write(path, "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
     span = hi - lo
-    if not (span / count > 0.0 and math.isfinite(span)):
+    if not (span / _TICKS > 0.0 and math.isfinite(span)):
         return [lo, hi]
-    step = 10 ** math.floor(math.log10(span / count))
+    step = 10 ** math.floor(math.log10(span / _TICKS))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     if step <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
@@ -122,14 +133,12 @@ def svg_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 880,
-    height: int = 540,
     markers: bool = False,
 ) -> None:
     """Render (label, x, y) series as a line chart and write an SVG file."""
     margin_l, margin_r, margin_t, margin_b = 86, 24, 46, 64
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     # per series, its runs of finite (x, y) points: NaN gaps break the polyline
     cleaned: list[tuple[str, list[list[tuple[float, float]]]]] = []
@@ -168,9 +177,9 @@ def svg_line_chart(
         return margin_t + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
@@ -228,12 +237,12 @@ def svg_line_chart(
         legend_y += 18
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
             f'fill="#000">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 16}" font-size="13" '
+            f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 16}" font-size="13" '
             f'text-anchor="middle" fill="#000">{_escape(x_label)}</text>'
         )
     if y_label:
@@ -243,4 +252,4 @@ def svg_line_chart(
             f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">{_escape(y_label)}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write(path, "\n".join(parts) + "\n")

@@ -90,10 +90,22 @@ MUTANTS = [
            ("test_steadystate",)),
     Mutant("down-grid-not-reversed", "dynamics.py",
            'return drives if self.direction == "up" else drives[::-1]', "return drives",
-           ("test_dynamics", "test_down_ramp_worker")),
+           ("test_dynamics",)),
     Mutant("down-ramp-roots-one-off", "dynamics.py",
            "params[::-1], roots[::-1]", "params[::-1], roots[-2::-1] + roots[-1:]",
-           ("test_down_ramp_worker", "test_dynamics", "test_standalone")),
+           ("test_dynamics", "test_standalone")),
+    Mutant("plateau-gate-0.1", "dynamics.py",
+           "< 0.01 * math.sqrt(det):", "< 0.1 * math.sqrt(det):",
+           ("test_dynamics",)),
+    Mutant("plateau-acceptance-without-2", "dynamics.py",
+           "if 2.0 * abs(d2) <= tol * abs(root):", "if abs(d2) <= tol * abs(root):",
+           ("test_dynamics", "test_propagator")),
+    Mutant("plateau-chunk-4-over-gamma", "dynamics.py",
+           "chunk = 2.0 / params.gamma_b if roots", "chunk = 4.0 / params.gamma_b if roots",
+           ("test_dynamics",)),
+    Mutant("rootless-plateau-two-chunks", "dynamics.py",
+           "if roots else dwell", "if roots else dwell / 2.0",
+           ("test_dynamics",)),
     Mutant("loop-area-sign", "dynamics.py",
            "(x0 - x1) * (y0 + y1) / 2.0", "(x1 - x0) * (y0 + y1) / 2.0",
            ("test_dynamics",)),

@@ -1257,6 +1257,26 @@ def test_cli_reports_a_failing_write_without_a_file_name(tmp_path, capsys, monke
         f"config error: cannot write the output ({os.strerror(errno.ENOSPC)})\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("suffix, name", [(".csv", "derive.csv"), (".svg", "derive_scan.svg")])
+def test_cli_names_the_file_of_a_failing_write(tmp_path, capsys, monkeypatch, suffix, name):
+    # a full disk under a CSV or SVG file: Path.write_text's OSError has no
+    # file name, and the report names the file
+    root = Path(libration.__file__).resolve().parents[2]
+    write_text = Path.write_text
+
+    def full(self, *args, **kwargs):
+        return write_text(Path("/dev/full") if self.suffix == suffix else self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "o"
+    argv = ["derive", "--config", root / "configs" / "derive.json", "--out", out,
+            "--format", "csv+svg"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / name} ({os.strerror(errno.ENOSPC)})\n")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_cli_rejects_non_finite_detuning(tmp_path, capsys, value):
     # json.dumps writes NaN / Infinity, which Python's JSON reader accepts

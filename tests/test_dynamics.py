@@ -557,6 +557,69 @@ def test_hysteresis_sweep_starts_no_process(monkeypatch):
         assert sweep.trajectory.beta == same.trajectory.beta
 
 
+def _bits(trajectory):
+    """A trajectory's fields, each float as its hex: equal only bit for bit."""
+    return ([(b.real.hex(), b.imag.hex()) for b in trajectory.beta],
+            [t.hex() for t in trajectory.t], [w.hex() for w in trajectory.omega_applied],
+            trajectory.complete, trajectory.n_rhs, trajectory.n_rejected)
+
+
+@pytest.mark.parametrize("gamma_b, steps, dwell", [
+    (REF_GAMMA_B, 40, 20.0 / REF_GAMMA_B),
+    (0.0, 20, 1e-4),
+    (REF_GAMMA_B, 100, 40.0 / REF_GAMMA_B),
+], ids=["damped", "undamped", "long-dwell"])
+def test_hysteresis_sweep_is_two_plain_ramps(gamma_b, steps, dwell):
+    # the sweep equals quasi_static_sweep up and then down from its end, bit for bit
+    proto = RampProtocol(2.35e6, 1.08e7, steps, dwell)
+    result = hysteresis_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto)
+    up = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto)
+    down = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto.reversed(),
+                              up.trajectory.beta[-1])
+    for got, want in ((result.up, up), (result.down, down)):
+        assert _bits(got.trajectory) == _bits(want.trajectory)
+        assert (got.jump, got.direction, got.turning) == (want.jump, want.direction, want.turning)
+
+
+def test_integrate_failure_in_the_up_ramp_propagates(monkeypatch):
+    calls, real_integrate = [], dynamics.integrate
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("integrator failed")
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", failing)
+    with pytest.raises(RuntimeError, match="integrator failed"):
+        hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA,
+                         RampProtocol(2.35e6, 1.08e7, 40, 20.0 / REF_GAMMA_B))
+    assert len(calls) == 5
+
+
+def test_damped_plateau_without_roots_is_one_integrate_call(monkeypatch):
+    # where a drive's steady roots cannot be solved, each damped plateau is
+    # one integrate call over the whole dwell, DP45 alone, with no closed form
+    def unsolvable(params):
+        raise ValueError("no roots")
+
+    spans, real_integrate = [], dynamics.integrate
+
+    def spied(params, beta, t_span, tol):
+        spans.append(t_span)
+        return real_integrate(params, beta, t_span, tol=tol)
+
+    monkeypatch.setattr(dynamics, "steady_occupations", unsolvable)
+    monkeypatch.setattr(dynamics, "integrate", spied)
+    proto = RampProtocol(2.35e6, 1.08e7, 12, 20.0 / REF_GAMMA_B)
+    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    assert spans == [(0.0, proto.dwell)] * 12
+    monkeypatch.undo()
+    ends, _, n_rhs = _dp45_ramp(ref_params(0.0), proto, 0.0j, 1e-8)
+    assert _bits(sweep.trajectory)[0] == [(b.real.hex(), b.imag.hex()) for b in ends]
+    assert sweep.trajectory.n_rhs == n_rhs
+
+
 def test_fold_crossing_from_a_plateau_exactly_on_the_fold():
     # n[k-1] on the fold occupation itself still leaves the branch at plateau k
     tp = turning_points(

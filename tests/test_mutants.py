@@ -2,9 +2,12 @@
 
 ``tests/mutants.py`` is run by hand; it stops at a mutant whose text no longer
 occurs exactly once in its file only after its baseline test run.  These
-checks catch that in Tier-1, as soon as an edit moves a mutated line.
+checks catch that in Tier-1, as soon as an edit moves a mutated line, and
+hold its record ``MUTANTS.json`` to the list, so a renamed or deleted test
+module cannot leave a stale record behind.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +29,17 @@ def test_mutant_text_occurs_once_in_its_file(mutant):
     assert mutant.new != mutant.old
     for module in mutant.tests:
         assert (ROOT / "tests" / f"{module}.py").is_file()
+
+
+def test_record_matches_the_list():
+    record = json.loads((ROOT / "MUTANTS.json").read_text())
+    assert [(r["id"], r["file"], r["old"], r["new"], r["tests"]) for r in record["mutants"]] == [
+        (m.id, f"src/libration/{m.file}", m.old, m.new, [f"tests/{t}.py" for t in m.tests])
+        for m in MUTANTS]
+    statuses = [r["status"] for r in record["mutants"]]
+    assert record["counts"] == {s: statuses.count(s) for s in ("killed", "survived", "equivalent")}
+    for entry, mutant in zip(record["mutants"], MUTANTS):
+        if entry["status"] == "killed":
+            assert (ROOT / entry["killed_by"].split("::")[0]).is_file()
+        else:
+            assert (entry["status"], entry.get("reason")) == ("equivalent", mutant.equivalent)

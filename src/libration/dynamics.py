@@ -19,26 +19,29 @@ this module imports neither scipy nor numpy.  The occupation n is
 ``re*re + im*im``, the expression the right-hand side uses.
 :func:`mean_field_rhs` is the complex reference form of the right-hand side.
 
-A damped plateau runs DP45 in chunks of 2/gamma_b only until, about the
-stable steady root beta* nearest the state, the gate
-12 eta (2|beta*| + |d|)|d| < 0.01 sqrt(det J) holds for d = beta - beta*: the
-quadratic remainder of the force is small against the linear restoring rate.
-The rest of the dwell is one closed-form step about beta*, the linear flow
-e^(JT) d plus the second-order term d2(T) (:func:`_propagate`), kept when its
-error estimate 2|d2|/|beta*|, relative in n, is at most ``tol``; else DP45
-steps another chunk.  So a damped plateau's work is bounded by its settling
-time, not its dwell.  Every plateau runs in this one loop; without stable
-roots (undamped, or unsolvable) the one chunk is the whole dwell, ungated.
+A damped plateau runs DP45 only until, about the stable steady root beta*
+nearest the state, the gate 12 eta (2|beta*| + |d|)|d| < 0.01 sqrt(det J)
+holds for d = beta - beta*: the quadratic remainder of the force is small
+against the linear restoring rate.  The gate is tested at the plateau's
+start, then by :func:`integrate` after every accepted step.  The rest of the
+dwell is one closed-form step about beta*, the linear flow e^(JT) d plus the
+second-order term d2(T) (:func:`_propagate`), kept when its error estimate
+2|d2|/|beta*|, relative in n, is at most ``tol``; else DP45 runs on until |d|
+has shrunk by sqrt(tol |beta*| / (2|d2|)), as d2 scales as |d|^2.  So a damped
+plateau's work is bounded by its settling time, not its dwell.  Without
+stable roots (undamped, or unsolvable) a plateau is one DP45 run, ungated.
 
 The up and down ramps of a hysteresis sweep walk one grid of drives, the
-down ramp in reverse, and each drive's stable roots are solved once for both.
-On ``configs/hysteresis.json`` that is 300 steady solves for 600 plateaus;
-598 of the plateaus end in closed form, after 208 DP45 chunks and in 612
-closed-form steps whose nodes all lie over 1/T apart, so every step reads its
-divided differences from one table of node differences.  Warm, on a 2-core
-x86-64 host under CPython 3.11, a closed-form step takes about 14 us, a
-drive's stable-root solve about 15 us, and the whole sweep about 50 ms, half
-of it in DP45 and 15 % in the steady solves.
+down ramp in reverse, and each drive's stable roots are solved once for both,
+in one ascending pass: only the outer brackets of the cubic, each Newton from
+the previous drive's root.  On ``configs/hysteresis.json`` that is 300 steady
+solves for 600 plateaus.  115 plateaus step DP45, 2,708 steps and 19,090
+right-hand-side evaluations in all; 598 end in closed form, in 623
+closed-form steps (25 refused) whose nodes all lie over 1/T apart, so every
+step reads its divided differences from one table of node differences.
+Warm, on a 2-core x86-64 host under CPython 3.11, a closed-form step takes
+about 12 us, the 300 stable-root solves 3 ms, and the whole sweep about
+25 ms, half of it in DP45.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
@@ -115,6 +118,8 @@ def integrate(
     beta_init: complex = 0.0 + 0.0j,
     t_span: tuple[float, float] = (0.0, 1.0),
     tol: float = 1e-8,
+    *,
+    _stop: tuple[float, ...] | None = None,
 ) -> Trajectory:
     """Integrate the mean-field equation with an adaptive Dormand-Prince 5(4) stepper.
 
@@ -127,14 +132,26 @@ def integrate(
     the Hairer-Norsett-Wanner initial step.
 
     ``tol`` is the accuracy target for the trajectory: the stepper is run
-    a fixed safety factor tighter than ``tol`` so that the accumulated
-    (global) error stays below ``tol`` at benchmark amplitude scales, not
-    just the per-step local error.  Every accepted step is returned.  When
-    the step falls below 10 ulp of the time the partial trajectory up to that
-    time is returned with ``complete=False``, as is the start state when the
-    initial step is zero or NaN (a derivative that overflows).  A zero-length
-    span returns the start state.  ``n_rhs`` and ``n_rejected`` count the
-    right-hand-side evaluations and the rejected steps.
+    ten times tighter than ``tol``, so that the accumulated (global) error,
+    not just the per-step local error, stays under 10 tol end to end at
+    benchmark amplitude scales.  A plateau that leaves its branch at a fold
+    is the exception: on ``configs/hysteresis.json`` the up-jump plateau's n
+    is 1.5e-7 (15 tol) off the same sweep at tol 1e-12, the down-jump one's
+    1.2e-8, and every other plateau's within 9e-10.
+
+    Every accepted step is returned.  When the step falls below 10 ulp of
+    the time the partial trajectory up to that time is returned with
+    ``complete=False``, as is the start state when the initial step is zero
+    or NaN (a derivative that overflows).  A zero-length span returns the
+    start state.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
+    evaluations and the rejected steps.
+
+    ``_stop`` is :func:`_plateau`'s: with it only the first and the last
+    state are returned.  Nine floats, (Re, Im, 2|beta*|, 0.01 sqrt(det J))
+    of two stable roots and a reach, also stop the run at the first accepted
+    step where the plateau gate of the module docstring holds about the
+    nearer root with |d| within the reach; a stopped run ends before
+    ``t_span[1]``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -156,10 +173,13 @@ def integrate(
     g, w = -(params.gamma_b / 2.0), 0.5 * params.Omega
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
 
+    record, gated = _stop is None, bool(_stop)
+    if gated:
+        p1, q1, a1, b1, p2, q2, a2, b2, reach = _stop
     ts = [t]
     yrs, yis = [yr], [yi]
     complete = True
-    n_rhs = n_rejected = 0
+    n_rhs = n_rejected = steps = 0
     if t < t_end:
         c = delta + k * (yr * yr + yi * yi + 1.0)
         k1r, k1i = g * yr - c * yi, g * yi + c * yr - w
@@ -185,7 +205,7 @@ def integrate(
         h_abs = min(h1, 100.0 * h0, t_end - t)
         n_rhs = 2
 
-    # The loop takes 4,663 steps on configs/hysteresis.json; a call per stage
+    # The loop takes 2,708 steps on configs/hysteresis.json; a call per stage
     # cost +33 % per step, so it is straight-line float code: each stage is the
     # right-hand side above written out, the error norm is the RMS norm of the
     # initial step, and abs/min/max are comparisons that pick the operand the
@@ -253,19 +273,32 @@ def integrate(
         else:
             complete = False
             break
-        ts.append(t_new)
-        yrs.append(ynr)
-        yis.append(yni)
         t, yr, yi, k1r, k1i = t_new, ynr, yni, k7r, k7i
+        steps += 1
+        if record:
+            ts.append(t)
+            yrs.append(yr)
+            yis.append(yi)
+        elif gated:
+            # 12 eta (2|beta*| + |d|)|d| < 0.01 sqrt(det J) about the nearer
+            # stable root, with |d| within reach
+            xr, xi, zr, zi = yr - p1, yi - q1, yr - p2, yi - q2
+            e1, e2 = xr * xr + xi * xi, zr * zr + zi * zi
+            if e1 <= e2:
+                d = sqrt(e1)
+                if d <= reach and k * (a1 + d) * d < b1:
+                    break
+            else:
+                d = sqrt(e2)
+                if d <= reach and k * (a2 + d) * d < b2:
+                    break
 
-    return Trajectory(
-        t=ts,
-        beta=list(map(complex, yrs, yis)),
-        omega_applied=[params.Omega] * len(ts),
-        complete=complete,
-        n_rhs=n_rhs + 6 * (len(ts) - 1 + n_rejected),
-        n_rejected=n_rejected,
-    )
+    if not record and steps:
+        ts.append(t)
+        yrs.append(yr)
+        yis.append(yi)
+    return Trajectory(ts, list(map(complex, yrs, yis)), [params.Omega] * len(ts), complete,
+                      n_rhs + 6 * (steps + n_rejected), n_rejected)
 
 
 class _RampFields(NamedTuple):
@@ -517,53 +550,72 @@ def _propagate(params: MeanFieldParams, root: complex, beta: complex,
     return end, complex(d2x, d2y)
 
 
-def _stable_roots(params: MeanFieldParams) -> list[tuple[complex, float]]:
-    """(beta*, det J) of each stable steady root; none undamped or where the roots fail."""
-    if not params.gamma_b > 0.0:
-        return []
-    k, u = 12.0 * params.eta, params.u
-    try:
-        slopes = [(n, _curve_slope(u, params.gamma_b, k * n)) for n in steady_occupations(params)]
-        return [(beta_from_n(params, n), det) for n, det in slopes if det > 0.0]
-    except (ValueError, ResonanceError):
-        return []
+def _grid_roots(grid: list[MeanFieldParams]) -> list[list[tuple[complex, float]]]:
+    """(beta*, det J) of each drive's stable steady roots, in one pass over an ascending grid.
+
+    Each drive solves only its outer brackets, each Newton starting at the
+    previous drive's root where that lies in the bracket
+    (:func:`libration.steadystate.steady_occupations` with ``near``).  An
+    undamped drive has none, and so has a drive whose roots fail; the next
+    drive then starts cold.
+    """
+    stable, near = [], []
+    for params in grid:
+        roots = []
+        if params.gamma_b > 0.0:
+            k, u = 12.0 * params.eta, params.u
+            try:
+                near = steady_occupations(params, near)
+                slopes = [(n, _curve_slope(u, params.gamma_b, k * n)) for n in near]
+                roots = [(beta_from_n(params, n), det) for n, det in slopes if det > 0.0]
+            except (ValueError, ResonanceError):
+                near = []
+        stable.append(roots)
+    return stable
 
 
 def _plateau(params: MeanFieldParams, roots: list[tuple[complex, float]], beta: complex,
              dwell: float, tol: float) -> tuple[complex, int, int, bool]:
     """(end state, n_rhs, n_rejected, complete) of a plateau of ``dwell`` seconds from ``beta``.
 
-    ``roots`` are the drive's stable roots, :func:`_stable_roots` of ``params``.
-    DP45 steps chunks of 2/gamma_b until the module docstring's gate holds
-    about the nearest stable root; :func:`_propagate` then finishes the dwell
-    if its estimate 2|d2|/|beta*| is at most ``tol`` and its exponentials are
-    in float range, else DP45 steps another chunk.  Without roots (undamped,
-    or unsolvable) the one chunk is the whole dwell, ungated: one
-    :func:`integrate` call.
+    ``roots`` are the drive's stable roots, from :func:`_grid_roots`.  Where
+    the module docstring's gate does not hold about the nearest stable root at
+    the start, one DP45 run stops at the first step where it does;
+    :func:`_propagate` then finishes the dwell if its estimate 2|d2|/|beta*|
+    is at most ``tol``.  After a refusal DP45 runs on, and the next attempt
+    waits until |d| <= |d_r| sqrt(tol |beta*| / (2|d2|)), as d2 scales as
+    |d|^2.  A closed form whose exponentials leave float range is not tried
+    again: DP45 runs to the end of the dwell, as on a drive without stable
+    roots (undamped, or unsolvable).
     """
-    k = 12.0 * params.eta
-    chunk = 2.0 / params.gamma_b if roots else dwell
-    t, n_rhs, n_rejected, chunks = 0.0, 0, 0, 0
-    while t < dwell:
-        if roots:
-            root, det = min(roots, key=lambda r: abs(beta - r[0]))
-            d = abs(beta - root)
-            if k * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det):
-                try:
-                    end, d2 = _propagate(params, root, beta, dwell - t)
-                except (ArithmeticError, ValueError):  # a phase T Im(l) beyond float range
-                    d2 = math.inf
-                if 2.0 * abs(d2) <= tol * abs(root):
-                    return end, n_rhs, n_rejected, True
-        chunks += 1
-        t_next = min(chunks * chunk, dwell)
-        traj = integrate(params, beta, (0.0, t_next - t), tol=tol)
-        beta, t = traj.beta[-1], t_next
-        n_rhs += traj.n_rhs
-        n_rejected += traj.n_rejected
-        if not traj.complete:
-            return beta, n_rhs, n_rejected, False
-    return beta, n_rhs, n_rejected, True
+    stop, gated = (), False
+    if roots:
+        (r1, det1), (r2, det2) = roots[0], roots[-1]
+        stop = (r1.real, r1.imag, 2.0 * abs(r1), 0.01 * math.sqrt(det1),
+                r2.real, r2.imag, 2.0 * abs(r2), 0.01 * math.sqrt(det2), math.inf)
+        root, det = min(roots, key=lambda r: abs(beta - r[0]))
+        d = abs(beta - root)
+        gated = 12.0 * params.eta * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det)
+    t, n_rhs, n_rejected = 0.0, 0, 0
+    while True:
+        if not gated:  # DP45 until the gate holds after a step, or to the dwell's end
+            traj = integrate(params, beta, (t, dwell), tol=tol, _stop=stop)
+            beta, t = traj.beta[-1], traj.t[-1]
+            n_rhs += traj.n_rhs
+            n_rejected += traj.n_rejected
+            if t == dwell or not traj.complete:  # the run reached its span's end, or failed
+                return beta, n_rhs, n_rejected, traj.complete
+            root, _ = min(roots, key=lambda r: abs(beta - r[0]))
+        gated = False
+        try:
+            end, d2 = _propagate(params, root, beta, dwell - t)
+        except (ArithmeticError, ValueError):  # a phase T Im(l) beyond float range
+            stop = ()
+            continue
+        if 2.0 * abs(d2) <= tol * abs(root):
+            return end, n_rhs, n_rejected, True
+        reach = abs(beta - root) * math.sqrt(tol * abs(root) / (2.0 * abs(d2)))
+        stop = stop[:-1] + (reach,)
 
 
 def _ramp(params: list[MeanFieldParams], roots: list[list[tuple[complex, float]]],
@@ -599,11 +651,15 @@ def quasi_static_sweep(
 
     Each plateau (:func:`_plateau`) runs for ``protocol.dwell`` seconds from
     the end state of the previous one; the ramp stops after the first
-    incomplete plateau.  A dwell much shorter than the damping time cannot
+    incomplete plateau.  The drives' stable roots are solved first, in one
+    pass over the drives in ascending order (:func:`_grid_roots`), whichever
+    way the ramp goes.  A dwell much shorter than the damping time cannot
     settle; that case is run as given (the CLI prints a warning).
     """
-    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol.amplitudes()]
-    return _ramp(params, list(map(_stable_roots, params)), protocol.direction, protocol.dwell,
+    order = 1 if protocol.direction == "up" else -1  # the drives ascending
+    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol.amplitudes()[::order]]
+    roots = _grid_roots(params)
+    return _ramp(params[::order], roots[::order], protocol.direction, protocol.dwell,
                  beta_init, tol, _physical_folds(delta_ml, eta, gamma_b))
 
 
@@ -629,18 +685,18 @@ def hysteresis_sweep(
     """Run an up ramp, then its reverse from the final state, and compare.
 
     Both ramps run plateau by plateau (:func:`_plateau`) on one drive grid:
-    the down ramp visits the up ramp's drives in reverse.  The
-    stable roots of each drive are solved once, into a list in grid order that
-    the up ramp reads forwards and the down ramp backwards, and the fold pair
-    once; the result equals :func:`quasi_static_sweep` up and then down, bit
-    for bit.  The terms (x0 - x1)(y0 + y1)/2 along both ramps are
-    +integral(n_down) on the falling drive and -integral(n_up) on the rising
-    one; ``loop_area`` is their ``math.fsum``.
+    the down ramp visits the up ramp's drives in reverse.  The stable roots
+    of each drive are solved once, in one ascending pass (:func:`_grid_roots`)
+    into a list that the up ramp reads forwards and the down ramp backwards,
+    and the fold pair once; the result equals :func:`quasi_static_sweep` up
+    and then down, bit for bit.  The terms (x0 - x1)(y0 + y1)/2 along both
+    ramps are +integral(n_down) on the falling drive and -integral(n_up) on
+    the rising one; ``loop_area`` is their ``math.fsum``.
     """
     if protocol_up.direction != "up":
         raise ValueError("protocol_up must ramp the amplitude upward")
     params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol_up.amplitudes()]
-    roots = list(map(_stable_roots, params))
+    roots = _grid_roots(params)
     turning = _physical_folds(delta_ml, eta, gamma_b)
     dwell = protocol_up.dwell
     up = _ramp(params, roots, "up", dwell, 0.0j, tol, turning)

@@ -229,7 +229,8 @@ def _cubic_n(params: MeanFieldParams, n: float) -> float:
     return n * (g * g / 4.0 + (u + 12.0 * params.eta * n) ** 2) - params.Omega**2 / 4.0
 
 
-def steady_occupations(params: MeanFieldParams) -> list[float]:
+def steady_occupations(params: MeanFieldParams,
+                       near: Sequence[float] | None = None) -> list[float]:
     """Steady-state occupations n = |beta_0|^2, sorted ascending.
 
     Returns one or three roots of the steady-state cubic, each from its own
@@ -239,6 +240,12 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     An undriven mode (Omega = 0) returns [0.0]: with damping the vacuum is
     the unique fixed point, and the undamped degenerate circle of fixed
     points at u + 12*eta*n = 0 collapses to the same reported state.
+
+    With ``near``, the ascending outer roots of a neighbouring drive (or
+    none), only the outer brackets are solved, not the middle one between
+    the folds: the roots that can be stable.  The lower bracket's Newton
+    starts at near[0] and the upper (or only) one's at near[-1], each where
+    it lies in the bracket, else from Fourier's end as without ``near``.
 
     Raises :class:`ResonanceError` when a root misses |cubic(n)| <=
     RESIDUAL_RTOL * Omega^2/4, and ValueError naming the field when the
@@ -258,11 +265,13 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
     g2_cubic = params.gamma_b * params.gamma_b / 4.0
     g2_slope = params.gamma_b**2 / 4.0
 
-    def solve(lo: float, hi: float, rising: bool) -> float:
-        # Newton from the end where the residual and its curvature
-        # 4u + 6x share a sign (Fourier), so it converges monotonically;
-        # bisection whenever a step would leave the bracket.
-        if (4.0 * u + 6.0 * k * lo < 0.0) == rising:
+    def solve(lo: float, hi: float, rising: bool, start: float | None) -> float:
+        # Newton from ``start``, or from the end where the residual and its
+        # curvature 4u + 6x share a sign (Fourier), so it converges
+        # monotonically; bisection whenever a step would leave the bracket.
+        if start is not None and lo <= start <= hi:
+            n = start
+        elif (4.0 * u + 6.0 * k * lo < 0.0) == rising:
             n = lo
         elif (4.0 * u + 6.0 * k * hi > 0.0) == rising:
             n = hi
@@ -294,15 +303,19 @@ def steady_occupations(params: MeanFieldParams) -> list[float]:
 
     drive_x = 3.0 * params.eta * params.Omega**2
     top = (max(-u, 0.0) + drive_x ** (1.0 / 3.0)) / k
-    brackets = [(0.0, top, True)]
+    first, last = (near[0], near[-1]) if near else (None, None)
+    brackets = [(0.0, top, True, last)]
     folds = _fold_x(u, params.gamma_b)
     if folds is not None:
         (x_low, f_low), (x_high, f_high) = folds
         if x_low > 0.0 and f_high <= drive_x <= f_low:
             n_low, n_high = x_low / k, x_high / k
-            brackets = [(0.0, n_low, True), (n_low, n_high, False), (n_high, top, True)]
+            brackets = [(0.0, n_low, True, first), (n_low, n_high, False, None),
+                        (n_high, top, True, last)]
+            if near is not None:
+                del brackets[1]
     roots = [solve(*b) for b in brackets]
-    for (lo, hi, _), n in zip(brackets, roots):
+    for (lo, hi, _, _), n in zip(brackets, roots):
         residual = _cubic_n(params, n)
         # beta_0 is unbounded on an undamped resonance, passed when Omega^2 underflows
         resonant = u + k * n == 0.0 and params.gamma_b / 2.0 == 0.0

@@ -95,17 +95,27 @@ MUTANTS = [
            "params[::-1], roots[::-1]", "params[::-1], roots[-2::-1] + roots[-1:]",
            ("test_dynamics", "test_standalone")),
     Mutant("plateau-gate-0.1", "dynamics.py",
-           "< 0.01 * math.sqrt(det):", "< 0.1 * math.sqrt(det):",
+           "0.01 * math.sqrt(det1),", "0.1 * math.sqrt(det1),",
+           ("test_dynamics",)),
+    Mutant("plateau-start-gate-0.1", "dynamics.py",
+           "< 0.01 * math.sqrt(det)\n", "< 0.1 * math.sqrt(det)\n",
            ("test_dynamics",)),
     Mutant("plateau-acceptance-without-2", "dynamics.py",
            "if 2.0 * abs(d2) <= tol * abs(root):", "if abs(d2) <= tol * abs(root):",
            ("test_dynamics", "test_propagator")),
-    Mutant("plateau-chunk-4-over-gamma", "dynamics.py",
-           "chunk = 2.0 / params.gamma_b if roots", "chunk = 4.0 / params.gamma_b if roots",
+    Mutant("retry-bound-without-sqrt", "dynamics.py",
+           "abs(beta - root) * math.sqrt(tol * abs(root) / (2.0 * abs(d2)))",
+           "abs(beta - root) * (tol * abs(root) / (2.0 * abs(d2)))",
            ("test_dynamics",)),
-    Mutant("rootless-plateau-two-chunks", "dynamics.py",
-           "if roots else dwell", "if roots else dwell / 2.0",
+    Mutant("stop-test-farthest-root", "dynamics.py",
+           "if e1 <= e2:", "if e1 > e2:",
            ("test_dynamics",)),
+    Mutant("warm-start-from-the-other-bracket", "steadystate.py",
+           "(0.0, n_low, True, first)", "(0.0, n_low, True, last)",
+           ("test_steadystate", "test_dynamics")),
+    Mutant("middle-bracket-kept", "steadystate.py",
+           "            if near is not None:\n                del brackets[1]\n", "",
+           ("test_steadystate", "test_dynamics")),
     Mutant("loop-area-sign", "dynamics.py",
            "(x0 - x1) * (y0 + y1) / 2.0", "(x1 - x0) * (y0 + y1) / 2.0",
            ("test_dynamics",)),

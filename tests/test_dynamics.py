@@ -23,7 +23,11 @@ from libration.dynamics import (
 )
 from libration.model import DWELL_DAMPING_CYCLES, mode_parameters
 from libration.steadystate import (
+    RESIDUAL_RTOL,
     MeanFieldParams,
+    ResonanceError,
+    _cubic_n,
+    _curve_slope,
     beta_from_n,
     steady_occupations,
     turning_points,
@@ -302,12 +306,184 @@ def test_sweep_counts_on_shipped_hysteresis_config():
     _, down_steps, down_rhs = _dp45_ramp(params, proto.reversed(), up[-1], ramp.tolerance)
     assert up_steps + down_steps == 86_988
     assert up_rhs + down_rhs == 564_642
-    # the sweep itself, DP45 only until the closed form takes over: 31,400
-    # evaluations in 208 chunks, and 598 plateaus end in closed form
+    # the sweep itself, DP45 only until the first gated step hands over to
+    # the closed form: 19,090 evaluations, and 598 plateaus end in closed form
     result = _shipped_hysteresis()
     trajectories = (result.up.trajectory, result.down.trajectory)
     assert sum(len(tr.t) for tr in trajectories) == 600
-    assert sum(tr.n_rhs for tr in trajectories) == 31_400
+    assert sum(tr.n_rhs for tr in trajectories) == 19_090
+
+
+def _stop_test(roots, reach=math.inf):
+    """integrate's plateau stop test about a drive's stable roots, as _plateau passes it."""
+    (r1, det1), (r2, det2) = roots[0], roots[-1]
+    return (r1.real, r1.imag, 2.0 * abs(r1), 0.01 * math.sqrt(det1),
+            r2.real, r2.imag, 2.0 * abs(r2), 0.01 * math.sqrt(det2), reach)
+
+
+def _gate_holds(params, roots, beta, reach=math.inf):
+    """The plateau gate by its definition: about the nearest stable root beta*,
+    12 eta (2|beta*| + |d|)|d| < 0.01 sqrt(det J), and |d| <= reach."""
+    root, det = min(roots, key=lambda r: abs(beta - r[0]))
+    d = abs(beta - root)
+    return d <= reach and 12.0 * REF_ETA * (2.0 * abs(root) + d) * d < 0.01 * math.sqrt(det)
+
+
+@pytest.mark.parametrize("omega, start", [
+    (2.0e6, 0.0j), (1.2e7, 0.0j), (6.0e6, 0.0j), (6.0e6, "middle"), (6.0e6, "near low"),
+])
+def test_a_stopped_run_is_a_prefix_of_the_unstopped_run(omega, start):
+    # with a stop test, integrate takes the unstopped run's steps to the bit
+    # and ends at the first accepted step where the test holds, keeping only
+    # the ends; the start state is not tested
+    p = ref_params(omega)
+    if start == "middle":
+        start = beta_from_n(p, steady_occupations(p)[1]) * (1.0 + 1e-3)
+    elif start == "near low":  # the gate holds from the start: one step
+        start = beta_from_n(p, steady_occupations(p)[0]) * (1.0 + 1e-9)
+    roots = dynamics._grid_roots([p])[0]
+    span = (0.0, 20.0 / REF_GAMMA_B)
+    full = integrate(p, start, span, tol=1e-8)
+    last = len(full.t) - 1
+    stops = [next(i for i in range(1, last) if _gate_holds(p, roots, full.beta[i]))]
+    # a reach of a tenth of that stop's distance, and a test that never holds
+    reach = 0.1 * min(abs(full.beta[stops[0]] - r) for r, _ in roots)
+    stops.append(next((i for i in range(1, last) if _gate_holds(p, roots, full.beta[i], reach)),
+                      last))
+    for i, stop in zip(stops + [last], (_stop_test(roots), _stop_test(roots, reach), ())):
+        stopped = integrate(p, start, span, tol=1e-8, _stop=stop)
+        assert stopped.complete and (stopped.t[-1] < span[1]) == (i < last)
+        assert stopped.t == [full.t[0], full.t[i]]
+        assert stopped.beta == [full.beta[0], full.beta[i]]
+        assert stopped.n_rejected <= full.n_rejected
+        assert stopped.n_rhs == 2 + 6 * (i + stopped.n_rejected)
+    assert stopped.n_rhs == full.n_rhs and stops[0] < stops[1]
+    if omega == 6.0e6 and abs(start) > 1.0:
+        assert (stops[0] == 1) == _gate_holds(p, roots, start)
+
+
+def test_a_refused_closed_form_is_retried_at_the_first_step_within_the_bound(monkeypatch):
+    # d2 scales as |d|^2, so after a refusal at d_r the next closed form is
+    # tried at the first DP45 step where the gate holds and |d| is within
+    # |d_r| sqrt(tol |beta*| / (2|d2|))
+    events, real_propagate, real_integrate = [], dynamics._propagate, dynamics.integrate
+
+    def propagate(params, root, beta, T):
+        end, d2 = real_propagate(params, root, beta, T)
+        events.append(("closed", params, root, beta, T, d2))
+        return end, d2
+
+    def run(params, beta, t_span, tol, **plateau):
+        events.append(("dp45", params, beta, t_span))
+        return real_integrate(params, beta, t_span, tol=tol, **plateau)
+
+    monkeypatch.setattr(dynamics, "_propagate", propagate)
+    monkeypatch.setattr(dynamics, "integrate", run)
+    shipped = _shipped_hysteresis.__wrapped__()
+    monkeypatch.undo()
+    tol, up = 1e-8, shipped.up.trajectory.omega_applied
+    grid_roots = dict(zip(up, dynamics._grid_roots([ref_params(w) for w in up])))
+    refusals = [k for k, e in enumerate(events)
+                if e[0] == "closed" and 2.0 * abs(e[5]) > tol * abs(e[2])]
+    assert len(refusals) == 25
+    retries = 0
+    for k in refusals:
+        _, params, root, beta_r, T, d2 = events[k]
+        kind, _, start, span = events[k + 1]
+        assert (kind, start) == ("dp45", beta_r) and span[1] - span[0] == T
+        reach = abs(beta_r - root) * math.sqrt(tol * abs(root) / (2.0 * abs(d2)))
+        roots = grid_roots[params.Omega]
+        full = real_integrate(params, beta_r, span, tol=tol)
+        i = next((i for i, b in enumerate(full.beta) if _gate_holds(params, roots, b, reach)),
+                 None)
+        if i is None:  # DP45 to the end of the dwell; the next plateau starts there
+            following = events[k + 2] if k + 2 < len(events) else None
+            assert following is None or following[2 if following[0] == "dp45" else 3] == \
+                full.beta[-1]
+            continue
+        kind, retried, _, beta, T_retry, _ = events[k + 2]
+        assert (kind, retried, beta) == ("closed", params, full.beta[i])
+        assert T_retry == span[1] - full.t[i]
+        retries += 1
+    assert retries == 24  # one refused plateau runs DP45 to its end
+
+
+def test_every_plateau_but_the_jumps_is_within_10_tol_of_a_tight_sweep():
+    # relative in n, against the same sweep at tol 1e-12; the two jump
+    # plateaus cross to the other branch on DP45 and are within 20 tol (up
+    # 265: 1.5e-7; down 279: 1.2e-8)
+    tol, shipped = 1e-8, _shipped_hysteresis()
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = load_config(root / "configs" / "hysteresis.json")
+    ramp = cfg.ramp
+    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
+    tight = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, proto, tol=1e-12)
+    for sweep, ref in ((shipped.up, tight.up), (shipped.down, tight.down)):
+        n, n_ref = sweep.trajectory.n, ref.trajectory.n
+        errors = [abs(a - b) / b for a, b in zip(n, n_ref)]
+        k_jump = n.index(sweep.jump.n_after)
+        assert max(errors[:k_jump] + errors[k_jump + 1:]) <= 10.0 * tol
+        assert errors[k_jump] <= 20.0 * tol
+    assert (shipped.up.trajectory.n.index(shipped.up.jump.n_after),
+            shipped.down.trajectory.n.index(shipped.down.jump.n_after)) == (265, 279)
+
+
+def test_grid_roots_are_each_drives_steady_roots(monkeypatch):
+    # one ascending pass, each Newton from the previous drive's root: every
+    # drive's outer roots are its own, within the residual contract, and its
+    # stable roots are those with a positive S-curve slope
+    solved, real = [], dynamics.steady_occupations
+
+    def spied(params, near=None):
+        solved.append(real(params, near))
+        return solved[-1]
+
+    monkeypatch.setattr(dynamics, "steady_occupations", spied)
+    tp = turning_points(
+        REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B)
+    up = _shipped_hysteresis().up.trajectory.omega_applied
+    for drives in (up, RampProtocol(0.5 * tp.drive_high, 1.5 * tp.drive_low, 41, 1.0)
+                   .amplitudes()):
+        grid = [ref_params(w) for w in drives]
+        solved.clear()
+        roots = dynamics._grid_roots(grid)
+        assert len(solved) == len(grid)
+        for p, ns, stable in zip(grid, solved, roots):
+            cold = steady_occupations(p)
+            assert len(ns) == min(len(cold), 2)
+            for n, m in zip(ns, (cold[0], cold[-1])):
+                assert abs(_cubic_n(p, n)) <= RESIDUAL_RTOL * p.Omega**2 / 4.0
+                assert n == pytest.approx(m, rel=1e-12, abs=0.0)
+            slopes = [(n, _curve_slope(p.u, p.gamma_b, 12.0 * p.eta * n)) for n in ns]
+            assert stable == [(beta_from_n(p, n), det) for n, det in slopes if det > 0.0]
+            assert len(stable) == len(ns)
+
+
+def test_an_outer_root_with_a_negative_slope_is_not_stable():
+    # within 4e-14 above the up-fold drive the residual contract also admits
+    # occupations by the fold, past it on the unstable side: a cold Newton
+    # from 0 stops there, and the drive has no stable root
+    p = ref_params(9835328.677567387)
+    (n,) = steady_occupations(p)
+    assert _curve_slope(p.u, p.gamma_b, 12.0 * p.eta * n) < 0.0
+    assert dynamics._grid_roots([p]) == [[]]
+
+
+def test_a_drive_whose_roots_fail_has_none_and_the_next_starts_cold(monkeypatch):
+    # a drive beyond float range, or one whose root raises ResonanceError,
+    # gets [] and passes no start on: its neighbours' roots are their own
+    low, high = ref_params(5.0e6), ref_params(6.0e6)
+    alone = [dynamics._grid_roots([low])[0], dynamics._grid_roots([high])[0]]
+    assert dynamics._grid_roots([low, ref_params(1e300), high]) == [alone[0], [], alone[1]]
+    real = dynamics.steady_occupations
+
+    def resonant(params, near=None):
+        if params.Omega == 5.5e6:
+            raise ResonanceError(params, (0.0, 1.0), 0.5, 1.0)
+        return real(params, near)
+
+    monkeypatch.setattr(dynamics, "steady_occupations", resonant)
+    assert dynamics._grid_roots([low, ref_params(5.5e6), high]) == [alone[0], [], alone[1]]
 
 
 def test_default_down_grid_is_the_up_grid_reversed():
@@ -329,9 +505,9 @@ def test_shipped_sweep_solves_each_drive_once(monkeypatch):
     # per plateau (600)
     calls = []
 
-    def counted(params):
+    def counted(params, near=None):
         calls.append(params.Omega)
-        return steady_occupations(params)
+        return steady_occupations(params, near)
 
     monkeypatch.setattr(dynamics, "steady_occupations", counted)
     _shipped_hysteresis.__wrapped__()
@@ -600,14 +776,14 @@ def test_integrate_failure_in_the_up_ramp_propagates(monkeypatch):
 def test_damped_plateau_without_roots_is_one_integrate_call(monkeypatch):
     # where a drive's steady roots cannot be solved, each damped plateau is
     # one integrate call over the whole dwell, DP45 alone, with no closed form
-    def unsolvable(params):
+    def unsolvable(params, near=None):
         raise ValueError("no roots")
 
     spans, real_integrate = [], dynamics.integrate
 
-    def spied(params, beta, t_span, tol):
+    def spied(params, beta, t_span, tol, **plateau):
         spans.append(t_span)
-        return real_integrate(params, beta, t_span, tol=tol)
+        return real_integrate(params, beta, t_span, tol=tol, **plateau)
 
     monkeypatch.setattr(dynamics, "steady_occupations", unsolvable)
     monkeypatch.setattr(dynamics, "integrate", spied)

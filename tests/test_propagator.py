@@ -193,7 +193,7 @@ def _shipped_sweep():
 
 
 def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch):
-    # all 612 closed-form steps of configs/hysteresis.json have nodes over
+    # all 623 closed-form steps of configs/hysteresis.json have nodes over
     # 1/T apart; the sweep on the recursion alone ends in the same bits
     calls = collections.Counter()
     table, recursion = dynamics._separated_divided_differences, dynamics._exp_divided_differences
@@ -210,10 +210,10 @@ def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch
     monkeypatch.setattr(dynamics, "_separated_divided_differences", counted_table)
     monkeypatch.setattr(dynamics, "_exp_divided_differences", counted_recursion)
     ends = _shipped_sweep()
-    assert calls == {"table": 612}
+    assert calls == {"table": 623}
     monkeypatch.setattr(dynamics, "_separated_divided_differences", lambda nodes, T: None)
     assert _shipped_sweep() == ends
-    assert calls == {"table": 612, "recursion": 612}
+    assert calls == {"table": 623, "recursion": 623}
 
 
 def test_stable_roots_inside_the_window_are_the_outer_branches():
@@ -223,11 +223,11 @@ def test_stable_roots_inside_the_window_are_the_outer_branches():
     params = MeanFieldParams(DELTA_ML, 0.5 * (folds.drive_low + folds.drive_high), GAMMA_B, ETA)
     low, middle, high = steady_occupations(params)
     assert _curve_slope(U, GAMMA_B, K * middle) < 0.0
-    assert dynamics._stable_roots(params) == [
+    assert dynamics._grid_roots([params])[0] == [
         (beta_from_n(params, n), _curve_slope(U, GAMMA_B, K * n)) for n in (low, high)]
     # a plateau from the unstable root settles on a stable one
     beta = beta_from_n(params, middle) * (1.0 + 1e-3)
-    end, _, _, complete = dynamics._plateau(params, dynamics._stable_roots(params), beta,
+    end, _, _, complete = dynamics._plateau(params, dynamics._grid_roots([params])[0], beta,
                                             40.0 / GAMMA_B, TOL)
     n_end = abs(end) ** 2
     assert complete and min(abs(n_end - low) / low, abs(n_end - high) / high) < 1e-6
@@ -237,7 +237,7 @@ def _worst_deficit(sweep, proto):
     """The largest settling deficit |beta - beta*| / |beta*| of a sweep's plateaus."""
     worst = 0.0
     for omega, beta in zip(proto.amplitudes(), sweep.trajectory.beta):
-        roots = dynamics._stable_roots(MeanFieldParams(DELTA_ML, omega, GAMMA_B, ETA))
+        roots = dynamics._grid_roots([MeanFieldParams(DELTA_ML, omega, GAMMA_B, ETA)])[0]
         root = min((r for r, _ in roots), key=lambda r: abs(beta - r))
         worst = max(worst, abs(beta - root) / abs(root))
     return worst
@@ -260,21 +260,21 @@ def test_a_closed_form_beyond_float_range_leaves_the_plateau_to_dp45(monkeypatch
     # at gamma_b = 1e-300 and a detuning of 1e10 rad/s the default dwell's
     # phase T Im(l) is beyond float range, and the closed form raises
     far = MeanFieldParams(1e10, 3e6, 1e-300, ETA)
-    (root, _), = dynamics._stable_roots(far)
+    (root, _), = dynamics._grid_roots([far])[0]
     with pytest.raises(ValueError):
         dynamics._propagate(far, root, root * (1.0 + 1e-6), 20.0 / far.gamma_b)
-    # a plateau whose closed form raises steps DP45 chunks of 2/gamma_b to the end
+    # a plateau whose closed form raises is one DP45 run to the end of its dwell
+    tried = []
 
     def beyond(*args):
+        tried.append(args)
         raise ValueError("math domain error")
 
     monkeypatch.setattr(dynamics, "_propagate", beyond)
     params, root, _ = _plateau_at(-4.0 * G2, True)
     beta = root * (1.0 + 1e-6)
     end, n_rhs, n_rejected, complete = dynamics._plateau(
-        params, dynamics._stable_roots(params), beta, 5.0 / GAMMA_B, TOL)
-    work = 0
-    for span in (2.0 / GAMMA_B, 4.0 / GAMMA_B - 2.0 / GAMMA_B, 5.0 / GAMMA_B - 4.0 / GAMMA_B):
-        tr = integrate(params, beta, (0.0, span), tol=TOL)
-        beta, work = tr.beta[-1], work + tr.n_rhs
-    assert complete and (end, n_rhs) == (beta, work)
+        params, dynamics._grid_roots([params])[0], beta, 5.0 / GAMMA_B, TOL)
+    tr = integrate(params, beta, (0.0, 5.0 / GAMMA_B), tol=TOL)
+    assert len(tried) == 1 and tried[0][2] == beta  # the gate holds at the start
+    assert complete and (end, n_rhs, n_rejected) == (tr.beta[-1], tr.n_rhs, tr.n_rejected)

@@ -43,11 +43,11 @@ PINNED_CSV = {
     "bistability/bistability_summary.csv":
         "c86768af4222046a631d06dffa88bceecd7589b32c28030fbc1bc4b9150d4340",
     "hysteresis/hysteresis_up.csv":
-        "ba49294a1e9c67e5a4558d71dfe554da7a1a09e00fe7dfb8beb80675781de224",
+        "fc6407d935926666840797d66b362e771addb1419442c468d30dc4c494a67ec4",
     "hysteresis/hysteresis_down.csv":
-        "f1d721c9e346da51d40e7ab4eeaa07e5902d988d7394f77189c781f5e9071dff",
+        "e1e73702ebe9773c00adbb62bbbc0eb7ae6949f462f9f0d7df2560acb1c0213d",
     "hysteresis/hysteresis_summary.csv":
-        "8ed46ead21a6c3966b93605815d7fc4b20722f517bfab1c4f8eaecd2e5bacc68",
+        "753ac6fde552c83c1c0e747a3a80dbd8d758a233633af7cbef8631517fa8cbf1",
     # phases 0, pi/4 and pi/2; the undamped oracle file is the closed-form one
     **{f"squeeze/squeeze_{kind}_{i}.csv": digest
        for kind in ("closed", "oracle") for i, digest in enumerate((

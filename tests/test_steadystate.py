@@ -573,6 +573,27 @@ def test_solve_at_exact_fold_drive():
             assert ns[0] == ns[1]
 
 
+def test_near_solves_the_outer_brackets_from_the_given_roots():
+    # with ``near`` only the outer, possibly stable roots are solved: from
+    # Fourier's ends when near is empty, the same bits as without it
+    p = ref_params(6.0e6)
+    low, _, high = steady_occupations(p)
+    assert steady_occupations(p, ()) == [low, high]
+    # each Newton starts at its own bracket's entry of near: a start one ulp
+    # off the root already meets the iteration target and comes back as given
+    up = [math.nextafter(low, math.inf), math.nextafter(high, math.inf)]
+    assert all(abs(residual(p, n)) <= 1e-13 * p.Omega**2 / 4.0 for n in up)
+    assert up != [low, high] and steady_occupations(p, up) == up
+    # the only root of a monostable drive starts at near[-1]; a start outside
+    # the bracket is not taken
+    q = ref_params(1.2e7)
+    (n,) = steady_occupations(q)
+    start = math.nextafter(n, math.inf)
+    assert abs(residual(q, start)) <= 1e-13 * q.Omega**2 / 4.0
+    assert steady_occupations(q, [low, start]) == [start]
+    assert steady_occupations(q, [start, 1e300]) == [n]
+
+
 def test_effective_detuning_shift():
     p = ref_params(6.0e6)
     np.testing.assert_allclose(

@@ -7,9 +7,10 @@ next to the moment-equation reference).  Exit codes: 0 success, 1 config
 error (an unusable ``--out`` too), 2 numerical failure.  All outputs are
 deterministic for a fixed config.  ``_TABLES`` declares every CSV column once,
 in order, and which frequencies ``_write_table`` follows by a twin in Hz.
-Grids and preconditions are checked in ``load_config``; a command's own
-config error is a missing section, which ``_COMMANDS`` names.  A run warning
-is one ``warning:`` line on stderr, printed once.
+Grids and preconditions are checked in ``load_config``, and the commands
+take its grids as built (``hysteresis`` ramps over ``RampSettings.grid``).
+A command's own config error is a missing section, which ``_COMMANDS``
+names.  A run warning is one ``warning:`` line on stderr, printed once.
 
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
 the command.  No command loads numpy, whose import would be about half of a
@@ -203,15 +204,14 @@ def cmd_bistability(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
-    from libration.dynamics import RampProtocol, hysteresis_sweep
+    from libration.dynamics import hysteresis_sweep
 
     ramp = cfg.ramp
-    protocol = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
     if cfg.gamma_b > 0.0 and ramp.dwell * cfg.gamma_b < 0.5 * DWELL_DAMPING_CYCLES:
         print(f"warning: dwell*gamma_b = {ramp.dwell * cfg.gamma_b:.2f} < "
               f"{0.5 * DWELL_DAMPING_CYCLES}: sweep is not quasi-static", file=sys.stderr)
-    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, protocol,
-                              tol=ramp.tolerance)
+    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, ramp.grid,
+                              ramp.dwell, tol=ramp.tolerance)
     for sweep in (result.up, result.down):
         if not sweep.trajectory.complete:
             raise NumericalError(f"{sweep.direction}-sweep integration failed")

@@ -24,7 +24,7 @@ here so they hold everywhere downstream:
   ``DWELL_DAMPING_CYCLES / gamma_b``), ``ScanSettings.modes`` (the mode at
   each value of the derive scan's ``grid``; none when a value is a sphere),
   and the checked grids ``SweepSettings.grid``, ``SqueezeSettings.t``,
-  ``ScanSettings.grid`` and the up ramp's drives (not kept).
+  ``ScanSettings.grid`` and ``RampSettings.grid`` (the up ramp's drives).
 
 Validation failures raise :class:`ConfigError` with the dotted path of the
 offending key.  The mode is derived after every section is valid, so a config
@@ -215,9 +215,7 @@ class SweepSettings(NamedTuple):
 
 
 class RampSettings(NamedTuple):
-    amplitude_start: float
-    amplitude_stop: float
-    steps: int
+    grid: tuple[float, ...]  # up-ramp drives, rad/s: _linspace(start, stop, steps)
     dwell: float  # s per step: dwell_s, else DWELL_DAMPING_CYCLES / gamma_b
     tolerance: float
 
@@ -339,7 +337,8 @@ def _parse_ramp(v: dict, gamma_b: float) -> RampSettings:
     if not stop > start:
         _fail("ramp", "amplitude_stop must exceed amplitude_start (the ramp runs up, then back down)")
     (steps,) = _need(v, "ramp", "steps")
-    _checked_linspace(start, stop, steps, "ramp", "amplitude_start_*, amplitude_stop_* and steps")
+    grid = _checked_linspace(start, stop, steps, "ramp",
+                             "amplitude_start_*, amplitude_stop_* and steps")
     dwell = v["dwell_s"]
     if dwell is None:
         if not gamma_b > 0.0:
@@ -349,8 +348,7 @@ def _parse_ramp(v: dict, gamma_b: float) -> RampSettings:
         if not math.isfinite(dwell):
             _fail("ramp", f"the default dwell {DWELL_DAMPING_CYCLES:g} / gamma_b overflows "
                   f"float range at gamma_b = {gamma_b!r} rad/s; give 'dwell_s'")
-    return RampSettings(start, stop, steps, dwell,
-                        1e-8 if v["tolerance"] is None else v["tolerance"])
+    return RampSettings(grid, dwell, 1e-8 if v["tolerance"] is None else v["tolerance"])
 
 
 def _parse_squeeze(v: dict) -> SqueezeSettings:

@@ -31,10 +31,11 @@ has shrunk by sqrt(tol |beta*| / (2|d2|)), as d2 scales as |d|^2.  So a damped
 plateau's work is bounded by its settling time, not its dwell.  Without
 stable roots (undamped, or unsolvable) a plateau is one DP45 run, ungated.
 
-The up and down ramps of a hysteresis sweep walk one grid of drives, the
-down ramp in reverse, and each drive's stable roots are solved once for both,
-in one ascending pass: only the outer brackets of the cubic, each Newton from
-the previous drive's root.  On ``configs/hysteresis.json`` that is 300 steady
+The up and down ramps of a hysteresis sweep walk one list of drives (from
+``hysteresis``, the config's ``RampSettings.grid``), the down ramp in
+reverse, and each drive's stable roots are solved once for both, in one
+ascending pass: only the outer brackets of the cubic, each Newton from the
+previous drive's root.  On ``configs/hysteresis.json`` that is 300 steady
 solves for 600 plateaus.  115 plateaus step DP45, 2,708 steps and 19,090
 right-hand-side evaluations in all; 598 end in closed form, in 623
 closed-form steps (25 refused) whose nodes all lie over 1/T apart, so every
@@ -54,24 +55,21 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from libration.model import _Validated
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
     TurningPoints,
     _curve_slope,
-    _linspace,
+    _drive_grid,
     _physical_folds,
     beta_from_n,
     steady_occupations,
 )
 
 __all__ = [
-    "RampProtocol",
     "Trajectory",
     "SweepResult",
     "JumpEvent",
@@ -299,59 +297,6 @@ def integrate(
         yis.append(yi)
     return Trajectory(ts, list(map(complex, yrs, yis)), [params.Omega] * len(ts), complete,
                       n_rhs + 6 * (steps + n_rejected), n_rejected)
-
-
-class _RampFields(NamedTuple):
-    omega_start: float
-    omega_end: float
-    n_steps: int
-    dwell: float
-
-
-class RampProtocol(_Validated, _RampFields):
-    """Stepped quasi-static ramp of the drive amplitude.
-
-    The drive moves linearly from ``omega_start`` to ``omega_end`` in
-    ``n_steps`` plateaus of ``dwell`` seconds each; the mode relaxes on each
-    plateau before the amplitude moves again.  ``n_steps`` may be of any
-    integral type; it is stored as an int.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, omega_start: float, omega_end: float, n_steps: int, dwell: float):
-        # The count first: math.isfinite overflows on an integer beyond float range.
-        if not hasattr(n_steps, "__index__") or not 3 <= n_steps <= sys.float_info.max:
-            raise ValueError(f"need a finite integer of at least 3 ramp steps, got {n_steps!r}")
-        return super().__new__(cls, omega_start, omega_end, operator.index(n_steps), dwell)
-
-    def _check(self) -> None:
-        fields = (self.omega_start, self.omega_end, self.dwell)
-        if not all(math.isfinite(v) for v in fields):
-            raise ValueError(f"ramp fields must be finite, got {fields!r}")
-        if self.omega_start < 0.0 or self.omega_end < 0.0:
-            raise ValueError("drive amplitudes must be >= 0")
-        if self.omega_start == self.omega_end:
-            raise ValueError("ramp endpoints must differ")
-        if not self.dwell > 0.0:
-            raise ValueError(f"dwell must be positive, got {self.dwell!r}")
-
-    @property
-    def direction(self) -> str:
-        return "up" if self.omega_end > self.omega_start else "down"
-
-    def amplitudes(self) -> list[float]:
-        """The plateau drives in ramp order: ``np.linspace(lo, hi, n_steps)`` bit for bit.
-
-        lo and hi are the lower and higher endpoint; a down ramp takes that grid
-        reversed, so a ramp and its :meth:`reversed` visit the same floats.
-        """
-        lo, hi = sorted((float(self.omega_start), float(self.omega_end)))
-        drives = _linspace(lo, hi, self.n_steps)
-        return drives if self.direction == "up" else drives[::-1]
-
-    def reversed(self) -> "RampProtocol":
-        return RampProtocol(self.omega_end, self.omega_start, self.n_steps, self.dwell)
 
 
 class JumpEvent(NamedTuple):
@@ -619,9 +564,10 @@ def _plateau(params: MeanFieldParams, roots: list[tuple[complex, float]], beta: 
 
 
 def _ramp(params: list[MeanFieldParams], roots: list[list[tuple[complex, float]]],
-          direction: str, dwell: float, beta_init: complex, tol: float,
+          dwell: float, beta_init: complex, tol: float,
           turning: TurningPoints | None) -> SweepResult:
     """The plateaus of ``params`` in order, each about its ``roots``: see quasi_static_sweep."""
+    direction = "up" if params[0].Omega < params[-1].Omega else "down"
     beta, ends = complex(beta_init), []
     n_rhs, n_rejected, complete = 0, 0, True
     for p, stable in zip(params, roots):
@@ -639,28 +585,37 @@ def _ramp(params: list[MeanFieldParams], roots: list[list[tuple[complex, float]]
     return SweepResult(trajectory, jump, direction, turning)
 
 
-def quasi_static_sweep(
-    delta_ml: float,
-    gamma_b: float,
-    eta: float,
-    protocol: RampProtocol,
-    beta_init: complex = 0.0 + 0.0j,
-    tol: float = 1e-8,
-) -> SweepResult:
+def _ramp_grid(delta_ml: float, gamma_b: float, eta: float, drives: Sequence[float],
+               dwell: float, descending: bool) -> tuple[list, list]:
+    """The params and :func:`_grid_roots` of ``drives``, in their order.
+
+    The sweeps' input contract: at least 3 drives, each finite and >= 0,
+    strictly increasing (or, with ``descending``, strictly decreasing), and a
+    finite dwell > 0; else ValueError.  The roots are solved over the drives
+    in ascending order, whichever way they run.
+    """
+    if not 0.0 < dwell < math.inf:
+        raise ValueError(f"dwell must be positive and finite, got {dwell!r}")
+    grid = _drive_grid(drives, 3, descending)
+    order = -1 if grid[0] > grid[-1] else 1
+    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in grid[::order]]
+    return params[::order], _grid_roots(params)[::order]
+
+
+def quasi_static_sweep(delta_ml: float, gamma_b: float, eta: float, drives: Sequence[float],
+                       dwell: float, beta_init: complex = 0.0 + 0.0j,
+                       tol: float = 1e-8) -> SweepResult:
     """Ramp the drive amplitude through its plateaus and record the end states.
 
-    Each plateau (:func:`_plateau`) runs for ``protocol.dwell`` seconds from
-    the end state of the previous one; the ramp stops after the first
-    incomplete plateau.  The drives' stable roots are solved first, in one
-    pass over the drives in ascending order (:func:`_grid_roots`), whichever
-    way the ramp goes.  A dwell much shorter than the damping time cannot
-    settle; that case is run as given (the CLI prints a warning).
+    Each plateau (:func:`_plateau`) of ``drives``, in ramp order up or down
+    (:func:`_ramp_grid`), runs for ``dwell`` seconds from the end state of
+    the previous one; the ramp stops after the first incomplete plateau.  The
+    drives' stable roots are solved first, in one pass (:func:`_grid_roots`).
+    A dwell much shorter than the damping time cannot settle; that case is
+    run as given (the CLI prints a warning).
     """
-    order = 1 if protocol.direction == "up" else -1  # the drives ascending
-    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol.amplitudes()[::order]]
-    roots = _grid_roots(params)
-    return _ramp(params[::order], roots[::order], protocol.direction, protocol.dwell,
-                 beta_init, tol, _physical_folds(delta_ml, eta, gamma_b))
+    params, roots = _ramp_grid(delta_ml, gamma_b, eta, drives, dwell, True)
+    return _ramp(params, roots, dwell, beta_init, tol, _physical_folds(delta_ml, eta, gamma_b))
 
 
 class HysteresisResult(NamedTuple):
@@ -675,32 +630,25 @@ class HysteresisResult(NamedTuple):
     loop_area: float
 
 
-def hysteresis_sweep(
-    delta_ml: float,
-    gamma_b: float,
-    eta: float,
-    protocol_up: RampProtocol,
-    tol: float = 1e-8,
-) -> HysteresisResult:
-    """Run an up ramp, then its reverse from the final state, and compare.
+def hysteresis_sweep(delta_ml: float, gamma_b: float, eta: float, drives: Sequence[float],
+                     dwell: float, tol: float = 1e-8) -> HysteresisResult:
+    """Run an up ramp over ``drives``, then its reverse from the final state, and compare.
 
-    Both ramps run plateau by plateau (:func:`_plateau`) on one drive grid:
-    the down ramp visits the up ramp's drives in reverse.  The stable roots
-    of each drive are solved once, in one ascending pass (:func:`_grid_roots`)
-    into a list that the up ramp reads forwards and the down ramp backwards,
-    and the fold pair once; the result equals :func:`quasi_static_sweep` up
-    and then down, bit for bit.  The terms (x0 - x1)(y0 + y1)/2 along both
-    ramps are +integral(n_down) on the falling drive and -integral(n_up) on
-    the rising one; ``loop_area`` is their ``math.fsum``.
+    ``drives`` must be strictly increasing (:func:`_ramp_grid`).  Both
+    ramps run plateau by plateau (:func:`_plateau`), ``dwell`` seconds each,
+    on that one grid: the down ramp visits the drives in reverse.  The stable
+    roots of each drive are solved once, in one ascending pass
+    (:func:`_grid_roots`) into a list that the up ramp reads forwards and the
+    down ramp backwards, and the fold pair once; the result equals
+    :func:`quasi_static_sweep` up and then down, bit for bit.  The terms
+    (x0 - x1)(y0 + y1)/2 along both ramps are +integral(n_down) on the
+    falling drive and -integral(n_up) on the rising one; ``loop_area`` is
+    their ``math.fsum``.
     """
-    if protocol_up.direction != "up":
-        raise ValueError("protocol_up must ramp the amplitude upward")
-    params = [MeanFieldParams(delta_ml, w, gamma_b, eta) for w in protocol_up.amplitudes()]
-    roots = _grid_roots(params)
+    params, roots = _ramp_grid(delta_ml, gamma_b, eta, drives, dwell, False)
     turning = _physical_folds(delta_ml, eta, gamma_b)
-    dwell = protocol_up.dwell
-    up = _ramp(params, roots, "up", dwell, 0.0j, tol, turning)
-    down = _ramp(params[::-1], roots[::-1], "down", dwell, up.trajectory.beta[-1], tol, turning)
+    up = _ramp(params, roots, dwell, 0.0j, tol, turning)
+    down = _ramp(params[::-1], roots[::-1], dwell, up.trajectory.beta[-1], tol, turning)
     terms = []
     for sweep in (up, down):
         x, y = sweep.trajectory.omega_applied, sweep.trajectory.n

@@ -265,7 +265,7 @@ def steady_occupations(params: MeanFieldParams,
     g2_cubic = params.gamma_b * params.gamma_b / 4.0
     g2_slope = params.gamma_b**2 / 4.0
 
-    def solve(lo: float, hi: float, rising: bool, start: float | None) -> float:
+    def solve(lo: float, hi: float, rising: bool, start: float | None) -> tuple[float, float]:
         # Newton from ``start``, or from the end where the residual and its
         # curvature 4u + 6x share a sign (Fourier), so it converges
         # monotonically; bisection whenever a step would leave the bracket.
@@ -278,15 +278,15 @@ def steady_occupations(params: MeanFieldParams,
         else:
             n = 0.5 * (lo + hi)
         # on the resonance the residual is rounding noise that can stall
-        # short of tol: keep the smallest one seen
-        best_f, best = math.inf, n
+        # short of tol: return the smallest one seen, and its iterate
+        best_abs, best, best_f = math.inf, n, math.inf
         for _ in range(200):  # under 70 needed over the whole ROADMAP range
             # _cubic_n and _curve_slope written out, to the bit
             x = k * n
             f = n * (g2_cubic + (u + x) ** 2) - target
             abs_f = f if f >= 0.0 else -f
-            if abs_f < best_f:
-                best_f, best = abs_f, n
+            if abs_f < best_abs:
+                best_abs, best, best_f = abs_f, n, f
             if abs_f <= tol:
                 break
             if (f < 0.0) == rising:
@@ -299,7 +299,7 @@ def steady_occupations(params: MeanFieldParams,
                 n = 0.5 * (lo + hi)
                 if not lo < n < hi:
                     break
-        return best
+        return best, best_f
 
     drive_x = 3.0 * params.eta * params.Omega**2
     top = (max(-u, 0.0) + drive_x ** (1.0 / 3.0)) / k
@@ -314,14 +314,13 @@ def steady_occupations(params: MeanFieldParams,
                         (n_high, top, True, last)]
             if near is not None:
                 del brackets[1]
-    roots = [solve(*b) for b in brackets]
-    for (lo, hi, _, _), n in zip(brackets, roots):
-        residual = _cubic_n(params, n)
+    solved = [solve(*b) for b in brackets]
+    for (lo, hi, _, _), (n, residual) in zip(brackets, solved):
         # beta_0 is unbounded on an undamped resonance, passed when Omega^2 underflows
         resonant = u + k * n == 0.0 and params.gamma_b / 2.0 == 0.0
         if resonant or not abs(residual) <= RESIDUAL_RTOL * target:
             raise ResonanceError(params, (lo, hi), n, residual)
-    return roots
+    return [n for n, _ in solved]
 
 
 def beta_from_n(params: MeanFieldParams, n: float) -> complex:
@@ -475,6 +474,22 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return points + [hi]
 
 
+def _drive_grid(drives: Sequence[float], least: int = 1, descending: bool = False) -> list[float]:
+    """``drives`` as floats: at least ``least``, each finite and >= 0, strictly
+    increasing (or, with ``descending``, decreasing); else ValueError."""
+    grid = [float(w) for w in drives]
+    if len(grid) < least:
+        raise ValueError(f"need {least} or more drive amplitudes, got {len(grid)}")
+    bad = [w for w in grid if not 0.0 <= w < math.inf]
+    if bad:
+        raise ValueError(f"drive amplitudes must be finite and >= 0, got {bad[0]!r}")
+    pairs = list(zip(grid, grid[1:]))
+    if not (all(a < b for a, b in pairs) or descending and all(a > b for a, b in pairs)):
+        order = "increasing or decreasing" if descending else "increasing"
+        raise ValueError(f"drive amplitude grid must be strictly {order}")
+    return grid
+
+
 def sweep_diagram(
     drive_amplitudes: Sequence[float],
     delta_ml: float,
@@ -490,11 +505,7 @@ def sweep_diagram(
     degenerates to a monotone curve with an inflection.  The fold pair is that
     of :func:`_physical_folds` at delta_ml, the same as the branches'.
     """
-    grid = [float(w) for w in drive_amplitudes]
-    if not grid:
-        raise ValueError("drive amplitude grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("drive amplitude grid must be strictly increasing")
+    grid = _drive_grid(drive_amplitudes)
     omega_ml = omega_t + delta_ml
     _, omega_c = bistability_condition(omega_ml, omega_t, eta, gamma_b)
     delta = omega_ml - omega_c

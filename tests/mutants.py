@@ -89,7 +89,16 @@ MUTANTS = [
            "g2_slope = math.nextafter(params.gamma_b**2 / 4.0, math.inf)",
            ("test_steadystate",)),
     Mutant("down-grid-not-reversed", "dynamics.py",
-           'return drives if self.direction == "up" else drives[::-1]', "return drives",
+           "down = _ramp(params[::-1], roots[::-1],", "down = _ramp(params, roots,",
+           ("test_dynamics",)),
+    Mutant("drive-grid-monotone-unchecked", "steadystate.py",
+           "    if not (all(a < b for a, b in pairs) or descending and all(a > b for a, b in pairs)"
+           "):\n",
+           "    if False:\n",
+           ("test_dynamics", "test_steadystate")),
+    Mutant("hysteresis-sweep-may-descend", "dynamics.py",
+           "_ramp_grid(delta_ml, gamma_b, eta, drives, dwell, False)",
+           "_ramp_grid(delta_ml, gamma_b, eta, drives, dwell, True)",
            ("test_dynamics",)),
     Mutant("down-ramp-roots-one-off", "dynamics.py",
            "params[::-1], roots[::-1]", "params[::-1], roots[-2::-1] + roots[-1:]",
@@ -139,9 +148,9 @@ MUTANTS = [
            "if not all(map(math.isfinite, s_theta + s_j)):\n            pass",
            ("test_standalone", "test_squeezing", "test_config_cli")),
     Mutant("ramp-grid-unchecked", "config.py",
-           '    _checked_linspace(start, stop, steps, "ramp", '
-           '"amplitude_start_*, amplitude_stop_* and steps")\n',
-           "", ("test_config_cli", "test_config_keys")),
+           '_checked_linspace(start, stop, steps, "ramp",\n'
+           '                             "amplitude_start_*, amplitude_stop_* and steps")',
+           "tuple(_linspace(start, stop, steps))", ("test_config_cli", "test_config_keys")),
     Mutant("scan-grid-unchecked", "config.py",
            '_checked_linspace(lo, hi, points, "derive", "min, max and points")',
            "tuple(_linspace(lo, hi, points))", ("test_config_cli", "test_config_keys")),

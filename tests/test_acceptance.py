@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from libration.dynamics import RampProtocol, hysteresis_sweep
+from libration.dynamics import hysteresis_sweep
 from libration.model import (
     DWELL_DAMPING_CYCLES,
     REFERENCE_DELTA_ML,
@@ -22,6 +22,7 @@ from libration.model import (
 from libration.squeezing import SqueezeParams, exponential_angle, moment_oracle
 from libration.steadystate import (
     MeanFieldParams,
+    _linspace,
     bistability_condition,
     solve_branches,
     steady_occupations,
@@ -242,8 +243,8 @@ def test_criterion_08_hysteresis():
     ]
     fit_ok = max(abs(r) for r in residuals) < 0.10
 
-    protocol = RampProtocol(2.35e6, 1.08e7, 300, DWELL_DAMPING_CYCLES / gamma_b)
-    result = hysteresis_sweep(REFERENCE_DELTA_ML, gamma_b, mode.eta, protocol)
+    result = hysteresis_sweep(REFERENCE_DELTA_ML, gamma_b, mode.eta,
+                              _linspace(2.35e6, 1.08e7, 300), DWELL_DAMPING_CYCLES / gamma_b)
     up_err = down_err = math.nan
     if result.up.jump is not None and result.down.jump is not None:
         up_err = abs(result.up.jump.drive - tp.drive_low) / tp.drive_low
@@ -251,10 +252,8 @@ def test_criterion_08_hysteresis():
     inside_ok = up_err < 0.02 and down_err < 0.02 and result.loop_area > 0.0
 
     # outside the window (blue detuning) the ramp retraces with no loop
-    mono = hysteresis_sweep(
-        +TWO_PI * 500.0, gamma_b, mode.eta,
-        RampProtocol(1.0e6, 6.0e6, 60, DWELL_DAMPING_CYCLES / gamma_b),
-    )
+    mono = hysteresis_sweep(+TWO_PI * 500.0, gamma_b, mode.eta, _linspace(1.0e6, 6.0e6, 60),
+                            DWELL_DAMPING_CYCLES / gamma_b)
     up = mono.up.trajectory
     span = (up.omega_applied[-1] - up.omega_applied[0]) * float(np.max(up.n))
     outside_ok = (

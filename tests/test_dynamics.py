@@ -1,6 +1,8 @@
+import csv
 import functools
 import math
 import os
+import re
 
 from pathlib import Path
 
@@ -11,9 +13,9 @@ from scipy.integrate import solve_ivp
 
 import libration
 from libration import dynamics
-from libration.config import load_config
+from libration.cli import main
+from libration.config import ConfigError, _parse_ramp, load_config
 from libration.dynamics import (
-    RampProtocol,
     Trajectory,
     _fold_crossing,
     hysteresis_sweep,
@@ -28,6 +30,7 @@ from libration.steadystate import (
     ResonanceError,
     _cubic_n,
     _curve_slope,
+    _linspace,
     beta_from_n,
     steady_occupations,
     turning_points,
@@ -186,15 +189,15 @@ def test_pair_kernel_is_bit_identical_to_complex_stepper():
             _assert_same_steps(bistable, beta0, (0.0, dwell), tol)
 
 
-def _dp45_ramp(params, protocol, beta, tol):
+def _dp45_ramp(params, drives, dwell, beta, tol):
     """A ramp with every plateau one ``integrate`` call over the dwell, DP45 alone.
 
     Returns the plateau end states, the accepted steps and the right-hand-side
     evaluations: the sweep as it was stepped before the closed form.
     """
     ends, steps, n_rhs = [], 0, 0
-    for w in protocol.amplitudes():
-        tr = integrate(params._replace(Omega=float(w)), beta, (0.0, protocol.dwell), tol=tol)
+    for w in drives:
+        tr = integrate(params._replace(Omega=float(w)), beta, (0.0, dwell), tol=tol)
         beta = tr.beta[-1]
         ends.append(beta)
         steps += len(tr.t) - 1
@@ -206,20 +209,17 @@ def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
     tp = turning_points(
         REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
     )
-    proto = RampProtocol(
-        0.8 * tp.drive_high, 1.1 * tp.drive_low, 40, DWELL_DAMPING_CYCLES / REF_GAMMA_B
-    )
+    lo, hi = 0.8 * tp.drive_high, 1.1 * tp.drive_low
+    drives, dwell = _linspace(lo, hi, 40), DWELL_DAMPING_CYCLES / REF_GAMMA_B
     # undamped, each plateau is one integrate call: the complex stepper's steps to the bit
     undamped = MeanFieldParams(delta_ml=REF_DELTA_ML, Omega=0.0, gamma_b=0.0, eta=REF_ETA)
-    short = RampProtocol(proto.omega_start, proto.omega_end, 12, 1e-3)
-    result = hysteresis_sweep(REF_DELTA_ML, 0.0, REF_ETA, short)
+    result = hysteresis_sweep(REF_DELTA_ML, 0.0, REF_ETA, _linspace(lo, hi, 12), 1e-3)
     beta = 0.0j
     for sweep in (result.up, result.down):
         ends = []
         n_rhs = n_rejected = 0
         for w in sweep.trajectory.omega_applied:
-            tr = _assert_same_steps(undamped._replace(Omega=float(w)), beta, (0.0, short.dwell),
-                                    1e-8)
+            tr = _assert_same_steps(undamped._replace(Omega=float(w)), beta, (0.0, 1e-3), 1e-8)
             beta = tr.beta[-1]
             ends.append(beta)
             n_rhs += tr.n_rhs
@@ -233,23 +233,22 @@ def test_ramp_across_both_folds_is_bit_identical_to_complex_stepper():
     # DP45 alone and are as accurate as DP45 at the sweep's tol; the jumps
     # fall on the plateaus of the DP45-only sweep
     tol = 1e-8
-    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto, tol=tol)
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell, tol=tol)
     damped = ref_params(0.0)
     beta = 0.0j
-    for sweep, ramp in ((result.up, proto), (result.down, proto.reversed())):
-        dp45, _, _ = _dp45_ramp(damped, ramp, beta, tol)
+    for sweep, ramp in ((result.up, drives), (result.down, drives[::-1])):
+        dp45, _, _ = _dp45_ramp(damped, ramp, dwell, beta, tol)
         jump = sweep.jump
         assert jump is not None
         k_jump = sweep.trajectory.n.index(jump.n_after)
         dp45_n = [b.real * b.real + b.imag * b.imag for b in dp45]
-        assert _fold_crossing(ramp.amplitudes(), dp45_n, REF_DELTA_ML, REF_ETA, sweep.turning,
+        assert _fold_crossing(ramp, dp45_n, REF_DELTA_ML, REF_ETA, sweep.turning,
                               sweep.direction).drive == jump.drive
-        for k, (w, end, n) in enumerate(zip(ramp.amplitudes(), sweep.trajectory.beta,
-                                            sweep.trajectory.n)):
+        for k, (w, end, n) in enumerate(zip(ramp, sweep.trajectory.beta, sweep.trajectory.n)):
             p = damped._replace(Omega=w)
-            n_ref = abs(integrate(p, beta, (0.0, ramp.dwell), tol=1e-12).beta[-1]) ** 2
+            n_ref = abs(integrate(p, beta, (0.0, dwell), tol=1e-12).beta[-1]) ** 2
             if k == k_jump:
-                n_dp45 = abs(integrate(p, beta, (0.0, ramp.dwell), tol=tol).beta[-1]) ** 2
+                n_dp45 = abs(integrate(p, beta, (0.0, dwell), tol=tol).beta[-1]) ** 2
                 bound = max(10.0 * tol * n_ref, 2.0 * abs(n_dp45 - n_ref))
             else:
                 bound = 10.0 * tol * n_ref
@@ -286,10 +285,9 @@ def _shipped_hysteresis():
     root = Path(libration.__file__).resolve().parents[2]
     cfg = load_config(root / "configs" / "hysteresis.json")
     mode = mode_parameters(cfg.particle, cfg.trap)
-    delta_ml = cfg.drive.delta_ml
     ramp = cfg.ramp
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    return hysteresis_sweep(delta_ml, cfg.gamma_b, mode.eta, proto, tol=cfg.ramp.tolerance)
+    return hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, mode.eta, ramp.grid, ramp.dwell,
+                            tol=ramp.tolerance)
 
 
 def test_sweep_counts_on_shipped_hysteresis_config():
@@ -301,9 +299,9 @@ def test_sweep_counts_on_shipped_hysteresis_config():
     ramp = cfg.ramp
     params = MeanFieldParams(delta_ml=cfg.drive.delta_ml, Omega=0.0, gamma_b=cfg.gamma_b,
                              eta=cfg.mode.eta)
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    up, up_steps, up_rhs = _dp45_ramp(params, proto, 0.0j, ramp.tolerance)
-    _, down_steps, down_rhs = _dp45_ramp(params, proto.reversed(), up[-1], ramp.tolerance)
+    up, up_steps, up_rhs = _dp45_ramp(params, ramp.grid, ramp.dwell, 0.0j, ramp.tolerance)
+    _, down_steps, down_rhs = _dp45_ramp(params, ramp.grid[::-1], ramp.dwell, up[-1],
+                                         ramp.tolerance)
     assert up_steps + down_steps == 86_988
     assert up_rhs + down_rhs == 564_642
     # the sweep itself, DP45 only until the first gated step hands over to
@@ -416,8 +414,8 @@ def test_every_plateau_but_the_jumps_is_within_10_tol_of_a_tight_sweep():
     root = Path(libration.__file__).resolve().parents[2]
     cfg = load_config(root / "configs" / "hysteresis.json")
     ramp = cfg.ramp
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    tight = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, proto, tol=1e-12)
+    tight = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, ramp.grid,
+                             ramp.dwell, tol=1e-12)
     for sweep, ref in ((shipped.up, tight.up), (shipped.down, tight.down)):
         n, n_ref = sweep.trajectory.n, ref.trajectory.n
         errors = [abs(a - b) / b for a, b in zip(n, n_ref)]
@@ -442,8 +440,7 @@ def test_grid_roots_are_each_drives_steady_roots(monkeypatch):
     tp = turning_points(
         REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B)
     up = _shipped_hysteresis().up.trajectory.omega_applied
-    for drives in (up, RampProtocol(0.5 * tp.drive_high, 1.5 * tp.drive_low, 41, 1.0)
-                   .amplitudes()):
+    for drives in (up, _linspace(0.5 * tp.drive_high, 1.5 * tp.drive_low, 41)):
         grid = [ref_params(w) for w in drives]
         solved.clear()
         roots = dynamics._grid_roots(grid)
@@ -486,18 +483,22 @@ def test_a_drive_whose_roots_fail_has_none_and_the_next_starts_cold(monkeypatch)
     assert dynamics._grid_roots([low, ref_params(5.5e6), high]) == [alone[0], [], alone[1]]
 
 
-def test_default_down_grid_is_the_up_grid_reversed():
-    # a ramp and its reverse visit the same floats, where linspace(hi, lo, n)
-    # would differ from the up grid in the last bit at 72 of the 300 drives
-    # of configs/hysteresis.json
+def test_default_down_grid_is_the_up_grid_reversed(tmp_path):
+    # the CLI's up and down omega_applied are load_config's grid and its
+    # reverse, bit for bit, where linspace(hi, lo, n) would differ from the up
+    # grid in the last bit at 72 of the 300 drives of configs/hysteresis.json
     root = Path(libration.__file__).resolve().parents[2]
-    ramp = load_config(root / "configs" / "hysteresis.json").ramp
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, 1e-3)
-    up = proto.amplitudes()
-    assert [v.hex() for v in proto.reversed().amplitudes()] == [v.hex() for v in up[::-1]]
-    result = _shipped_hysteresis()
-    assert result.up.trajectory.omega_applied == up
-    assert result.down.trajectory.omega_applied == up[::-1]
+    grid = load_config(root / "configs" / "hysteresis.json").ramp.grid
+    assert sum(a != b for a, b in zip(np.linspace(grid[-1], grid[0], len(grid)), grid[::-1])) \
+        == 72
+    assert main(["hysteresis", "--config", str(root / "configs" / "hysteresis.json"),
+                 "--out", str(tmp_path)]) == 0
+    columns = {}
+    for direction in ("up", "down"):
+        with open(tmp_path / f"hysteresis_{direction}.csv") as f:
+            columns[direction] = [float(row["omega_applied"]) for row in csv.DictReader(f)]
+    assert [w.hex() for w in columns["up"]] == [w.hex() for w in grid]
+    assert [w.hex() for w in columns["down"]] == [w.hex() for w in grid[::-1]]
 
 
 def test_shipped_sweep_solves_each_drive_once(monkeypatch):
@@ -529,10 +530,8 @@ def _interpolated_loop_area(result):
 def test_loop_area_matches_interpolated_trapezoid():
     # on the shipped bistable ramp and on a monostable one, whose area is a
     # cancellation residue ~1e-7 of the integrals it is the difference of
-    monostable = hysteresis_sweep(
-        2.0 * math.pi * 500.0, REF_GAMMA_B, REF_ETA,
-        RampProtocol(1.0e6, 6.0e6, 60, DWELL_DAMPING_CYCLES / REF_GAMMA_B),
-    )
+    monostable = hysteresis_sweep(2.0 * math.pi * 500.0, REF_GAMMA_B, REF_ETA,
+                                  _linspace(1.0e6, 6.0e6, 60), DWELL_DAMPING_CYCLES / REF_GAMMA_B)
     for result, cancels in ((_shipped_hysteresis(), False), (monostable, True)):
         area, scale = _interpolated_loop_area(result)
         # relative to the area itself where it does not cancel
@@ -542,8 +541,8 @@ def test_loop_area_matches_interpolated_trapezoid():
 def test_occupation_is_the_rhs_expression():
     # n is re*re + im*im, the occupation the right-hand side uses, to the bit
     # (numpy's |beta|^2 differs from it in the last bit on many samples)
-    proto = RampProtocol(2.35e6, 1.08e7, 12, DWELL_DAMPING_CYCLES / REF_GAMMA_B)
-    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, _linspace(2.35e6, 1.08e7, 12),
+                               DWELL_DAMPING_CYCLES / REF_GAMMA_B)
     tr = integrate(ref_params(6.0e6), 3.0 - 1.0j, (0.0, 1e-3))
     for owner in (tr, sweep.trajectory):
         assert owner.n == [b.real * b.real + b.imag * b.imag for b in owner.beta]
@@ -555,21 +554,22 @@ def test_occupation_is_the_rhs_expression():
     lo=st.one_of(st.just(0.0), st.floats(0.0, 1e12)),
     span=st.floats(5e-324, 1e12),
     n=st.integers(3, 2000),
-    numpy_int=st.booleans(),
-    downward=st.booleans(),
 )
-def test_ramp_amplitudes_are_numpy_linspace(lo, span, n, numpy_int, downward):
+def test_ramp_amplitudes_are_numpy_linspace(lo, span, n):
+    # the up ramp's drives that load_config keeps, RampSettings.grid, are
+    # np.linspace(start, stop, steps) bit for bit; a grid whose points collide
+    # is a config error
     hi = lo + span
     if not hi > lo:
         return
-    # a downward ramp takes the ascending grid reversed
-    start, stop = (hi, lo) if downward else (lo, hi)
-    proto = RampProtocol(start, stop, np.int64(n) if numpy_int else n, 1e-3)
-    assert type(proto.n_steps) is int
     grid = np.linspace(lo, hi, n).tolist()
-    assert [v.hex() for v in proto.amplitudes()] == [
-        v.hex() for v in (grid[::-1] if downward else grid)
-    ]
+    ramp = {"amplitude_start": lo, "amplitude_stop": hi, "steps": n, "dwell_s": 1e-3,
+            "tolerance": None}
+    if all(a < b for a, b in zip(grid, grid[1:])):
+        assert [v.hex() for v in _parse_ramp(ramp, REF_GAMMA_B).grid] == [v.hex() for v in grid]
+    else:
+        with pytest.raises(ConfigError, match="collide"):
+            _parse_ramp(ramp, REF_GAMMA_B)
 
 
 def test_unusable_initial_step_returns_start_state():
@@ -621,33 +621,34 @@ def test_zero_length_span_returns_start_state():
     assert (tr.n_rhs, tr.n_rejected) == (0, 0)
 
 
-def test_ramp_protocol_basics():
-    proto = RampProtocol(1.0e6, 2.0e6, 11, 1e-3)
-    amps = proto.amplitudes()
-    assert amps[0] == 1.0e6 and amps[-1] == 2.0e6 and len(amps) == 11
-    assert proto.direction == "up"
-    assert proto.reversed().direction == "down"
-    np.testing.assert_array_equal(proto.reversed().amplitudes(), amps[::-1])
-    with pytest.raises(ValueError):
-        RampProtocol(1.0e6, 2.0e6, 2, 1e-3)
-    for steps in (10.5, 10.0):  # np.linspace needs an integer count
-        with pytest.raises(ValueError, match="integer"):
-            RampProtocol(1.0e6, 2.0e6, steps, 1e-3)
-    assert len(RampProtocol(1.0e6, 2.0e6, np.int64(5), 1e-3).amplitudes()) == 5
-    with pytest.raises(ValueError):
-        RampProtocol(1.0e6, 1.0e6, 5, 1e-3)
-    with pytest.raises(ValueError):
-        RampProtocol(1.0e6, 2.0e6, 5, 0.0)
-    for bad in ((1.0e6, 2.0e6, 5, math.inf), (1.0e6, math.nan, 5, 1e-3),
-                (math.inf, 2.0e6, 5, 1e-3), (1.0e6, 2.0e6, math.inf, 1e-3),
-                (1.0e6, 2.0e6, 10**400, 1e-3)):  # a count beyond float range
-        with pytest.raises(ValueError, match="finite"):
-            RampProtocol(*bad)
+@pytest.mark.parametrize("drives, dwell, message", [
+    ([1.0e6, 2.0e6], 1e-3, "need 3 or more drive amplitudes, got 2"),
+    ([1.0e6, 1.5e6, 1.5e6], 1e-3, "drive amplitude grid must be strictly increasing"),
+    ([1.0e6, 2.0e6, 1.5e6], 1e-3, "drive amplitude grid must be strictly increasing"),
+    ([2.0e6, 1.5e6, 1.0e6], 1e-3, "drive amplitude grid must be strictly increasing"),
+    ([-1.0, 1.0e6, 2.0e6], 1e-3, "drive amplitudes must be finite and >= 0, got -1.0"),
+    ([1.0e6, 2.0e6, math.inf], 1e-3, "drive amplitudes must be finite and >= 0, got inf"),
+    ([1.0e6, math.nan, 2.0e6], 1e-3, "drive amplitudes must be finite and >= 0, got nan"),
+    ([1.0e6, 1.5e6, 2.0e6], 0.0, "dwell must be positive and finite, got 0.0"),
+    ([1.0e6, 1.5e6, 2.0e6], math.inf, "dwell must be positive and finite, got inf"),
+    ([1.0e6, 1.5e6, 2.0e6], math.nan, "dwell must be positive and finite, got nan"),
+], ids=["two-drives", "repeated", "not-monotone", "descending", "negative", "infinite", "nan",
+        "zero-dwell", "infinite-dwell", "nan-dwell"])
+def test_sweeps_check_their_drives_and_dwell(drives, dwell, message):
+    # at least 3 finite drives >= 0, strictly monotone, and a finite dwell > 0;
+    # a hysteresis sweep's drives ascend, a quasi-static ramp's go either way
+    # (its message reads "increasing or decreasing")
+    for sweep in (hysteresis_sweep, quasi_static_sweep):
+        if sweep is quasi_static_sweep and drives[0] > drives[-1]:  # a down ramp
+            assert sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell).direction == "down"
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell)
 
 
 def test_plateaus_track_steady_branch():
-    proto = RampProtocol(1.0e6, 2.5e6, 25, DWELL_DAMPING_CYCLES / REF_GAMMA_B)
-    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, _linspace(1.0e6, 2.5e6, 25),
+                               DWELL_DAMPING_CYCLES / REF_GAMMA_B)
     assert sweep.direction == "up"
     assert len(sweep.trajectory.omega_applied) == 25
     for w, n in zip(sweep.trajectory.omega_applied, sweep.trajectory.n):
@@ -659,11 +660,10 @@ def test_hysteresis_jumps_and_loop():
     tp = turning_points(
         REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
     )
-    proto = RampProtocol(
-        0.8 * tp.drive_high, 1.1 * tp.drive_low, 120, DWELL_DAMPING_CYCLES / REF_GAMMA_B
-    )
-    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
-    step = proto.amplitudes()[1] - proto.amplitudes()[0]
+    drives = _linspace(0.8 * tp.drive_high, 1.1 * tp.drive_low, 120)
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives,
+                              DWELL_DAMPING_CYCLES / REF_GAMMA_B)
+    step = drives[1] - drives[0]
     up, down = result.up.jump, result.down.jump
     assert up is not None and down is not None
     assert abs(up.drive - tp.drive_low) < 1.5 * step
@@ -685,8 +685,8 @@ def test_short_dwell_cold_start_is_not_a_jump():
     tp = turning_points(
         REF_DELTA_ML + 12.0 * REF_ETA + SQRT3 * REF_GAMMA_B / 2.0, REF_ETA, REF_GAMMA_B
     )
-    proto = RampProtocol(2.35e6, 1.08e7, 100, 5.0 / REF_GAMMA_B)
-    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, _linspace(2.35e6, 1.08e7, 100),
+                              5.0 / REF_GAMMA_B)
     jump = result.up.jump
     assert jump is not None
     assert jump.n_before <= tp.n_low < jump.n_after
@@ -695,8 +695,8 @@ def test_short_dwell_cold_start_is_not_a_jump():
 def test_monostable_sweep_has_no_loop():
     # blue-detuned: single branch everywhere, up and down retrace each other
     delta_ml = +2.0 * math.pi * 500.0
-    proto = RampProtocol(1.0e6, 6.0e6, 60, DWELL_DAMPING_CYCLES / REF_GAMMA_B)
-    result = hysteresis_sweep(delta_ml, REF_GAMMA_B, REF_ETA, proto)
+    result = hysteresis_sweep(delta_ml, REF_GAMMA_B, REF_ETA, _linspace(1.0e6, 6.0e6, 60),
+                              DWELL_DAMPING_CYCLES / REF_GAMMA_B)
     assert result.up.jump is None and result.down.jump is None
     up, down = result.up.trajectory, result.down.trajectory
     n_scale = float(np.max(up.n))
@@ -747,10 +747,10 @@ def _bits(trajectory):
 ], ids=["damped", "undamped", "long-dwell"])
 def test_hysteresis_sweep_is_two_plain_ramps(gamma_b, steps, dwell):
     # the sweep equals quasi_static_sweep up and then down from its end, bit for bit
-    proto = RampProtocol(2.35e6, 1.08e7, steps, dwell)
-    result = hysteresis_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto)
-    up = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto)
-    down = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, proto.reversed(),
+    drives = _linspace(2.35e6, 1.08e7, steps)
+    result = hysteresis_sweep(REF_DELTA_ML, gamma_b, REF_ETA, drives, dwell)
+    up = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, drives, dwell)
+    down = quasi_static_sweep(REF_DELTA_ML, gamma_b, REF_ETA, drives[::-1], dwell,
                               up.trajectory.beta[-1])
     for got, want in ((result.up, up), (result.down, down)):
         assert _bits(got.trajectory) == _bits(want.trajectory)
@@ -768,8 +768,8 @@ def test_integrate_failure_in_the_up_ramp_propagates(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate", failing)
     with pytest.raises(RuntimeError, match="integrator failed"):
-        hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA,
-                         RampProtocol(2.35e6, 1.08e7, 40, 20.0 / REF_GAMMA_B))
+        hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, _linspace(2.35e6, 1.08e7, 40),
+                         20.0 / REF_GAMMA_B)
     assert len(calls) == 5
 
 
@@ -787,11 +787,11 @@ def test_damped_plateau_without_roots_is_one_integrate_call(monkeypatch):
 
     monkeypatch.setattr(dynamics, "steady_occupations", unsolvable)
     monkeypatch.setattr(dynamics, "integrate", spied)
-    proto = RampProtocol(2.35e6, 1.08e7, 12, 20.0 / REF_GAMMA_B)
-    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, proto)
-    assert spans == [(0.0, proto.dwell)] * 12
+    drives, dwell = _linspace(2.35e6, 1.08e7, 12), 20.0 / REF_GAMMA_B
+    sweep = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell)
+    assert spans == [(0.0, dwell)] * 12
     monkeypatch.undo()
-    ends, _, n_rhs = _dp45_ramp(ref_params(0.0), proto, 0.0j, 1e-8)
+    ends, _, n_rhs = _dp45_ramp(ref_params(0.0), drives, dwell, 0.0j, 1e-8)
     assert _bits(sweep.trajectory)[0] == [(b.real.hex(), b.imag.hex()) for b in ends]
     assert sweep.trajectory.n_rhs == n_rhs
 

@@ -21,9 +21,9 @@ from hypothesis import assume, given, settings, strategies as st
 import libration
 from libration import dynamics
 from libration.config import load_config
-from libration.dynamics import RampProtocol, hysteresis_sweep, integrate, quasi_static_sweep
+from libration.dynamics import hysteresis_sweep, integrate, quasi_static_sweep
 from libration.steadystate import (
-    MeanFieldParams, _curve_slope, _physical_folds, beta_from_n, steady_occupations)
+    MeanFieldParams, _curve_slope, _linspace, _physical_folds, beta_from_n, steady_occupations)
 from oracles import exp_divided_difference_sum
 
 DELTA_ML = -34283.6799057411
@@ -186,9 +186,8 @@ def _shipped_sweep():
     root = Path(libration.__file__).resolve().parents[2]
     cfg = load_config(root / "configs" / "hysteresis.json")
     ramp = cfg.ramp
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, proto,
-                              tol=ramp.tolerance)
+    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, ramp.grid,
+                              ramp.dwell, tol=ramp.tolerance)
     return [_bits(b) for sweep in (result.up, result.down) for b in sweep.trajectory.beta]
 
 
@@ -233,10 +232,10 @@ def test_stable_roots_inside_the_window_are_the_outer_branches():
     assert complete and min(abs(n_end - low) / low, abs(n_end - high) / high) < 1e-6
 
 
-def _worst_deficit(sweep, proto):
+def _worst_deficit(sweep):
     """The largest settling deficit |beta - beta*| / |beta*| of a sweep's plateaus."""
     worst = 0.0
-    for omega, beta in zip(proto.amplitudes(), sweep.trajectory.beta):
+    for omega, beta in zip(sweep.trajectory.omega_applied, sweep.trajectory.beta):
         roots = dynamics._grid_roots([MeanFieldParams(DELTA_ML, omega, GAMMA_B, ETA)])[0]
         root = min((r for r, _ in roots), key=lambda r: abs(beta - r))
         worst = max(worst, abs(beta - root) / abs(root))
@@ -247,12 +246,12 @@ def test_settling_deficit_shrinks_with_the_dwell():
     # the same ramp across both folds at a dwell of 10, 20 and 40 damping times
     deficits = []
     for cycles in (10.0, 20.0, 40.0):
-        proto = RampProtocol(2.35e6, 1.08e7, 40, cycles / GAMMA_B)
-        up = quasi_static_sweep(DELTA_ML, GAMMA_B, ETA, proto)
-        down = quasi_static_sweep(DELTA_ML, GAMMA_B, ETA, proto.reversed(),
+        drives = _linspace(2.35e6, 1.08e7, 40)
+        up = quasi_static_sweep(DELTA_ML, GAMMA_B, ETA, drives, cycles / GAMMA_B)
+        down = quasi_static_sweep(DELTA_ML, GAMMA_B, ETA, drives[::-1], cycles / GAMMA_B,
                                   beta_init=up.trajectory.beta[-1])
         assert up.jump is not None and down.jump is not None
-        deficits.append(max(_worst_deficit(up, proto), _worst_deficit(down, proto.reversed())))
+        deficits.append(max(_worst_deficit(up), _worst_deficit(down)))
     assert deficits[0] > deficits[1] > deficits[2]
 
 

@@ -5,13 +5,12 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import libration
 from libration import config, dynamics, model, squeezing, steadystate
 from libration.config import load_config
-from libration.dynamics import JumpEvent, RampProtocol, hysteresis_sweep
+from libration.dynamics import JumpEvent, hysteresis_sweep
 from libration.model import (DWELL_DAMPING_CYCLES, MATERIALS, ModeParameters,
                              NanoparticleSpec, TrapConfig, mode_parameters)
 from libration.squeezing import SqueezeParams, moment_oracle, squeeze_params
@@ -22,7 +21,6 @@ TRAP = {"power": 0.1, "waist": 6e-7}
 MODE = mode_parameters(NanoparticleSpec(**SPEC), TrapConfig(**TRAP))._asdict()
 MEAN_FIELD = {"delta_ml": -3e4, "Omega": 6e6, "gamma_b": 8e3, "eta": 0.02}
 SQUEEZE = {"lam": 1432.0, "xi": 87.7, "phi": 1.0, "r": 40.0, "nbar": 0.5}
-RAMP = {"omega_start": 1e6, "omega_end": 2e6, "n_steps": 11, "dwell": 1e-3}
 
 # (record, valid fields, field, invalid value, the whole message it raises)
 INVALID = [
@@ -44,14 +42,6 @@ INVALID = [
     (SqueezeParams, SQUEEZE, "xi", -1.0, "xi must be >= 0, got -1.0"),
     (SqueezeParams, SQUEEZE, "r", -1.0, "r must be >= 0, got -1.0"),
     (SqueezeParams, SQUEEZE, "nbar", -0.5, "nbar must be >= 0, got -0.5"),
-    (RampProtocol, RAMP, "n_steps", 2, "need a finite integer of at least 3 ramp steps, got 2"),
-    (RampProtocol, RAMP, "n_steps", 5.0,
-     "need a finite integer of at least 3 ramp steps, got 5.0"),
-    (RampProtocol, RAMP, "omega_end", math.inf,
-     "ramp fields must be finite, got (1000000.0, inf, 0.001)"),
-    (RampProtocol, RAMP, "omega_start", -1.0, "drive amplitudes must be >= 0"),
-    (RampProtocol, RAMP, "omega_end", 1e6, "ramp endpoints must differ"),
-    (RampProtocol, RAMP, "dwell", 0.0, "dwell must be positive, got 0.0"),
 ]
 
 
@@ -67,12 +57,6 @@ def test_invalid_field_raises_in_constructor_and_replace(record, fields, field, 
     assert valid._replace() == valid
 
 
-def test_ramp_stores_an_integral_step_count_as_an_int():
-    for ramp in (RampProtocol(1e6, 2e6, np.int64(5), 1e-3),
-                 RampProtocol(**RAMP)._replace(n_steps=np.int64(5))):
-        assert type(ramp.n_steps) is int and ramp.n_steps == 5
-
-
 def _public_records() -> list:
     """One instance of every public record type of the package."""
     root = Path(libration.__file__).resolve().parents[2]
@@ -81,14 +65,14 @@ def _public_records() -> list:
     hyst = cfgs["hysteresis"]
     eta, gamma_b, delta_ml = hyst.mode.eta, hyst.gamma_b, hyst.drive.delta_ml
     diagram = sweep_diagram([1e6, 5e6, 1e7], delta_ml, gamma_b, eta, hyst.mode.omega_t)
-    ramp = RampProtocol(2.35e6, 1.08e7, 3, DWELL_DAMPING_CYCLES / gamma_b)
-    result = hysteresis_sweep(delta_ml, gamma_b, eta, ramp)
+    result = hysteresis_sweep(delta_ml, gamma_b, eta, [2.35e6, 6.575e6, 1.08e7],
+                              DWELL_DAMPING_CYCLES / gamma_b)
     params = squeeze_params(2.0 * math.pi * 200.0, eta, 40.0, math.pi)
     return [
         MATERIALS["diamond"], hyst.particle, hyst.trap, hyst.mode,
         MeanFieldParams(**MEAN_FIELD), diagram.branches[0][1],
         turning_points(-3e4, eta, gamma_b), diagram,
-        result.up.trajectory, ramp, JumpEvent(5e6, 1.0, 2.0, -3e4), result.up, result,
+        result.up.trajectory, JumpEvent(5e6, 1.0, 2.0, -3e4), result.up, result,
         params, moment_oracle(params, [0.0, 1e-4, 2e-4]),
         hyst.drive, cfgs["bistability"].sweep, hyst.ramp, cfgs["squeeze"].squeeze,
         cfgs["derive"].scan, hyst,
@@ -103,7 +87,7 @@ def test_every_public_record_type_is_covered():
               for name in mod.__all__]
     records = {obj for obj in public if isinstance(obj, type) and issubclass(obj, tuple)}
     assert records == {type(record) for record in RECORDS}
-    assert len(records) == 21
+    assert len(records) == 20
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])

@@ -2,8 +2,9 @@
 
 * Each command, run on its shipped config with ``--format csv+svg`` in an
   interpreter where ``import numpy`` fails, exits 0 and writes the files,
-  stdout and stderr of a run with numpy available, byte for byte; its CSV
-  files are pinned by sha256.
+  stdout and stderr of a run with numpy available, byte for byte.  Its exit
+  code, stderr, and the sha256 of its stdout and of every file it writes are
+  pinned.
 * Importing any ``libration`` module loads only standard-library modules.
 * A real scalar ``t`` in ``variance_*_closed`` is evaluated without numpy,
   with the bits and the overflow error of ``moment_oracle``.
@@ -56,6 +57,27 @@ PINNED_CSV = {
            "edaf3f9a0f8c29b978cb681feb77c71eb60ff03b8a8734f4213a51e4756a0579"))},
 }
 
+# each command on its shipped config exits 0 and prints nothing on stderr;
+# sha256 of its stdout, then of each SVG it writes
+PINNED_STDOUT = {
+    "derive": "52f40061fa785fdb271346c0bd21f76f875eb12ed7aed7033c12ef7f2183829c",
+    "bistability": "40f955a0c2bdf67ad0c96201089397b6aa0e47da7cb381a0d6b8a32185edf869",
+    "hysteresis": "035b2013b591e3622c526dc6c45d07a8e14f7d2c9a9f5619dfbc0c8dd60043bc",
+    "squeeze": "ec5eef525e6633bac74cc04b451d8d2cb840c28c04d729b13df801c6085404c4",
+}
+PINNED_SVG = {
+    "derive/derive_scan.svg": "fcc5fe436157d83c52d999354257bf875a66bec871e3736b5a012d7bfaca31da",
+    "bistability/bistability.svg":
+        "fba62ba8acdd7ef78b597877deb344098db0fe997e1b96ac6a59f9f478395d2f",
+    "hysteresis/hysteresis.svg":
+        "c695e72f8143eee5370a1f0ec8f11bee0494acb329f7a38a2387625595b7e54a",
+    "squeeze/squeeze.svg": "f994609cedcd87094afe52b2e8412965752bcfa02624ff1c1d9d18346bb0e7e4",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 def run_without_numpy(code: str) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that cannot import numpy."""
@@ -99,10 +121,21 @@ def test_command_without_numpy_writes_the_same_bytes(shipped_runs, command):
 
 
 def test_shipped_csv_files_are_pinned(shipped_runs):
-    digests = {f"{command}/{name}": hashlib.sha256(data).hexdigest()
+    digests = {f"{command}/{name}": sha256(data)
                for command in COMMANDS for name, data in shipped_runs[command][0][3].items()
                if name.endswith(".csv")}
     assert digests == PINNED_CSV
+
+
+def test_shipped_svg_files_and_streams_are_pinned(shipped_runs):
+    # with the CSV pins above, every byte a shipped run writes or prints
+    runs = {command: shipped_runs[command][0] for command in COMMANDS}
+    assert {command: (code, sha256(stdout.encode()), stderr)
+            for command, (code, stdout, stderr, _) in runs.items()} == {
+        command: (0, PINNED_STDOUT[command], "") for command in COMMANDS}
+    digests = {f"{command}/{name}": sha256(data) for command, run in runs.items()
+               for name, data in run[3].items() if not name.endswith(".csv")}
+    assert digests == PINNED_SVG
 
 
 def test_modules_import_only_the_standard_library():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from libration.config import load_config
-from libration.dynamics import RampProtocol, mean_field_rhs, quasi_static_sweep
+from libration.dynamics import mean_field_rhs, quasi_static_sweep
 from libration.steadystate import (
     RESIDUAL_RTOL,
     MeanFieldParams,
@@ -196,9 +196,7 @@ def test_newton_loop_equals_the_calling_form_on_the_shipped_drives():
     # the 600 plateau drives of configs/hysteresis.json, up and down
     root = Path(__file__).resolve().parents[1]
     cfg = load_config(root / "configs" / "hysteresis.json")
-    ramp = cfg.ramp
-    proto = RampProtocol(ramp.amplitude_start, ramp.amplitude_stop, ramp.steps, ramp.dwell)
-    drives = proto.amplitudes() + proto.reversed().amplitudes()
+    drives = cfg.ramp.grid + cfg.ramp.grid[::-1]
     assert len(drives) == 600
     for omega in drives:
         p = MeanFieldParams(cfg.drive.delta_ml, omega, cfg.gamma_b, cfg.mode.eta)
@@ -552,9 +550,8 @@ def test_shipped_diagram_folds_equal_the_sweep_folds():
     grid = [cfg.sweep.grid[0], cfg.sweep.grid[-1]]
     diagram = sweep_diagram(grid, cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
                             cfg.mode.omega_t)
-    protocol = RampProtocol(ramp.ramp.amplitude_start, ramp.ramp.amplitude_stop, 3,
-                            ramp.ramp.dwell)
-    sweep = quasi_static_sweep(ramp.drive.delta_ml, ramp.gamma_b, ramp.mode.eta, protocol)
+    sweep = quasi_static_sweep(ramp.drive.delta_ml, ramp.gamma_b, ramp.mode.eta,
+                               ramp.ramp.grid[::100], ramp.ramp.dwell)
     assert diagram.turning is not None
     assert [x.hex() for x in diagram.turning[:-1]] == [x.hex() for x in sweep.turning[:-1]]
     assert diagram.turning.physical and sweep.turning.physical

@@ -621,6 +621,23 @@ def test_zero_length_span_returns_start_state():
     assert (tr.n_rhs, tr.n_rejected) == (0, 0)
 
 
+def test_ramp_protocol_basics():
+    # a ramp is a drive list and a dwell: the up ramp visits the drives in
+    # order, the down ramp in reverse, one plateau of `dwell` seconds each
+    drives, dwell = _linspace(1.0e6, 2.0e6, 11), 1e-3
+    assert drives[0] == 1.0e6 and drives[-1] == 2.0e6 and len(drives) == 11
+    result = hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell)
+    assert (result.up.direction, result.down.direction) == ("up", "down")
+    assert result.up.trajectory.omega_applied == drives
+    assert result.down.trajectory.omega_applied == drives[::-1]
+    for sweep in (result.up, result.down):
+        assert sweep.trajectory.t == [(k + 1) * dwell for k in range(11)]
+    down = quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives[::-1], dwell)
+    assert down.direction == "down" and down.trajectory.omega_applied == drives[::-1]
+    with pytest.raises(ValueError):
+        hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives[:2], dwell)
+
+
 @pytest.mark.parametrize("drives, dwell, message", [
     ([1.0e6, 2.0e6], 1e-3, "need 3 or more drive amplitudes, got 2"),
     ([1.0e6, 1.5e6, 1.5e6], 1e-3, "drive amplitude grid must be strictly increasing"),

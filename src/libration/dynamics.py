@@ -39,10 +39,10 @@ previous drive's root.  On ``configs/hysteresis.json`` that is 300 steady
 solves for 600 plateaus.  115 plateaus step DP45, 2,708 steps and 19,090
 right-hand-side evaluations in all; 598 end in closed form, in 623
 closed-form steps (25 refused) whose nodes all lie over 1/T apart, so every
-step reads its divided differences from one table of node differences.
-Warm, on a 2-core x86-64 host under CPython 3.11, a closed-form step takes
-about 12 us, the 300 stable-root solves 3 ms, and the whole sweep about
-25 ms, half of it in DP45.
+step reads its divided differences from short sums over the nodes' five
+gaps (:func:`_gap_table`).  Warm, on a 2-core x86-64 host under CPython
+3.11, a closed-form step takes about 8 us, the 300 stable-root solves 3-4
+ms, and the whole sweep about 20 ms, over half of it in DP45.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
@@ -135,7 +135,9 @@ def integrate(
     benchmark amplitude scales.  A plateau that leaves its branch at a fold
     is the exception: on ``configs/hysteresis.json`` the up-jump plateau's n
     is 1.5e-7 (15 tol) off the same sweep at tol 1e-12, the down-jump one's
-    1.2e-8, and every other plateau's within 9e-10.
+    1.2e-8, and every other plateau's within 9e-10.  At a looser ``tol`` the
+    up-jump plateau is further off: 41.9, 45.6, 47.6, 31.0 and 23.8 tol at
+    tol 1e-6, 1e-5, 1e-4, 1e-3 and 1e-2.
 
     Every accepted step is returned.  When the step falls below 10 ulp of
     the time the partial trajectory up to that time is returned with
@@ -398,42 +400,34 @@ def _exp_divided_differences(nodes: tuple[complex, ...], T: float) -> Callable[[
 _MASKS = (1, 3, 5, 7, 13, 15, 29, 31)
 
 
-def _separated_divided_differences(
-    nodes: tuple[complex, ...], T: float,
-) -> tuple[complex, ...] | None:
-    """exp_T over the ``_MASKS`` subsets of five nodes all more than 1/T apart, else None.
+def _gap_table(g: float, s: complex, T: float) -> tuple[complex, ...] | None:
+    """exp_T over the ``_MASKS`` subsets of the propagator's nodes, or None if two lie within 1/T.
 
-    The values are those of :func:`_exp_divided_differences`, to the bit: its
-    sum formula in its operation order, ``sum`` from int 0 over the subset's
-    nodes z_i in ascending order, each e^(T z_i) divided by the product, from
-    int 1 and in ascending order, of z_i - z_j over the subset's other nodes.
-    Nested subsets share the products' prefixes.  None leaves nodes closer
-    than that to the recursion.
+    The nodes l1, l2, 2 l1, l1 + l2, 2 l2, with l = -g -+ s, differ pairwise
+    only by +-A, +-2A, +-B, +-C, +-D and +-F: A = 2s, B = g + s, C = g - s,
+    D = g - 3s, F = g + 3s.  Where each of the five exceeds 1/T in size, the
+    sum formula sum_i e^(T z_i) / prod_(j != i) (z_i - z_j) over each subset
+    is a short sum in e^(T l1), e^(T l2), their squares and e^(-2gT), each
+    term over a product of the gaps (McCurdy, Ng & Parlett, Math. Comp. 43,
+    501, 1984).  None leaves closer nodes to :func:`_exp_divided_differences`.
     """
-    z0, z1, z2, z3, z4 = nodes
-    d01, d02, d03, d04, d12 = z0 - z1, z0 - z2, z0 - z3, z0 - z4, z1 - z2
-    d13, d14, d23, d24, d34 = z1 - z3, z1 - z4, z2 - z3, z2 - z4, z3 - z4
-    if not all(abs(d) * T > 1.0 for d in (d01, d02, d03, d04, d12, d13, d14, d23, d24, d34)):
+    A, B, C, D, F = 2.0 * s, g + s, g - s, g - 3.0 * s, g + 3.0 * s
+    if not min(abs(A), abs(B), abs(C), abs(D), abs(F)) * T > 1.0:
         return None
-    e0, e1, e2, e3, e4 = [cmath.exp(T * z) for z in nodes]
-    d10, d20, d21, d30, d31 = z1 - z0, z2 - z0, z2 - z1, z3 - z0, z3 - z1
-    d32, d40, d41, d42, d43 = z3 - z2, z4 - z0, z4 - z1, z4 - z2, z4 - z3
-    # p<i>_<js>: node i's product of z_i - z_j over j in js; 1 * d is math.prod's first step
-    p0_1, p0_2, p1_0, p2_0, p3_0, p4_0 = 1 * d01, 1 * d02, 1 * d10, 1 * d20, 1 * d30, 1 * d40
-    p0_12, p0_23, p1_02, p2_01 = p0_1 * d02, p0_2 * d03, p1_0 * d12, p2_0 * d21
-    p2_03, p3_01, p3_02, p4_02 = p2_0 * d23, p3_0 * d31, p3_0 * d32, p4_0 * d42
-    p0_123, p1_023, p2_013 = p0_12 * d03, p1_02 * d13, p2_01 * d23
-    p3_012, p4_012 = p3_01 * d32, p4_0 * d41 * d42
+    a, b, c, d, f = 1.0 / A, 1.0 / B, 1.0 / C, 1.0 / D, 1.0 / F
+    e1, e2 = cmath.exp(T * (-g - s)), cmath.exp(T * (-g + s))
+    e11, e22, e12 = e1 * e1, e2 * e2, math.exp(-2.0 * g * T)
+    ab, ac, bc, h = a * b, a * c, b * c, 0.5 * a * a  # h = 1/(2 A^2)
+    abc, abf = ab * c, ab * f
     return (
-        sum((e0 / 1,)),  # one node: over the empty product, int 1
-        sum((e0 / p0_1, e1 / p1_0)),
-        sum((e0 / p0_2, e2 / p2_0)),
-        sum((e0 / p0_12, e1 / p1_02, e2 / p2_01)),
-        sum((e0 / p0_23, e2 / p2_03, e3 / p3_02)),
-        sum((e0 / p0_123, e1 / p1_023, e2 / p2_013, e3 / p3_012)),
-        sum((e0 / (p0_23 * d04), e2 / (p2_03 * d24), e3 / (p3_02 * d34), e4 / (p4_02 * d43))),
-        sum((e0 / (p0_123 * d04), e1 / (p1_023 * d14), e2 / (p2_013 * d24),
-             e3 / (p3_012 * d34), e4 / (p4_012 * d43))),
+        e1,
+        e2 / A - e1 / A,  # divided, as the recursion does: the linear flow e^(JT) d keeps its bits
+        (e1 - e11) * b,
+        -e1 * ab + e2 * a * f + e11 * b * f,
+        e1 * bc + e11 * ab - e12 * ac,
+        (e12 - e1) * abc + (e2 - e11) * abf,
+        e1 * bc * d - e11 * h * b + e12 * a * ac - e22 * h * d,
+        -e1 * abc * d + e2 * abc * f + e11 * h * b * f - e12 * a * abc + e22 * h * c * d,
     )
 
 
@@ -451,10 +445,9 @@ def _propagate(params: MeanFieldParams, root: complex, beta: complex,
     Q(e^(Jt) d) is a sum of exponentials at 2 l1, l1 + l2 and 2 l2, so d2 is
     a sum of divided differences over those nodes and l1, l2, finite at
     every confluence: s = 0, 2 l2 = l1 (s = gamma_b/6) or a fold.  Nodes all
-    over 1/T apart take :func:`_separated_divided_differences`, others the
-    recursion of :func:`_exp_divided_differences`; where both apply they give
-    the same bits.  |d2| is the error of the first-order state, to within
-    O(|d|^3).
+    over 1/T apart take the short sums of :func:`_gap_table`, closer ones the
+    recursion of :func:`_exp_divided_differences`.  |d2| is the error of the
+    first-order state, to within O(|d|^3).
     """
     k = 12.0 * params.eta
     p, q = root.real, root.imag
@@ -469,21 +462,22 @@ def _propagate(params: MeanFieldParams, root: complex, beta: complex,
     n10, n11 = a + 2.0 * k * p * p, s + 2.0 * k * p * q
     x0, y0 = beta.real - p, beta.imag - q
     x1, y1 = n00 * x0 + n01 * y0, n10 * x0 + n11 * y0
-
-    def form(vx: complex, vy: complex, wx: complex, wy: complex) -> tuple[complex, complex]:
-        # the symmetric bilinear form of Q: Q(d) = form(d, d)
-        dot, pv, pw = vx * wx + vy * wy, p * vx + q * vy, p * wx + q * wy
-        return k * (-q * dot - pv * wy - pw * vy), k * (p * dot + pv * wx + pw * vx)
-
-    (aa_x, aa_y), (ab_x, ab_y), (bb_x, bb_y) = (
-        form(x0, y0, x0, y0), form(x0, y0, x1, y1), form(x1, y1, x1, y1))
-    # Q(e^(Jt) d) = e^(2 l1 t) Q(d) + 2 exp_t[2 l1, l1 + l2] form(d, N d)
+    # Q's symmetric bilinear form, Q(d) = Q(d, d), is Q(v, w) = k (-q v.w - r_v w_y - r_w v_y,
+    # p v.w + r_v w_x + r_w v_x) with r_v = p v_x + q v_y: here at (d, d), (d, N d), (N d, N d)
+    r0, r1 = p * x0 + q * y0, p * x1 + q * y1
+    dot = x0 * x0 + y0 * y0
+    aa_x, aa_y = k * (-q * dot - r0 * y0 - r0 * y0), k * (p * dot + r0 * x0 + r0 * x0)
+    dot = x0 * x1 + y0 * y1
+    ab_x, ab_y = k * (-q * dot - r0 * y1 - r1 * y0), k * (p * dot + r0 * x1 + r1 * x0)
+    dot = x1 * x1 + y1 * y1
+    bb_x, bb_y = k * (-q * dot - r1 * y1 - r1 * y1), k * (p * dot + r1 * x1 + r1 * x1)
+    # Q(e^(Jt) d) = e^(2 l1 t) Q(d) + 2 exp_t[2 l1, l1 + l2] Q(d, N d)
     # + 2 exp_t[2 l1, l1 + l2, 2 l2] Q(N d), and integral_0^T e^(J(T-t)) exp_t[M] dt
     # = exp_T[M, l1] I + exp_T[M, l1, l2] N; l1, l2, 2 l1, l1 + l2, 2 l2 are mask bits 1-16
-    l1 = -g - s
-    nodes = (l1, -g + s, 2.0 * l1, -2.0 * g, -2.0 * g + 2.0 * s)
-    dd = _separated_divided_differences(nodes, T)
+    dd = _gap_table(g, s, T)
     if dd is None:  # confluent nodes: the recursion's Taylor series and splits
+        l1 = -g - s
+        nodes = (l1, -g + s, 2.0 * l1, -2.0 * g, -2.0 * g + 2.0 * s)
         dd = tuple(map(_exp_divided_differences(nodes, T), _MASKS))
     e1, e12, dd5, dd7, dd13, dd15, dd29, dd31 = dd
     c1, c2, c3 = dd5, 2.0 * dd13, 2.0 * dd29

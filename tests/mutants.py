@@ -68,14 +68,13 @@ MUTANTS = [
            "return (params.delta_ml + 24.0 * params.eta * n) * (1.0 + 1e-12)",
            ("test_steadystate", "test_standalone")),
     Mutant("table-difference-swapped", "dynamics.py",
-           "d10, d20, d21, d30, d31 = z1 - z0, z2 - z0, z2 - z1, z3 - z0, z3 - z1",
-           "d10, d20, d21, d30, d31 = z1 - z0, z2 - z0, z1 - z2, z3 - z0, z3 - z1",
+           "g - 3.0 * s, g + 3.0 * s", "g + 3.0 * s, g + 3.0 * s",
            ("test_propagator",)),
     Mutant("table-product-reordered", "dynamics.py",
-           "p4_0 * d41 * d42", "p4_0 * d42 * d41",
+           "h = a * b, a * c, b * c, 0.5 * a * a", "h = a * b, a * c, b * c, a * a",
            ("test_propagator",)),
     Mutant("table-gap-half", "dynamics.py",
-           "abs(d) * T > 1.0 for d in", "abs(d) * T > 0.5 for d in",
+           "abs(F)) * T > 1.0:", "abs(F)) * T > 0.5:",
            ("test_propagator",)),
     Mutant("stable-roots-keep-unstable", "dynamics.py",
            "for n, det in slopes if det > 0.0]", "for n, det in slopes]",

@@ -11,6 +11,7 @@ state, in the three regimes of J's eigenvalues -gamma_b/2 -+ s: oscillatory
 import cmath
 import collections
 import math
+import random
 import struct
 from pathlib import Path
 
@@ -148,57 +149,61 @@ def _propagator_nodes(g, s):
     return (l1, -g + s, 2.0 * l1, -2.0 * g, -2.0 * g + 2.0 * s)
 
 
-#: nodes over 1/T apart with Re <= 0: five free ones, or the propagator's
-#: five at some s^2 / (gamma_b/2)^2, both in units of 1/T
-_free_nodes = st.tuples(*[st.builds(complex, st.floats(-60.0, 0.0), st.floats(-60.0, 60.0))] * 5)
+#: the propagator's (g, s) at some s^2 / g^2, g in units of 1/T
 _propagator_shape = st.builds(
-    lambda g, s_sq: _propagator_nodes(g, cmath.sqrt(s_sq * g * g)),
-    st.floats(0.5, 60.0), st.floats(-30.0, 1.0))
+    lambda g, s_sq: (g, cmath.sqrt(s_sq * g * g)), st.floats(0.5, 60.0), st.floats(-30.0, 1.0))
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(nodes=st.one_of(_free_nodes, _propagator_shape), log_t=st.floats(-9.0, 2.0))
-def test_separated_table_equals_the_sum_formula_bit_for_bit(nodes, log_t):
+@given(shape=_propagator_shape, log_t=st.floats(-9.0, 2.0))
+def test_gap_table_matches_the_sum_formula_and_the_recursion(shape, log_t):
     T = 10.0**log_t
-    nodes = tuple(z / T for z in nodes)
-    assume(all(abs(a - b) * T > 1.0 for k, a in enumerate(nodes) for b in nodes[k + 1:]))
-    table = dynamics._separated_divided_differences(nodes, T)
+    g, s = shape[0] / T, shape[1] / T
+    table = dynamics._gap_table(g, s, T)
+    assume(table is not None)
+    nodes = _propagator_nodes(g, s)
     recursion = dynamics._exp_divided_differences(nodes, T)
-    assert table is not None
     for mask, value in zip(dynamics._MASKS, table):
-        assert _bits(value) == _bits(exp_divided_difference_sum(nodes, T, mask))
-        assert _bits(value) == _bits(recursion(mask))
+        # the size of exp_T over p + 1 nodes, as in test_divided_differences_match_mpmath
+        subset = [z for i, z in enumerate(nodes) if mask >> i & 1]
+        p = len(subset) - 1
+        scale = T**p * max(abs(cmath.exp(T * z)) for z in subset) / math.factorial(p)
+        assert abs(value - exp_divided_difference_sum(nodes, T, mask)) <= 1e-14 * scale
+        assert abs(value - recursion(mask)) <= 1e-14 * scale
 
 
-def test_separated_table_needs_every_pair_over_1_over_t():
-    # a pair exactly 1/T apart is left to the recursion; a hair further is not
-    far = (-10.0, -20.0 + 5.0j, -30.0 - 5.0j, -40.0)
-    assert dynamics._separated_divided_differences((-1.0, -2.0) + far[1:], 1.0) is None
-    assert dynamics._separated_divided_differences(
-        (-1.0, math.nextafter(-2.0, -math.inf)) + far[1:], 1.0) is not None
+def test_gap_table_needs_every_gap_over_1_over_t():
+    # (g, s) with one gap of size exactly 1 and the other four larger: at T = 1
+    # it is left to the recursion, at T one ulp above 1 it is not
+    cases = {"A = 2s": (10.0, 0.5), "B = g + s": (6.0, -5.0), "C = g - s": (10.0, 9.0),
+             "D = g - 3s": (10.0, 3.0), "F = g + 3s": (10.0, -3.0)}
+    for gap, (g, s) in cases.items():
+        assert dynamics._gap_table(g, complex(s), 1.0) is None, gap
+        assert dynamics._gap_table(g, complex(s), math.nextafter(1.0, 2.0)) is not None, gap
     # and the confluent points of the propagator's nodes, s = 0 and 2 l2 = l1
     for s in (0.0, GAMMA_B / 6.0):
-        nodes = _propagator_nodes(GAMMA_B / 2.0, complex(s))
-        assert dynamics._separated_divided_differences(nodes, 20.0 / GAMMA_B) is None
+        assert dynamics._gap_table(GAMMA_B / 2.0, complex(s), 20.0 / GAMMA_B) is None
+
+
+def _sweep_bits(result):
+    return [_bits(b) for sweep in (result.up, result.down) for b in sweep.trajectory.beta]
 
 
 def _shipped_sweep():
     root = Path(libration.__file__).resolve().parents[2]
     cfg = load_config(root / "configs" / "hysteresis.json")
     ramp = cfg.ramp
-    result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, ramp.grid,
-                              ramp.dwell, tol=ramp.tolerance)
-    return [_bits(b) for sweep in (result.up, result.down) for b in sweep.trajectory.beta]
+    return _sweep_bits(hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta,
+                                        ramp.grid, ramp.dwell, tol=ramp.tolerance))
 
 
-def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch):
-    # all 623 closed-form steps of configs/hysteresis.json have nodes over
-    # 1/T apart; the sweep on the recursion alone ends in the same bits
+def _count_divided_differences(monkeypatch):
+    """A Counter of the gap table's steps ("table", "confluent") and of recursion calls."""
     calls = collections.Counter()
-    table, recursion = dynamics._separated_divided_differences, dynamics._exp_divided_differences
+    table, recursion = dynamics._gap_table, dynamics._exp_divided_differences
 
-    def counted_table(nodes, T):
-        dd = table(nodes, T)
+    def counted_table(g, s, T):
+        dd = table(g, s, T)
         calls["table" if dd is not None else "confluent"] += 1
         return dd
 
@@ -206,13 +211,44 @@ def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch
         calls["recursion"] += 1
         return recursion(nodes, T)
 
-    monkeypatch.setattr(dynamics, "_separated_divided_differences", counted_table)
+    monkeypatch.setattr(dynamics, "_gap_table", counted_table)
     monkeypatch.setattr(dynamics, "_exp_divided_differences", counted_recursion)
+    return calls
+
+
+def test_every_closed_form_step_of_the_shipped_sweep_takes_the_table(monkeypatch):
+    # all 623 closed-form steps of configs/hysteresis.json have nodes over
+    # 1/T apart; the sweep on the recursion alone ends in the same bits
+    calls = _count_divided_differences(monkeypatch)
     ends = _shipped_sweep()
     assert calls == {"table": 623}
-    monkeypatch.setattr(dynamics, "_separated_divided_differences", lambda nodes, T: None)
+    monkeypatch.setattr(dynamics, "_gap_table", lambda g, s, T: None)
     assert _shipped_sweep() == ends
     assert calls == {"table": 623, "recursion": 623}
+
+
+def test_seeded_damped_sweeps_end_in_the_same_bits_on_the_recursion_alone(monkeypatch):
+    # 16 folding working points, gamma_b = 10^U(3, 5), delta = -10^U(3, 5.5),
+    # 40 drives up to 1.5 times the up-fold drive, a dwell of 20 / gamma_b:
+    # both the gap table and the confluent recursion run, and the sweeps end
+    # in the bits of the recursion alone
+    rng = random.Random(7)
+    points = []
+    while len(points) < 16:
+        gamma_b, delta = 10.0 ** rng.uniform(3.0, 5.0), -(10.0 ** rng.uniform(3.0, 5.5))
+        folds = _physical_folds(delta, 0.0212, gamma_b)
+        if folds is not None:
+            points.append((delta, gamma_b, _linspace(0.0, 1.5 * folds.drive_low, 40)))
+
+    def sweeps():
+        return [_sweep_bits(hysteresis_sweep(delta, gamma_b, 0.0212, drives, 20.0 / gamma_b))
+                for delta, gamma_b, drives in points]
+
+    calls = _count_divided_differences(monkeypatch)
+    ends = sweeps()
+    assert calls["table"] > 0 and calls["confluent"] > 0
+    monkeypatch.setattr(dynamics, "_gap_table", lambda g, s, T: None)
+    assert sweeps() == ends
 
 
 def test_stable_roots_inside_the_window_are_the_outer_branches():

@@ -3,14 +3,16 @@
 Subcommands: ``derive`` (mode numbers from a particle/trap config),
 ``bistability`` (steady branches over a drive-amplitude grid), ``hysteresis``
 (quasi-static up/down ramp pair), ``squeeze`` (variance traces, closed form
-next to the moment-equation reference).  Exit codes: 0 success, 1 config
-error (an unusable ``--out`` too), 2 numerical failure.  All outputs are
-deterministic for a fixed config.  ``_TABLES`` declares every CSV column once,
-in order, and which frequencies ``_write_table`` follows by a twin in Hz.
-Grids and preconditions are checked in ``load_config``, and the commands
-take its grids as built (``hysteresis`` ramps over ``RampSettings.grid``).
-A command's own config error is a missing section, which ``_COMMANDS``
-names.  A run warning is one ``warning:`` line on stderr, printed once.
+next to the moment-equation reference).  Exit codes: 0 success, 1 config error
+(an unusable ``--out`` too), 2 numerical failure: a ``NumericalError`` from the
+layer that finds it, or a ``NoConfinementError``, each raised before the
+command's first print or write.  All outputs are deterministic for a fixed
+config.  ``_TABLES`` declares every CSV column once, in order, and which
+frequencies ``_write_table`` follows by a twin in Hz.  Grids and preconditions
+are checked in ``load_config``, and the commands take its grids as built
+(``hysteresis`` ramps over ``RampSettings.grid``).  A command's own config
+error is a missing section, which ``_COMMANDS`` names.  A run warning is one
+``warning:`` line on stderr, printed once.
 
 ``hysteresis`` imports ``dynamics``, and ``squeeze`` ``squeezing``, inside
 the command.  No command loads numpy, whose import would be about half of a
@@ -27,7 +29,8 @@ from pathlib import Path
 
 from libration import __version__
 from libration.config import ConfigError, RunConfig, load_config
-from libration.model import DWELL_DAMPING_CYCLES, NoConfinementError, thermal_occupancy
+from libration.model import (DWELL_DAMPING_CYCLES, NoConfinementError, NumericalError,
+                              thermal_occupancy)
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
@@ -38,10 +41,6 @@ from libration.steadystate import (
 from libration.output import svg_line_chart, write_csv
 
 TWO_PI = 2.0 * math.pi
-
-
-class NumericalError(RuntimeError):
-    """A solver or integrator failed to produce a usable result."""
 
 
 def _fmt(value: float) -> str:
@@ -133,13 +132,13 @@ def cmd_derive(cfg: RunConfig, out: Path, fmt: str) -> None:
         rows.append(("bistable", float(bistable), "bool"))
         if drive.amplitude is not None:
             freq("drive_amplitude", drive.amplitude, "drive amplitude")
+    if cfg.scan is not None and not cfg.scan.modes:
+        raise NoConfinementError("the derive scan reaches a sphere, which has no confinement")
     print("\n".join(lines))
     _write_table(out / "derive.csv", "derive", zip(*rows))
 
     if cfg.scan is not None:
         axis, modes = cfg.scan.grid, cfg.scan.modes
-        if not modes:
-            raise NoConfinementError("the derive scan reaches a sphere, which has no confinement")
         _write_table(out / "derive_scan.csv", "derive_scan",
                      zip(*((m.inertia, m.omega_t, m.eta, m.eta / m.omega_t) for m in modes)),
                      lead={cfg.scan.axis: axis})
@@ -213,8 +212,6 @@ def cmd_hysteresis(cfg: RunConfig, out: Path, fmt: str) -> None:
     result = hysteresis_sweep(cfg.drive.delta_ml, cfg.gamma_b, cfg.mode.eta, ramp.grid,
                               ramp.dwell, tol=ramp.tolerance)
     for sweep in (result.up, result.down):
-        if not sweep.trajectory.complete:
-            raise NumericalError(f"{sweep.direction}-sweep integration failed")
         tr = sweep.trajectory
         _write_table(out / f"hysteresis_{sweep.direction}.csv", "hysteresis_ramp", (
             tr.t, [b.real for b in tr.beta], [b.imag for b in tr.beta], tr.n, tr.omega_applied))
@@ -276,15 +273,12 @@ def cmd_squeeze(cfg: RunConfig, out: Path, fmt: str) -> None:
     # per phase (params, undamped trace, oracle trace), the last two the same
     # trace unless damped, all checked for overflow before any file is written
     runs = []
-    try:
-        for phi in phis:
-            params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
-            closed = moment_oracle(params, t)
-            oracle = (moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)
-                      if sq.include_damping else closed)
-            runs.append((params, closed, oracle))
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from exc
+    for phi in phis:
+        params = squeeze_params(cfg.drive.delta_ml, cfg.mode.eta, r, phi, nbar)
+        closed = moment_oracle(params, t)
+        oracle = (moment_oracle(params, t, gamma_b=oracle_gamma, nbar_bath=nbar)
+                  if sq.include_damping else closed)
+        runs.append((params, closed, oracle))
     first = runs[0][0]  # lam_p, and so the breathing period, is the same for all phi
     quarter = math.pi / (4.0 * abs(first.lambda_p)) if first.regime == "oscillatory" else 0.0
     if t[1] > quarter > 0.0:
@@ -413,11 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         target = "the output" if exc.filename is None else exc.filename
         print(f"config error: cannot write {target} ({exc.strerror})", file=sys.stderr)
         return 1
-    except (NumericalError, NoConfinementError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ResonanceError as exc:
-        print(f"numerical failure: ResonanceError: {exc}", file=sys.stderr)
+    except (NumericalError, NoConfinementError) as exc:  # a ResonanceError names its type
+        kind = "ResonanceError: " if isinstance(exc, ResonanceError) else ""
+        print(f"numerical failure: {kind}{exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -42,7 +42,8 @@ closed-form steps (25 refused) whose nodes all lie over 1/T apart, so every
 step reads its divided differences from short sums over the nodes' five
 gaps (:func:`_gap_table`).  Warm, on a 2-core x86-64 host under CPython
 3.11, a closed-form step takes about 8 us, the 300 stable-root solves 3-4
-ms, and the whole sweep about 20 ms, over half of it in DP45.
+ms, and the whole sweep about 20 ms, over half of it in DP45.  A failed
+plateau raises :class:`libration.model.NumericalError`: no partial sweep.
 
 A jump is a fold crossing: the first plateau whose occupation passes the
 closed-form fold occupation of :func:`libration.steadystate.turning_points` in
@@ -58,6 +59,7 @@ import operator
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
+from libration.model import NumericalError
 from libration.steadystate import (
     MeanFieldParams,
     ResonanceError,
@@ -93,9 +95,9 @@ class Trajectory(NamedTuple):
 
     ``omega_applied`` holds the drive amplitude in force at each sample, so a
     stepped-ramp trajectory is self-describing.  ``complete`` is False when
-    the integrator failed (step-size underflow) and the lists only reach the
-    failure time.  ``n_rhs`` and ``n_rejected`` count the right-hand-side
-    evaluations and rejected steps that produced it.
+    :func:`integrate` failed (step-size underflow) and the lists only reach
+    the failure time; a sweep's is always True.  ``n_rhs`` and ``n_rejected``
+    count the right-hand-side evaluations and rejected steps that produced it.
     """
 
     t: list[float]
@@ -562,18 +564,17 @@ def _ramp(params: list[MeanFieldParams], roots: list[list[tuple[complex, float]]
           turning: TurningPoints | None) -> SweepResult:
     """The plateaus of ``params`` in order, each about its ``roots``: see quasi_static_sweep."""
     direction = "up" if params[0].Omega < params[-1].Omega else "down"
-    beta, ends = complex(beta_init), []
-    n_rhs, n_rejected, complete = 0, 0, True
+    beta, ends, n_rhs, n_rejected = complex(beta_init), [], 0, 0
     for p, stable in zip(params, roots):
         beta, rhs, rejected, complete = _plateau(p, stable, beta, dwell, tol)
+        if not complete:
+            raise NumericalError(f"{direction}-sweep integration failed")
         ends.append(beta)
         n_rhs += rhs
         n_rejected += rejected
-        if not complete:
-            break
     drives = [p.Omega for p in params]
-    trajectory = Trajectory([(k + 1) * dwell for k in range(len(ends))], ends,
-                            drives[: len(ends)], complete, n_rhs, n_rejected)
+    trajectory = Trajectory([(k + 1) * dwell for k in range(len(ends))], ends, drives,
+                            n_rhs=n_rhs, n_rejected=n_rejected)
     p = params[0]
     jump = _fold_crossing(drives, trajectory.n, p.delta_ml, p.eta, turning, direction)
     return SweepResult(trajectory, jump, direction, turning)
@@ -603,10 +604,11 @@ def quasi_static_sweep(delta_ml: float, gamma_b: float, eta: float, drives: Sequ
 
     Each plateau (:func:`_plateau`) of ``drives``, in ramp order up or down
     (:func:`_ramp_grid`), runs for ``dwell`` seconds from the end state of
-    the previous one; the ramp stops after the first incomplete plateau.  The
-    drives' stable roots are solved first, in one pass (:func:`_grid_roots`).
-    A dwell much shorter than the damping time cannot settle; that case is
-    run as given (the CLI prints a warning).
+    the previous one; the first plateau that fails raises ``NumericalError``
+    (``<up|down>-sweep integration failed``).  The drives' stable roots are
+    solved first, in one pass (:func:`_grid_roots`).  A dwell much shorter
+    than the damping time cannot settle; that case is run as given (the CLI
+    prints a warning).
     """
     params, roots = _ramp_grid(delta_ml, gamma_b, eta, drives, dwell, True)
     return _ramp(params, roots, dwell, beta_init, tol, _physical_folds(delta_ml, eta, gamma_b))
@@ -637,7 +639,7 @@ def hysteresis_sweep(delta_ml: float, gamma_b: float, eta: float, drives: Sequen
     :func:`quasi_static_sweep` up and then down, bit for bit.  The terms
     (x0 - x1)(y0 + y1)/2 along both ramps are +integral(n_down) on the
     falling drive and -integral(n_up) on the rising one; ``loop_area`` is
-    their ``math.fsum``.
+    their ``math.fsum``.  A failed up ramp raises before the down ramp starts.
     """
     params, roots = _ramp_grid(delta_ml, gamma_b, eta, drives, dwell, False)
     turning = _physical_folds(delta_ml, eta, gamma_b)

@@ -40,6 +40,7 @@ __all__ = [
     "TrapConfig",
     "ModeParameters",
     "NoConfinementError",
+    "NumericalError",
     "depolarization_factors",
     "susceptibilities",
     "rotational_inertia",
@@ -112,6 +113,10 @@ class NoConfinementError(ValueError):
     A sphere (r_a == r_b) has isotropic susceptibility, kappa_x == kappa_y,
     so the orientational potential is flat and no torsional mode exists.
     """
+
+
+class NumericalError(RuntimeError):
+    """A solver or integrator failed, raised by the layer that finds it (CLI exit 2)."""
 
 
 class _NanoparticleFields(NamedTuple):

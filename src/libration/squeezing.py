@@ -46,7 +46,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from libration.model import _Validated
+from libration.model import NumericalError, _Validated
 
 __all__ = [
     "SqueezeParams",
@@ -219,7 +219,7 @@ def _variances(ts: list[float], params: SqueezeParams, gamma: float = 0.0,
     and e2 = (t^2/2) sinhc(lam_p t)^2 since B^3 = 4 lam_p^2 B.  sinhc is taken in
     real arithmetic: sinh(x)/x for real lam_p, sin(x)/x for imaginary lam_p.
     A variance that overflows, or that is not a number (the sine of an
-    infinite phase), raises ``RuntimeError``.
+    infinite phase), raises :class:`libration.model.NumericalError`.
     """
     lps = params.lambda_p_sq
     lp, fn = (math.sqrt(lps), math.sinh) if lps >= 0.0 else (math.sqrt(-lps), math.sin)
@@ -248,7 +248,7 @@ def _variances(ts: list[float], params: SqueezeParams, gamma: float = 0.0,
         if not all(map(math.isfinite, s_theta + s_j)):
             raise OverflowError
     except (OverflowError, ValueError):  # math raises where numpy returns inf or nan
-        raise RuntimeError("moment propagation overflowed") from None
+        raise NumericalError("moment propagation overflowed") from None
     return s_theta, s_j
 
 
@@ -278,7 +278,7 @@ def variance_theta_closed(t, params: SqueezeParams):
     """Angle variance S_theta(t) (in units of theta0^2), closed form.
 
     A float for a real scalar t (``numbers.Real``): that sample of
-    ``moment_oracle``, bit for bit, with its ``RuntimeError`` on overflow.  Else
+    ``moment_oracle``, bit for bit, with its ``NumericalError`` on overflow.  Else
     a numpy array: the vectorised API, which imports numpy when called.
     """
     return _closed(t, params)[0]
@@ -345,7 +345,7 @@ def moment_oracle(
 
     A negative or non-finite gamma_b or nbar_bath, or a t_grid that is not
     1-d, finite and increasing, raises ``ValueError``; moments that overflow
-    raise ``RuntimeError``.
+    raise :class:`libration.model.NumericalError`, a ``RuntimeError``.
     """
     if nbar_bath is None:
         nbar_bath = params.nbar

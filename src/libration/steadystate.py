@@ -39,7 +39,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
-from libration.model import _Validated
+from libration.model import NumericalError, _Validated
 
 __all__ = [
     "MeanFieldParams",
@@ -96,7 +96,7 @@ class MeanFieldParams(_Validated, _MeanFieldFields):
         return self.delta_ml + 12.0 * self.eta
 
 
-class ResonanceError(RuntimeError):
+class ResonanceError(NumericalError):
     """A steady-state root that float64 cannot resolve to the residual contract.
 
     This happens for a root on the resonance, u + 12*eta*n ~ 0, with a tiny

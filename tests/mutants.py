@@ -124,6 +124,9 @@ MUTANTS = [
     Mutant("middle-bracket-kept", "steadystate.py",
            "            if near is not None:\n                del brackets[1]\n", "",
            ("test_steadystate", "test_dynamics")),
+    Mutant("ramp-breaks-on-a-failed-plateau", "dynamics.py",
+           'raise NumericalError(f"{direction}-sweep integration failed")', "break",
+           ("test_dynamics", "test_config_cli")),
     Mutant("loop-area-sign", "dynamics.py",
            "(x0 - x1) * (y0 + y1) / 2.0", "(x1 - x0) * (y0 + y1) / 2.0",
            ("test_dynamics",)),
@@ -174,6 +177,18 @@ MUTANTS = [
            "        given[option] = value\n"
            '    if given.get("--format", "csv") not in _FORMATS:\n'
            '        raise _usage_error("argument --format: invalid choice")\n',
+           ("test_config_cli",)),
+    Mutant("derive-checks-scan-after-writing", "cli.py",
+           "    if cfg.scan is not None and not cfg.scan.modes:\n"
+           '        raise NoConfinementError("the derive scan reaches a sphere, which has no '
+           'confinement")\n'
+           '    print("\\n".join(lines))\n'
+           '    _write_table(out / "derive.csv", "derive", zip(*rows))\n',
+           '    print("\\n".join(lines))\n'
+           '    _write_table(out / "derive.csv", "derive", zip(*rows))\n'
+           "    if cfg.scan is not None and not cfg.scan.modes:\n"
+           '        raise NoConfinementError("the derive scan reaches a sphere, which has no '
+           'confinement")\n',
            ("test_config_cli",)),
     Mutant("first-repeated-option-wins", "cli.py",
            "given[option] = value", "given.setdefault(option, value)", ("test_config_cli",)),

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import libration
-from libration import cli
+from libration import cli, dynamics
 from libration.cli import main
 from libration.config import ConfigError, load_config
 from libration.model import (DEFAULT_DAMPING_PER_PASCAL, DWELL_DAMPING_CYCLES,
@@ -331,14 +331,14 @@ def test_derive_scan_modes_resolve_at_load(tmp_path, capsys):
         NanoparticleSpec.from_eccentricity(cfg.particle.r_a, 0.7, cfg.particle.density,
                                            cfg.particle.eps_r), cfg.trap)
     # a scan from eccentricity 0 starts at a sphere: it loads without modes, and
-    # derive reports the missing confinement after writing derive.csv
+    # derive reports the missing confinement before it writes derive.csv
     sphere = write_cfg(tmp_path, with_sections(
         BASE, derive={"scan": "eccentricity", "min": 0, "max": 0.5, "points": 3}
     ), name="sphere.json")
     assert load_config(sphere).scan.modes == ()
     assert run_cli(["derive", "--config", sphere, "--out", tmp_path / "out"]) == 2
     assert "numerical failure: the derive scan reaches a sphere" in capsys.readouterr().err
-    assert (tmp_path / "out" / "derive.csv").exists()
+    assert not (tmp_path / "out" / "derive.csv").exists()
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -1053,6 +1053,36 @@ def test_cli_squeeze_evaluates_each_trace_once(tmp_path, monkeypatch, include_da
             assert (out / f"squeeze_oracle_{idx}.csv").read_bytes() == closed
 
 
+def _shipped(command, section=None, **values):
+    """The shipped config of ``command``, with ``values`` set in ``section``."""
+    root = Path(libration.__file__).resolve().parents[2]
+    cfg = json.loads((root / "configs" / f"{command}.json").read_text())
+    if section is not None:
+        cfg[section].update(values)
+    return cfg
+
+
+def _sphere_particle():
+    cfg = with_sections(BASE)
+    cfg["particle"] = {"material": "diamond", "r_a_m": 5e-8, "eccentricity": 0.0}
+    return cfg
+
+
+def _undamped_resonance():
+    cfg = with_sections(WINDOW, drive={"detuning_rad_s": -1.42e5}, sweep={
+        "amplitude_min_rad_s": 0.05, "amplitude_max_rad_s": 5.0, "points": 5})
+    cfg["environment"] = {"pressure_pa": 0.0, "temperature_k": 300.0}
+    return cfg
+
+
+def _undamped_squeeze_from_drive():
+    cfg = with_sections(WINDOW, squeeze={"from_drive": True, "nbar": 0.0,
+                                         "t_max_s": 5e-3, "points": 60})
+    cfg["drive"]["amplitude_rad_s"] = 5e6
+    cfg["environment"] = {"pressure_pa": 0.0, "temperature_k": 300.0}
+    return cfg
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["derive", "--config", tmp_path / "missing.json"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -1060,9 +1090,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     unknown = write_cfg(tmp_path, with_sections(BASE, bogus={}), "unknown.json")
     assert run_cli(["derive", "--config", unknown]) == 1
 
-    sphere_cfg = with_sections(BASE)
-    sphere_cfg["particle"] = {"material": "diamond", "r_a_m": 5e-8, "eccentricity": 0.0}
-    sphere = write_cfg(tmp_path, sphere_cfg, "sphere.json")
+    sphere = write_cfg(tmp_path, _sphere_particle(), "sphere.json")
     assert run_cli(["derive", "--config", sphere, "--out", tmp_path / "s"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -1093,17 +1121,58 @@ def test_cli_unusable_out_is_a_config_error(tmp_path, capsys, target, strerror):
 
 def test_cli_names_the_resonance_error(tmp_path, capsys):
     # undamped drive points whose root sits on the resonance exit 2 and say why
-    cfg = with_sections(
-        WINDOW,
-        drive={"detuning_rad_s": -1.42e5},
-        sweep={"amplitude_min_rad_s": 0.05, "amplitude_max_rad_s": 5.0, "points": 5},
-    )
-    cfg["environment"] = {"pressure_pa": 0.0, "temperature_k": 300.0}
-    path = write_cfg(tmp_path, cfg)
+    path = write_cfg(tmp_path, _undamped_resonance())
     assert run_cli(["bistability", "--config", path, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ResonanceError: ")
     assert "gamma_b=0.0" in err
+
+
+def _fail_the_first_down_plateau(monkeypatch, cfg):
+    # the shipped down ramp's first plateau ends in closed form, with no
+    # integrate call, so the plateau itself is made to come back incomplete
+    calls, plateau = [], dynamics._plateau
+    up_plateaus = cfg["ramp"]["steps"]
+
+    def failing(*args):
+        calls.append(1)
+        beta, n_rhs, n_rejected, complete = plateau(*args)
+        return beta, n_rhs, n_rejected, complete and len(calls) != up_plateaus + 1
+
+    monkeypatch.setattr(dynamics, "_plateau", failing)
+
+
+@pytest.mark.parametrize("command, cfg, patch, err", [
+    ("derive", _sphere_particle(), None,
+     "numerical failure: isotropic particle (kappa_x == kappa_y): no librational confinement"),
+    ("derive", _shipped("derive", "derive", scan="eccentricity", min=0.0, max=0.99, points=5),
+     None, "numerical failure: the derive scan reaches a sphere, which has no confinement"),
+    ("bistability", _undamped_resonance(), None, "numerical failure: ResonanceError: "),
+    ("hysteresis", with_sections(WINDOW, ramp={"amplitude_start_rad_s": 2.35e6,
+                                               "amplitude_stop_rad_s": 1e300, "steps": 3}),
+     None, "numerical failure: up-sweep integration failed"),
+    ("hysteresis", _shipped("hysteresis"), _fail_the_first_down_plateau,
+     "numerical failure: down-sweep integration failed"),
+    ("squeeze", _shipped("squeeze", "squeeze", t_max_s=1e300), None,
+     "numerical failure: moment propagation overflowed"),
+    ("squeeze", _undamped_squeeze_from_drive(), None,
+     "numerical failure: no stable steady branch at the configured drive"),
+], ids=["sphere", "derive-scan-sphere", "resonance", "up-plateau", "down-plateau",
+        "squeeze-overflow", "no-stable-branch"])
+def test_cli_exit_2_prints_and_writes_nothing(tmp_path, capsys, monkeypatch, command, cfg,
+                                              patch, err):
+    # a numerical failure is found before a command's first print or write:
+    # exit 2, one stderr line, nothing on stdout and no file in --out
+    if patch is not None:
+        patch(monkeypatch, cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", out,
+                    "--format", "csv+svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_cli_usage_errors_exit_1(tmp_path, capsys):

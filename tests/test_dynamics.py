@@ -23,7 +23,7 @@ from libration.dynamics import (
     mean_field_rhs,
     quasi_static_sweep,
 )
-from libration.model import DWELL_DAMPING_CYCLES, mode_parameters
+from libration.model import DWELL_DAMPING_CYCLES, NumericalError, mode_parameters
 from libration.steadystate import (
     RESIDUAL_RTOL,
     MeanFieldParams,
@@ -788,6 +788,34 @@ def test_integrate_failure_in_the_up_ramp_propagates(monkeypatch):
         hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, _linspace(2.35e6, 1.08e7, 40),
                          20.0 / REF_GAMMA_B)
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("direction, k", [("up", 5), ("down", 1), ("down", 40)],
+                         ids=["up-5", "down-1", "down-40"])
+def test_a_failed_plateau_raises_and_returns_no_partial_sweep(monkeypatch, direction, k):
+    # the first plateau that comes back incomplete, here the k-th of its
+    # ramp, raises NumericalError naming the ramp, and no plateau runs after
+    # it: a failed up ramp never starts the down ramp
+    calls, plateau = [], dynamics._plateau
+    offset = 0 if direction == "up" else 40  # a sweep's 40 up plateaus come first
+
+    def incomplete_at(*args):
+        calls.append(1)
+        beta, n_rhs, n_rejected, complete = plateau(*args)
+        return beta, n_rhs, n_rejected, complete and len(calls) != offset + k
+
+    monkeypatch.setattr(dynamics, "_plateau", incomplete_at)
+    drives, dwell = _linspace(2.35e6, 1.08e7, 40), 20.0 / REF_GAMMA_B
+    message = f"^{direction}-sweep integration failed$"
+    with pytest.raises(NumericalError, match=message):
+        hysteresis_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA, drives, dwell)
+    assert len(calls) == offset + k
+    calls.clear()
+    offset = 0  # one ramp alone
+    with pytest.raises(NumericalError, match=message):
+        quasi_static_sweep(REF_DELTA_ML, REF_GAMMA_B, REF_ETA,
+                           drives if direction == "up" else drives[::-1], dwell)
+    assert len(calls) == k
 
 
 def test_damped_plateau_without_roots_is_one_integrate_call(monkeypatch):

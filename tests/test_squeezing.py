@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from libration.model import REFERENCE_DELTA_ML
+from libration.model import REFERENCE_DELTA_ML, NumericalError
 from libration.squeezing import (
     DEGENERATE_BAND,
     SqueezeParams,
@@ -104,8 +104,9 @@ def test_oracle_overflow_is_a_runtime_error():
     # e^{2 lam_p t} ~ e^{3300} at the end of this hyperbolic grid
     xi = 87.72142036086622
     p = SqueezeParams(lam=0.3 * xi, xi=xi, phi=0.0, r=40.0, nbar=0.0)
-    with pytest.raises(RuntimeError, match="overflowed"):
+    with pytest.raises(RuntimeError, match="overflowed") as info:
         moment_oracle(p, np.linspace(0.0, 20.0, 50))
+    assert type(info.value) is NumericalError  # raised where it is found
 
 
 @pytest.mark.parametrize("field", ["lam", "xi", "phi", "r", "nbar"])

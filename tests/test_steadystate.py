@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from libration.config import load_config
 from libration.dynamics import mean_field_rhs, quasi_static_sweep
+from libration.model import NumericalError
 from libration.steadystate import (
     RESIDUAL_RTOL,
     MeanFieldParams,
@@ -317,7 +318,7 @@ def test_resonance_error_carries_the_failing_root():
     with pytest.raises(ResonanceError) as info:
         steady_occupations(p)
     err = info.value
-    assert isinstance(err, RuntimeError)
+    assert isinstance(err, NumericalError) and isinstance(err, RuntimeError)
     assert err.params == p
     lo, hi = err.bracket
     assert lo <= err.n <= hi
